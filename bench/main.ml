@@ -973,7 +973,7 @@ let bench_robustness () =
              (Staged.stage (mk_recovery ()));
            Test.make ~name:"robustness/places-write-atomic-50"
              (Staged.stage (fun () ->
-                  Session.write_atomic ~path:tmp places_content));
+                  Recorder.write_atomic ~path:tmp places_content));
            Test.make ~name:"robustness/places-read-lenient-50"
              (Staged.stage (fun () ->
                   ignore (Session.read_places places_content)));
@@ -1847,8 +1847,7 @@ let write_profile_json ~path results
   Buffer.add_string b
     (Printf.sprintf
        "  \"flame\": {\"events\": %d, \"dispatch_wall_ns\": %d, \
-        \"root_total_ns\": %d, \"coverage\": %.3f, \"collapsed_stacks\": %d, \
-        \"coverage_budget\": 0.95}\n"
+        \"root_total_ns\": %d, \"coverage\": %.3f, \"collapsed_stacks\": %d}\n"
        events dispatch_wall_ns root_total_ns coverage stacks);
   Buffer.add_string b "}\n";
   let oc = open_out path in

@@ -259,6 +259,24 @@ let run_top frames =
   done;
   print_newline ()
 
+(* The parsed reply of a file-export verb (f.waterfall, f.flame); exits 1
+   on an unparseable reply or an {"error"}. *)
+let export_reply server verb =
+  let reply = read_reply server in
+  match Json.parse reply with
+  | Error msg ->
+      Printf.eprintf "swmcmd_cli: unparseable %s reply: %s\n" verb msg;
+      exit 1
+  | Ok json -> (
+      match Json.member "error" json with
+      | Some (Json.Str msg) ->
+          Printf.eprintf "swmcmd_cli: %s failed: %s\n" verb msg;
+          exit 1
+      | _ -> json)
+
+let int_field json name =
+  Option.value (Option.bind (Json.member name json) Json.to_int) ~default:0
+
 (* --waterfall: run the scripted session so the waterfall ring has a story
    to tell, then have the WM write it atomically via f.waterfall. *)
 let run_waterfall file =
@@ -266,23 +284,8 @@ let run_waterfall file =
   let sender = Server.connect server ~name:"swmcmd" in
   scripted_session server wm;
   roundtrip server wm sender (Printf.sprintf "f.waterfall(%s)" file);
-  let reply = read_reply server in
-  (match Json.parse reply with
-  | Error msg ->
-      Printf.eprintf "swmcmd_cli: unparseable f.waterfall reply: %s\n" msg;
-      exit 1
-  | Ok json -> (
-      match Json.member "error" json with
-      | Some (Json.Str msg) ->
-          Printf.eprintf "swmcmd_cli: f.waterfall failed: %s\n" msg;
-          exit 1
-      | _ ->
-          let int_field name =
-            match Option.bind (Json.member name json) Json.to_int with
-            | Some n -> n
-            | None -> 0
-          in
-          Printf.printf "wrote %s: %d bytes\n" file (int_field "bytes")))
+  let json = export_reply server "f.waterfall" in
+  Printf.printf "wrote %s: %d bytes\n" file (int_field json "bytes")
 
 let run_flightdump file =
   let server, wm = setup () in
@@ -332,32 +335,16 @@ let run_flame file =
   let server, wm = setup () in
   let sender = profiled_session server wm in
   roundtrip server wm sender (Printf.sprintf "f.flame(%s)" file);
-  let reply = read_reply server in
-  (match Json.parse reply with
-  | Error msg ->
-      Printf.eprintf "swmcmd_cli: unparseable f.flame reply: %s\n" msg;
-      exit 1
-  | Ok json -> (
-      match Json.member "error" json with
-      | Some (Json.Str msg) ->
-          Printf.eprintf "swmcmd_cli: f.flame failed: %s\n" msg;
-          exit 1
-      | _ ->
-          let int_field name =
-            match Option.bind (Json.member name json) Json.to_int with
-            | Some n -> n
-            | None -> 0
-          in
-          let coverage =
-            match Option.bind (Json.member "coverage" json) Json.to_float with
-            | Some c -> c
-            | None -> 0.
-          in
-          Printf.printf
-            "wrote %s: %d collapsed stacks, %d bytes (coverage %.1f%% of %d ns \
-             dispatch wall)\n"
-            file (int_field "frames") (int_field "bytes") (coverage *. 100.)
-            (int_field "dispatch_wall_ns")))
+  let json = export_reply server "f.flame" in
+  let coverage =
+    Option.value ~default:0.
+      (Option.bind (Json.member "coverage" json) Json.to_float)
+  in
+  Printf.printf
+    "wrote %s: %d collapsed stacks, %d bytes (coverage %.1f%% of %d ns \
+     dispatch wall)\n"
+    file (int_field json "frames") (int_field json "bytes") (coverage *. 100.)
+    (int_field json "dispatch_wall_ns")
 
 (* A replayable chaos demo: the test suite's storm at CLI scale, printing
    the injected fault schedule and what the WM absorbed. *)

@@ -89,7 +89,7 @@ let conn app = app.conn
 let app_spec app = app.sp
 
 let process_events app =
-  let events = Server.drain_events app.conn in
+  let events = Server.flush_batch app.conn in
   List.iter
     (fun event ->
       match event with

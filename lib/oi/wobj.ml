@@ -410,13 +410,16 @@ let rec relayout_tree obj =
     apply_shape obj
   end
 
+(* Size only: the root's position belongs to whoever placed it (the WM
+   moves frames without telling the toolkit), so [obj.geom]'s x/y may be
+   stale and must not be sent back. *)
 let relayout obj =
   if is_realized obj then begin
     let nw, nh = natural_size obj in
-    let geom = { obj.geom with Geom.w = nw; h = nh } in
-    if not (Geom.rect_equal geom obj.geom) then begin
-      Server.move_resize obj.tk.server obj.tk.conn obj.win geom;
-      obj.geom <- geom
+    if nw <> obj.geom.w || nh <> obj.geom.h then begin
+      Server.configure_window obj.tk.server obj.tk.conn obj.win
+        { Event.no_changes with cw = Some nw; ch = Some nh };
+      obj.geom <- { obj.geom with Geom.w = nw; h = nh }
     end;
     relayout_tree obj
   end

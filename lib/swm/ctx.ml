@@ -74,7 +74,7 @@ let tier_name = function
 (* Per-event waterfall: the most recent dispatches with their full
    ingress -> queue -> dispatch -> f.* -> requests story, filled by
    [Wm.handle_event_full] while the lifecycle ledger is armed and exported
-   by [f.waterfall].  Bounded ring, like the flight recorder. *)
+   by [f.waterfall]. *)
 type waterfall_rec = {
   wf_seq : int; (* the triggering event's ingress seq *)
   wf_code : int;
@@ -136,14 +136,12 @@ type t = {
   dispatch_counters : Swm_xlib.Metrics.counter array;
       (* events_by_kind series resolved per Event.code, so the per-event
          increment is one array load instead of a label-hash lookup *)
-  h_dispatch_ns : Swm_xlib.Metrics.histogram; (* wm.dispatch_ns, CPU time *)
   h_dispatch_wall_ns : Swm_xlib.Metrics.histogram; (* wm.dispatch_wall_ns *)
   h_e2e : Swm_xlib.Metrics.histogram array;
       (* event.e2e_ns{event} resolved per Event.code: ingress ->
          dispatch-complete wall latency, observed only for events whose
          entry carries a live ingress stamp (ledger armed) *)
-  wf_ring : waterfall_rec option array; (* recent-dispatch waterfall *)
-  mutable wf_head : int; (* next write slot *)
+  wf_ring : waterfall_rec Swm_xlib.Ring.t; (* recent-dispatch waterfall *)
   mutable fn_trail : string list;
       (* f.* verbs run by the dispatch in flight (newest first); reset by
          Wm per event, appended by Functions.execute_at *)

@@ -86,8 +86,7 @@ val tier_name : tier -> string
 (** One recent dispatch in the per-event waterfall: the full ingress ->
     queue -> dispatch -> f.* -> requests story for one delivered event,
     filled by {!Wm.handle_event_full} while the lifecycle ledger is armed
-    and exported by [f.waterfall].  Bounded ring, like the flight
-    recorder. *)
+    and exported by [f.waterfall]. *)
 type waterfall_rec = {
   wf_seq : int;  (** the triggering event's ingress seq *)
   wf_code : int;
@@ -178,17 +177,15 @@ type t = {
       (** [events_by_kind] series resolved once per {!Event.code} (index
           0..{!Event.last_event}), so the per-event increment is an array
           load instead of a label-hash lookup *)
-  h_dispatch_ns : Swm_xlib.Metrics.histogram;
-      (** [wm.dispatch_ns] (CPU time), resolved once *)
   h_dispatch_wall_ns : Swm_xlib.Metrics.histogram;
       (** [wm.dispatch_wall_ns] (monotonic wall time), resolved once *)
   h_e2e : Swm_xlib.Metrics.histogram array;
       (** [event.e2e_ns{event}] resolved per {!Event.code}: ingress ->
           dispatch-complete wall latency, observed only for events whose
           queue entry carries a live ingress stamp (ledger armed) *)
-  wf_ring : waterfall_rec option array;
-      (** recent-dispatch waterfall, {!waterfall_capacity} slots *)
-  mutable wf_head : int;  (** next waterfall write slot *)
+  wf_ring : waterfall_rec Swm_xlib.Ring.t;
+      (** recent-dispatch waterfall: a bounded ring of the last
+          {!waterfall_capacity} dispatches *)
   mutable fn_trail : string list;
       (** f.* verbs run by the dispatch in flight (newest first); reset by
           {!Wm} per event, appended by {!Functions.execute_at} *)

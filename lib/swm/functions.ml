@@ -6,6 +6,7 @@ module Wobj = Swm_oi.Wobj
 module Menu = Swm_oi.Menu
 module Panel_spec = Swm_oi.Panel_spec
 module Metrics = Swm_xlib.Metrics
+module Ring = Swm_xlib.Ring
 module Event = Swm_xlib.Event
 module Tracing = Swm_xlib.Tracing
 module Recorder = Swm_xlib.Recorder
@@ -225,7 +226,7 @@ let places (ctx : Ctx.t) ~file_arg =
   in
   match path with
   | None -> ()
-  | Some path -> Session.write_atomic ~path content
+  | Some path -> Recorder.write_atomic ~path content
 
 (* The periodic crash-safety snapshot: same content as f.places, always
    written atomically, to the autosaveFile (or the explicit argument). *)
@@ -239,7 +240,7 @@ let autosave (ctx : Ctx.t) ~file_arg =
   | None -> ()
   | Some path ->
       let content = places_content ctx in
-      Session.write_atomic ~path content;
+      Recorder.write_atomic ~path content;
       ctx.autosave_pending <- 0;
       Metrics.incr (Metrics.counter (Server.metrics ctx.server) "session.autosaves");
       let tracer = Server.tracer ctx.server in
@@ -478,17 +479,10 @@ let health_json (ctx : Ctx.t) =
    Entries are emitted oldest-first; queue_ns/e2e_ns are -1 when the event
    entered the queue while the ledger was disarmed (no ingress stamp). *)
 let waterfall_json (ctx : Ctx.t) =
-  let cap = Array.length ctx.wf_ring in
-  let entries = ref [] in
-  for i = cap - 1 downto 0 do
-    match ctx.wf_ring.((ctx.wf_head + i) mod cap) with
-    | Some r -> entries := r :: !entries
-    | None -> ()
-  done;
-  let entries = List.rev !entries in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
-    (Printf.sprintf "{\"events\":%d,\"waterfall\":[" (List.length entries));
+    (Printf.sprintf "{\"events\":%d,\"waterfall\":["
+       (Ring.length ctx.wf_ring));
   List.iteri
     (fun i (r : Ctx.waterfall_rec) ->
       if i > 0 then Buffer.add_char buf ',';
@@ -502,7 +496,7 @@ let waterfall_json (ctx : Ctx.t) =
            (Metrics.json_string (Event.name_of_code r.wf_code))
            r.wf_ingress_ns queue_ns (r.wf_t1 - r.wf_t0) e2e_ns r.wf_requests
            (String.concat "," (List.map Metrics.json_string r.wf_fns))))
-    entries;
+    (Ring.to_list ctx.wf_ring);
   Buffer.add_string buf
     (Printf.sprintf "],\"ledger\":%s}" (Server.ledger_json ctx.server));
   Buffer.contents buf
@@ -525,6 +519,25 @@ let stats_json (ctx : Ctx.t) =
     (if enqueued > 0. then coalesced /. enqueued else 0.)
     (rate "faults.injected")
     (Metrics.top_json (Server.metrics ctx.server) ())
+
+(* The file-export verbs f.flame, f.flightdump and f.waterfall: trim the
+   path argument, render the content, write it atomically and reply
+   {"<verb>":path,"bytes":n<extra>} — or {"error":msg}. *)
+let write_export (ctx : Ctx.t) ~screen ~verb arg render =
+  match Option.map String.trim arg with
+  | Some path when path <> "" -> (
+      let content, extra = render () in
+      try
+        Recorder.write_atomic ~path content;
+        set_result ctx ~screen
+          (Printf.sprintf "{\"%s\":%s,\"bytes\":%d%s}" verb
+             (Metrics.json_string path) (String.length content) extra)
+      with Sys_error msg ->
+        set_result ctx ~screen
+          (Printf.sprintf "{\"error\":%s}" (Metrics.json_string msg)))
+  | Some _ | None ->
+      set_result ctx ~screen
+        (Printf.sprintf "{\"error\":\"f.%s takes a file path\"}" verb)
 
 let run_nullary (ctx : Ctx.t) inv name =
   match name with
@@ -640,35 +653,23 @@ let rec run_data ~depth (ctx : Ctx.t) inv name arg =
       | None -> ())
   | "f.trace" -> trace_control ctx ~screen arg
   | "f.profile" -> profile_control ctx ~screen arg
-  | "f.flame" -> (
+  | "f.flame" ->
       (* f.flame(FILE) — write the aggregated call tree as collapsed-stack
          text (flamegraph.pl / speedscope input) and reply with what was
-         written plus the coverage numbers the CI gate checks. *)
-      match Option.map String.trim arg with
-      | Some path when path <> "" -> (
+         written plus the coverage numbers. *)
+      write_export ctx ~screen ~verb:"flame" arg (fun () ->
           let profiler = Server.profiler ctx.server in
           let collapsed = Profile.to_collapsed profiler in
-          let frames =
-            String.fold_left
-              (fun n c -> if c = '\n' then n + 1 else n)
-              0 collapsed
-          in
-          try
-            Session.write_atomic ~path collapsed;
-            set_result ctx ~screen
-              (Printf.sprintf
-                 "{\"flame\":%s,\"frames\":%d,\"bytes\":%d,\
-                  \"root_total_ns\":%d,\"dispatch_wall_ns\":%d,\
-                  \"coverage\":%.3f}"
-                 (Metrics.json_string path) frames (String.length collapsed)
-                 (Profile.root_total_ns profiler)
-                 (Profile.dispatch_wall_ns profiler)
-                 (Profile.coverage profiler))
-          with Sys_error msg ->
-            set_result ctx ~screen
-              (Printf.sprintf "{\"error\":%s}" (Metrics.json_string msg)))
-      | Some _ | None ->
-          set_result ctx ~screen "{\"error\":\"f.flame takes a file path\"}")
+          ( collapsed,
+            Printf.sprintf
+              ",\"frames\":%d,\"root_total_ns\":%d,\"dispatch_wall_ns\":%d,\
+               \"coverage\":%.3f"
+              (String.fold_left
+                 (fun n c -> if c = '\n' then n + 1 else n)
+                 0 collapsed)
+              (Profile.root_total_ns profiler)
+              (Profile.dispatch_wall_ns profiler)
+              (Profile.coverage profiler) ))
   | "f.metrics" -> (
       let metrics = Server.metrics ctx.server in
       match Option.map (fun a -> String.lowercase_ascii (String.trim a)) arg with
@@ -678,26 +679,14 @@ let rec run_data ~depth (ctx : Ctx.t) inv name arg =
       | Some _ ->
           set_result ctx ~screen
             "{\"error\":\"f.metrics takes no argument, prometheus or table\"}")
-  | "f.flightdump" -> (
-      match Option.map String.trim arg with
-      | Some path when path <> "" -> (
-          let report =
-            Recorder.dump_json
+  | "f.flightdump" ->
+      write_export ctx ~screen ~verb:"flightdump" arg (fun () ->
+          ( Recorder.dump_json
               (Server.recorder ctx.server)
               ~reason:"f.flightdump"
               ~metrics:(Server.metrics ctx.server)
-              ~tracer:(Server.tracer ctx.server)
-          in
-          try
-            Session.write_atomic ~path report;
-            set_result ctx ~screen
-              (Printf.sprintf "{\"flightdump\":%s,\"bytes\":%d}"
-                 (Metrics.json_string path) (String.length report))
-          with Sys_error msg ->
-            set_result ctx ~screen
-              (Printf.sprintf "{\"error\":%s}" (Metrics.json_string msg)))
-      | Some _ | None ->
-          set_result ctx ~screen "{\"error\":\"f.flightdump takes a file path\"}")
+              ~tracer:(Server.tracer ctx.server),
+            "" ))
   | "f.replay" -> (
       (* f.replay(FILE) — re-execute a crash report or repro file against a
          fresh Server+WM pair and report the convergence outcome, so the
@@ -737,22 +726,10 @@ let rec run_data ~depth (ctx : Ctx.t) inv name arg =
           match window_of sel with
           | Some w -> set_result ctx ~screen (Server.fate_json ctx.server ~window:w ())
           | None -> set_result ctx ~screen (Server.fate_json ctx.server ~conn:sel ())))
-  | "f.waterfall" -> (
-      (* f.waterfall(FILE) — write the recent-dispatch waterfall JSON
-         atomically and reply with what was written, mirroring f.flightdump. *)
-      match Option.map String.trim arg with
-      | Some path when path <> "" -> (
-          let json = waterfall_json ctx in
-          try
-            Session.write_atomic ~path json;
-            set_result ctx ~screen
-              (Printf.sprintf "{\"waterfall\":%s,\"bytes\":%d}"
-                 (Metrics.json_string path) (String.length json))
-          with Sys_error msg ->
-            set_result ctx ~screen
-              (Printf.sprintf "{\"error\":%s}" (Metrics.json_string msg)))
-      | Some _ | None ->
-          set_result ctx ~screen "{\"error\":\"f.waterfall takes a file path\"}")
+  | "f.waterfall" ->
+      (* f.waterfall(FILE) — write the recent-dispatch waterfall JSON. *)
+      write_export ctx ~screen ~verb:"waterfall" arg (fun () ->
+          (waterfall_json ctx, ""))
   | "f.warpto" -> (
       match arg with
       | Some class_arg -> (

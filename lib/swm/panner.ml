@@ -101,7 +101,7 @@ let refresh (ctx : Ctx.t) ~screen =
      Swm_xlib.Tracing.span tracer "panner.refresh"
    else fun f -> f ())
   @@ fun () ->
-  Metrics.time_ns (Server.metrics ctx.server) "panner.refresh_ns" @@ fun () ->
+  Metrics.time_mono_ns (Server.metrics ctx.server) "panner.refresh_ns" @@ fun () ->
   Scrollbar.refresh ctx ~screen;
   match vdesk_of ctx ~screen with
   | None -> ()

@@ -320,8 +320,3 @@ let parse_places_file text =
   | `Mismatch, _ -> Error "places file checksum mismatch"
   | (`Valid | `Missing), Some msg -> Error msg
   | (`Valid | `Missing), None -> Ok r.hints
-
-let write_atomic ~path content =
-  let tmp = path ^ ".tmp" in
-  Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc content);
-  Sys.rename tmp path

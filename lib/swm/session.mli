@@ -98,7 +98,3 @@ val parse_places_file : string -> (hint list, string) result
 (** Strict recovery: [Error] if the checksum mismatches or any swmhints
     line is malformed (used by [swmhints check] and tests); files without
     a checksum line are accepted for compatibility. *)
-
-val write_atomic : path:string -> string -> unit
-(** Write via [path ^ ".tmp"] then rename, so a crash mid-write leaves
-    either the old file or the new one, never a torn mixture. *)

@@ -1,4 +1,5 @@
 module Metrics = Swm_xlib.Metrics
+module Ring = Swm_xlib.Ring
 module Tracing = Swm_xlib.Tracing
 module Recorder = Swm_xlib.Recorder
 module Replay = Swm_xlib.Replay
@@ -796,19 +797,18 @@ let stats_tick (ctx : Ctx.t) =
   end
 
 (* Every event goes through here so dispatch latency lands in the
-   [wm.dispatch_ns] histogram (CPU time) alongside the server's queue
-   counters, and — when tracing is on — as a [wm.dispatch] span that
-   parents everything the handler does (function runs, redraws, pans).
+   [wm.dispatch_wall_ns] histogram alongside the server's queue counters,
+   and — when tracing is on — as a [wm.dispatch] span that parents
+   everything the handler does (function runs, redraws, pans).
 
    The handler runs under {!Xguard}: a BadWindow/BadAccess raised by a
    racing client is absorbed at this boundary (counted in [wm.xerrors]),
    after which dead clients are swept instead of crashing the WM.
 
    Around the guard sit the health layer's probes: the flight recorder
-   logs the event, wall time goes into [wm.dispatch_wall_ns], and a
-   dispatch that overruns [watchdog_threshold_ns] counts a
-   [watchdog.stalls] — the "the WM froze for a moment" signal that CPU
-   time cannot see.  An exception that escapes even Xguard dumps a crash
+   logs the event, and a dispatch that overruns [watchdog_threshold_ns]
+   counts a [watchdog.stalls] — the "the WM froze for a moment"
+   signal.  An exception that escapes even Xguard dumps a crash
    report before propagating: the flight recorder's whole purpose is to
    still have the story when that happens. *)
 (* Per-kind dispatch constants, precomputed once so the hot loop never
@@ -857,7 +857,6 @@ let handle_event_full (ctx : Ctx.t) event (stamp : Server.stamp) =
   Profile.event_section (Server.profiler ctx.server)
   @@ fun () ->
   let t0 = Metrics.now_mono_ns () in
-  let c0 = Sys.time () in
   let req0 = Server.request_count ctx.server in
   ctx.fn_trail <- [];
   (match
@@ -879,10 +878,6 @@ let handle_event_full (ctx : Ctx.t) event (stamp : Server.stamp) =
    with
   | Some () -> ()
   | None -> sweep_dead ctx);
-  (* Both dispatch clocks land in preresolved histograms: CPU time
-     (dispatch_ns, "how much work") and monotonic wall time
-     (dispatch_wall_ns, "how long the loop stalled"). *)
-  Metrics.observe ctx.h_dispatch_ns (int_of_float ((Sys.time () -. c0) *. 1e9));
   let t1 = Metrics.now_mono_ns () in
   let elapsed = t1 - t0 in
   Metrics.observe ctx.h_dispatch_wall_ns elapsed;
@@ -891,20 +886,17 @@ let handle_event_full (ctx : Ctx.t) event (stamp : Server.stamp) =
      the queue: no residency baseline, so no sample. *)
   if stamp.Server.ingress_ns > 0 then
     Metrics.observe ctx.h_e2e.(code) (t1 - stamp.Server.ingress_ns);
-  if Server.ledger_enabled ctx.server then begin
-    ctx.wf_ring.(ctx.wf_head) <-
-      Some
-        {
-          Ctx.wf_seq = stamp.Server.seq;
-          wf_code = code;
-          wf_ingress_ns = stamp.Server.ingress_ns;
-          wf_t0 = t0;
-          wf_t1 = t1;
-          wf_requests = Server.request_count ctx.server - req0;
-          wf_fns = List.rev ctx.fn_trail;
-        };
-    ctx.wf_head <- (ctx.wf_head + 1) mod Array.length ctx.wf_ring
-  end;
+  if Server.ledger_enabled ctx.server then
+    Ring.push ctx.wf_ring
+      {
+        Ctx.wf_seq = stamp.Server.seq;
+        wf_code = code;
+        wf_ingress_ns = stamp.Server.ingress_ns;
+        wf_t0 = t0;
+        wf_t1 = t1;
+        wf_requests = Server.request_count ctx.server - req0;
+        wf_fns = List.rev ctx.fn_trail;
+      };
   if elapsed >= ctx.watchdog_threshold_ns then begin
     Metrics.incr ctx.c_watchdog_stalls;
     let attrs =
@@ -1164,14 +1156,12 @@ let start ?(resources = []) ?(host = "localhost") ?(display = ":0") server =
       c_gov_skipped = Metrics.counter metrics "governor.events_skipped";
       events_by_kind;
       dispatch_counters;
-      h_dispatch_ns = Metrics.histogram metrics "wm.dispatch_ns";
       h_dispatch_wall_ns = Metrics.histogram metrics "wm.dispatch_wall_ns";
       h_e2e =
         (let fam = Metrics.histogram_family metrics ~key:"event" "event.e2e_ns" in
          Array.init (Event.last_event + 1) (fun code ->
              Metrics.labeled_histogram fam (Event.name_of_code code)));
-      wf_ring = Array.make Ctx.waterfall_capacity None;
-      wf_head = 0;
+      wf_ring = Ring.bounded Ctx.waterfall_capacity;
       fn_trail = [];
       c_events_dispatched = Metrics.counter metrics "wm.events_dispatched";
       c_watchdog_stalls = Metrics.counter metrics "watchdog.stalls";

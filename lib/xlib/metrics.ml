@@ -156,19 +156,9 @@ let labeled_counter_value t name label =
       | Some c -> c.c
       | None -> 0)
 
-(* Two clocks, two helpers.  [time_ns] charges CPU time (Sys.time): right
-   for "how much work did this do" series.  [time_mono_ns] charges wall
-   time from the monotonic clock: right for latency series and the only
-   clock spans may use (Tracing shares the same source).  Which clock a
-   series uses is part of its contract — see the .mli. *)
-let time_ns t name f =
-  let h = histogram t name in
-  let t0 = Sys.time () in
-  let r = f () in
-  let t1 = Sys.time () in
-  observe h (int_of_float ((t1 -. t0) *. 1e9));
-  r
-
+(* The one clock: monotonic wall time (CLOCK_MONOTONIC via bechamel's
+   stubs).  Spans, the recorder, the ledger and every timing series read
+   it, so their numbers are directly comparable. *)
 let now_mono_ns () = Int64.to_int (Monotonic_clock.now ())
 
 let time_mono_ns t name f =
@@ -227,21 +217,7 @@ let sorted_bindings tbl =
 
 (* Series names are [A-Za-z0-9._-] by convention; escape anyway so a stray
    name cannot corrupt the dump. *)
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+let json_string = Json.escape
 
 let hist_json h =
   let bucket_list = ref [] in
@@ -497,18 +473,14 @@ type sample = { s_ts : int; s_vals : int array }
 type sampler = {
   sp_registry : t;
   sp_names : string array;
-  sp_ring : sample option array; (* fixed ring, like the flight recorder *)
-  mutable sp_head : int;
-  mutable sp_total : int;
+  sp_ring : sample Ring.t;
 }
 
 let sampler t ?(capacity = 64) names =
   {
     sp_registry = t;
     sp_names = Array.of_list names;
-    sp_ring = Array.make (max 2 capacity) None;
-    sp_head = 0;
-    sp_total = 0;
+    sp_ring = Ring.bounded (max 2 capacity);
   }
 
 let sampler_names sp = Array.to_list sp.sp_names
@@ -517,33 +489,19 @@ let sample sp =
   let vals =
     Array.map (fun name -> counter_value sp.sp_registry name) sp.sp_names
   in
-  let s = { s_ts = now_mono_ns (); s_vals = vals } in
-  sp.sp_ring.(sp.sp_head) <- Some s;
-  sp.sp_head <- (sp.sp_head + 1) mod Array.length sp.sp_ring;
-  sp.sp_total <- sp.sp_total + 1
+  Ring.push sp.sp_ring { s_ts = now_mono_ns (); s_vals = vals }
 
-let samples sp =
-  let n = Array.length sp.sp_ring in
-  let acc = ref [] in
-  for i = n - 1 downto 0 do
-    match sp.sp_ring.((sp.sp_head + i) mod n) with
-    | Some s -> acc := s :: !acc
-    | None -> ()
-  done;
-  !acc
-
-let sample_count sp = sp.sp_total
-let retained sp = List.length (samples sp)
+let sample_count sp = Ring.length sp.sp_ring + Ring.evicted sp.sp_ring
+let retained sp = Ring.length sp.sp_ring
 
 (* Rates over the retained window: (newest - oldest) / elapsed.  Counters
    are monotonic, so the delta is the number of increments the window saw;
    fewer than two samples (or a zero-width window) rate as 0. *)
 let window sp =
-  match samples sp with
-  | [] | [ _ ] -> None
-  | oldest :: rest ->
-      let rec last = function [ x ] -> x | _ :: tl -> last tl | [] -> oldest in
-      Some (oldest, last rest)
+  match (Ring.peek sp.sp_ring, Ring.peek_back sp.sp_ring) with
+  | Some oldest, Some newest when Ring.length sp.sp_ring >= 2 ->
+      Some (oldest, newest)
+  | _ -> None
 
 let series_index sp name =
   let rec go i =
@@ -581,5 +539,5 @@ let stats_json sp =
           (rate sp name))
       (Array.to_list sp.sp_names)
   in
-  Printf.sprintf "{\"samples\":%d,\"window_ns\":%d,\"series\":{%s}}" sp.sp_total
-    window_ns (String.concat "," series)
+  Printf.sprintf "{\"samples\":%d,\"window_ns\":%d,\"series\":{%s}}"
+    (sample_count sp) window_ns (String.concat "," series)

@@ -109,31 +109,21 @@ val top_json : t -> ?n:int -> unit -> string
     object: [{family:{"key":k,"top":[{"label":l,"value":v},..]},..}] —
     the payload behind [f.stats]'s ["top"] section. *)
 
-(** {2 Clocks}
+(** {2 Clock}
 
-    Two timing helpers record into histograms, and they deliberately use
-    different clocks:
-
-    - {!time_ns} charges {e CPU time} ([Sys.time]) — use it for
-      work-per-operation series.  Server/WM series using it:
-      [wm.dispatch_ns], [panner.refresh_ns].
-    - {!time_mono_ns} charges {e wall time} from the monotonic clock —
-      use it for latency a user would perceive.  {!Tracing} spans use the
-      same monotonic source, so span durations and [time_mono_ns] series
-      are directly comparable; CPU-time series are not. *)
-
-val time_ns : t -> string -> (unit -> 'a) -> 'a
-(** Run the thunk and record its CPU time in nanoseconds into the named
-    histogram. *)
+    Every timing series, span, recorder entry and ledger stamp reads one
+    clock: monotonic wall time, which is what a user perceives and what
+    survives CPU idling.  Span durations and [time_mono_ns] series are
+    therefore directly comparable. *)
 
 val time_mono_ns : t -> string -> (unit -> 'a) -> 'a
 (** Run the thunk and record its wall (monotonic) time in nanoseconds into
-    the named histogram. *)
+    the named histogram ([panner.refresh_ns]). *)
 
 val now_mono_ns : unit -> int
-(** One reading of the shared monotonic clock, in nanoseconds — for callers
-    (the {!Wm} watchdog) that need the elapsed value itself, not just a
-    histogram sample. *)
+(** One reading of the monotonic clock, in nanoseconds — for callers (the
+    {!Wm} watchdog, {!Tracing}, {!Recorder}, the ledger) that need the value
+    itself, not just a histogram sample. *)
 
 (** {1 Export} *)
 
@@ -142,9 +132,9 @@ val reset : t -> unit
     valid). *)
 
 val json_string : string -> string
-(** Escape and quote a string as a JSON string literal.  Used for every
+(** {!Json.escape}: a string as a quoted JSON literal.  Used for every
     series name in {!to_json} (so a stray name can never corrupt the dump)
-    and shared with {!Tracing}'s exporters. *)
+    and by the other hand-built exporters. *)
 
 val to_json : t -> string
 (** The registry as one JSON object:
@@ -181,8 +171,8 @@ val to_table : t -> string
     A {!sampler} snapshots a fixed list of counters into a bounded ring
     ({!sample}, driven from the WM's dispatch tick) so rates can be derived
     over the retained window — events/sec, faults/sec — rather than only
-    all-time totals.  Like the flight recorder's ring, the sampler never
-    grows: sampling cost is constant no matter the uptime. *)
+    all-time totals.  The ring is a bounded {!Ring}: sampling cost is
+    constant no matter the uptime. *)
 
 type sampler
 

@@ -7,9 +7,7 @@ type entry = {
 
 type t = {
   mutable on : bool;
-  ring : entry option array; (* fixed size: armed cost is constant *)
-  mutable head : int; (* next write slot *)
-  mutable total : int;
+  ring : entry Ring.t;
   mutable epoch : int;
   mutable snapshot_source : (unit -> string) option;
   mutable snapshot_interval : int;
@@ -25,22 +23,16 @@ type t = {
      owns the grammar.  Kept separate from the entry ring because entries
      are diagnostics (droppable) while a journal with any drop can no
      longer replay from a fresh server. *)
-  j_ring : string option array;
-  mutable j_head : int;
-  mutable j_total : int;
+  journal : string Ring.t;
   mutable j_meta : string option; (* session setup, JSON text *)
   mutable j_snap : string option; (* snapshot at the last [snap] op *)
 }
 
-let now_ns () = Int64.to_int (Monotonic_clock.now ())
-
 let create ?(capacity = 512) ?(journal_capacity = 8192) () =
   {
     on = false;
-    ring = Array.make (max 1 capacity) None;
-    head = 0;
-    total = 0;
-    epoch = now_ns ();
+    ring = Ring.bounded capacity;
+    epoch = Metrics.now_mono_ns ();
     snapshot_source = None;
     snapshot_interval = 256;
     since_snapshot = 0;
@@ -49,27 +41,21 @@ let create ?(capacity = 512) ?(journal_capacity = 8192) () =
     dump_path = None;
     dumps = 0;
     dump_errors = 0;
-    j_ring = Array.make (max 1 journal_capacity) None;
-    j_head = 0;
-    j_total = 0;
+    journal = Ring.bounded journal_capacity;
     j_meta = None;
     j_snap = None;
   }
 
-let capacity t = Array.length t.ring
+let capacity t = Ring.capacity t.ring
 let enabled t = t.on
 
 let start t =
-  Array.fill t.ring 0 (Array.length t.ring) None;
-  t.head <- 0;
-  t.total <- 0;
+  Ring.clear t.ring;
   t.since_snapshot <- 0;
   t.last_snapshot <- None;
-  Array.fill t.j_ring 0 (Array.length t.j_ring) None;
-  t.j_head <- 0;
-  t.j_total <- 0;
+  Ring.clear t.journal;
   t.j_snap <- None;
-  t.epoch <- now_ns ();
+  t.epoch <- Metrics.now_mono_ns ();
   t.on <- true
 
 let stop t = t.on <- false
@@ -85,7 +71,8 @@ let take_snapshot t =
         t.snapping <- true;
         Fun.protect
           ~finally:(fun () -> t.snapping <- false)
-          (fun () -> t.last_snapshot <- Some (now_ns () - t.epoch, source ()));
+          (fun () ->
+            t.last_snapshot <- Some (Metrics.now_mono_ns () - t.epoch, source ()));
         t.since_snapshot <- 0
       end
 
@@ -93,48 +80,23 @@ let snapshot_now t = if t.on then take_snapshot t
 
 let record t ~kind ?(attrs = []) what =
   if t.on && not t.snapping then begin
-    t.ring.(t.head) <- Some { ts_ns = now_ns () - t.epoch; kind; what; attrs };
-    t.head <- (t.head + 1) mod Array.length t.ring;
-    t.total <- t.total + 1;
+    Ring.push t.ring
+      { ts_ns = Metrics.now_mono_ns () - t.epoch; kind; what; attrs };
     t.since_snapshot <- t.since_snapshot + 1;
     if t.since_snapshot >= t.snapshot_interval then take_snapshot t
   end
 
-let entries t =
-  let n = Array.length t.ring in
-  let acc = ref [] in
-  for i = n - 1 downto 0 do
-    match t.ring.((t.head + i) mod n) with
-    | Some e -> acc := e :: !acc
-    | None -> ()
-  done;
-  !acc
-
-let recorded t = t.total
-let dropped t = max 0 (t.total - Array.length t.ring)
+let entries t = Ring.to_list t.ring
+let recorded t = Ring.length t.ring + Ring.evicted t.ring
+let dropped t = Ring.evicted t.ring
 
 (* -------- the replay journal -------- *)
 
-let record_op t op =
-  if t.on then begin
-    t.j_ring.(t.j_head) <- Some op;
-    t.j_head <- (t.j_head + 1) mod Array.length t.j_ring;
-    t.j_total <- t.j_total + 1
-  end
-
-let journal_ops t =
-  let n = Array.length t.j_ring in
-  let acc = ref [] in
-  for i = n - 1 downto 0 do
-    match t.j_ring.((t.j_head + i) mod n) with
-    | Some op -> acc := op :: !acc
-    | None -> ()
-  done;
-  !acc
-
-let journal_capacity t = Array.length t.j_ring
-let journal_recorded t = t.j_total
-let journal_dropped t = max 0 (t.j_total - Array.length t.j_ring)
+let record_op t op = if t.on then Ring.push t.journal op
+let journal_ops t = Ring.to_list t.journal
+let journal_capacity t = Ring.capacity t.journal
+let journal_recorded t = Ring.length t.journal + Ring.evicted t.journal
+let journal_dropped t = Ring.evicted t.journal
 let set_meta t json = t.j_meta <- Some json
 let meta t = t.j_meta
 
@@ -154,19 +116,11 @@ let dumps t = t.dumps
 
 (* -------- the crash report -------- *)
 
-let attrs_json attrs =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, v) -> Metrics.json_string k ^ ":" ^ Metrics.json_string v)
-         attrs)
-  ^ "}"
-
 let entry_json e =
   Printf.sprintf "{\"ts_ns\":%d,\"kind\":%s,\"what\":%s,\"attrs\":%s}" e.ts_ns
     (Metrics.json_string e.kind)
     (Metrics.json_string e.what)
-    (attrs_json e.attrs)
+    (Tracing.attrs_json e.attrs)
 
 let dump_json t ~reason ~metrics ~tracer =
   (* The snapshot in a report should be as fresh as the failure: re-take it
@@ -176,11 +130,11 @@ let dump_json t ~reason ~metrics ~tracer =
   Buffer.add_string buf "{\n";
   Buffer.add_string buf ("\"reason\":" ^ Metrics.json_string reason ^ ",\n");
   Buffer.add_string buf
-    (Printf.sprintf "\"dumped_at_ns\":%d,\n" (now_ns () - t.epoch));
+    (Printf.sprintf "\"dumped_at_ns\":%d,\n" (Metrics.now_mono_ns () - t.epoch));
   Buffer.add_string buf
     (Printf.sprintf
        "\"recorder\":{\"capacity\":%d,\"recorded\":%d,\"dropped\":%d,\"entries\":[\n"
-       (capacity t) t.total (dropped t));
+       (capacity t) (recorded t) (dropped t));
   let first = ref true in
   List.iter
     (fun e ->
@@ -201,7 +155,7 @@ let dump_json t ~reason ~metrics ~tracer =
   Buffer.add_string buf
     (Printf.sprintf
        "\"journal\":{\"capacity\":%d,\"recorded\":%d,\"dropped\":%d,\"snap\":%s,\"ops\":[\n"
-       (journal_capacity t) t.j_total (journal_dropped t)
+       (journal_capacity t) (journal_recorded t) (journal_dropped t)
        (match t.j_snap with Some json -> json | None -> "null"));
   let first_op = ref true in
   List.iter
@@ -215,9 +169,8 @@ let dump_json t ~reason ~metrics ~tracer =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-(* Session.write_atomic's discipline, restated here because the recorder
-   sits below the swm layer: a crash mid-dump must never leave a
-   half-written report where a whole one used to be. *)
+(* A crash mid-write must never leave a half-written file where a whole
+   one used to be. *)
 let write_atomic ~path content =
   let tmp = path ^ ".tmp" in
   Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc content);

@@ -33,11 +33,10 @@ type entry = {
 }
 
 val create : ?capacity:int -> ?journal_capacity:int -> unit -> t
-(** A recorder with a fixed ring of [capacity] entries (default 512) and
-    a fixed replay journal of [journal_capacity] ops (default 8192).
-    Unlike the growable {!Ring}, the recorder's rings never reallocate:
-    the cost of armed recording must not depend on how long the WM has
-    been up. *)
+(** A recorder with a bounded {!Ring} of [capacity] entries (default 512)
+    and another of [journal_capacity] replay-journal ops (default 8192).
+    Bounded rings never reallocate: the cost of armed recording must not
+    depend on how long the WM has been up. *)
 
 val capacity : t -> int
 val enabled : t -> bool
@@ -116,6 +115,12 @@ val last_snapshot : t -> (int * string) option
 (** [(ts_ns, json)] of the most recent snapshot, if any. *)
 
 (** {1 Crash reports} *)
+
+val write_atomic : path:string -> string -> unit
+(** Write via [path ^ ".tmp"] then rename, so a crash mid-write leaves
+    either the old file or the new one, never a torn mixture.  Every file
+    the WM writes goes through it: crash reports, session places files and
+    the [f.flame] / [f.flightdump] / [f.waterfall] exports. *)
 
 val arm_dump : t -> path:string -> unit
 (** Crash reports go to [path] (written atomically: [path.tmp] then

@@ -3,36 +3,47 @@ type 'a t = {
   mutable head : int; (* index of the front element *)
   mutable len : int;
   mutable hwm : int;
+  bounded : bool; (* full: evict the front instead of growing *)
+  mutable evicted : int;
 }
 
-let rec pow2 n k = if k >= n then k else pow2 n (k * 2)
+let make n bounded =
+  { buf = Array.make (max 1 n) None; head = 0; len = 0; hwm = 0; bounded;
+    evicted = 0 }
 
-let create ?(capacity = 16) () =
-  { buf = Array.make (pow2 (max 1 capacity) 1) None; head = 0; len = 0; hwm = 0 }
+let create ?(capacity = 16) () = make capacity false
+let bounded n = make n true
 
 let length t = t.len
 let is_empty t = t.len = 0
 let high_water t = t.hwm
+let capacity t = Array.length t.buf
+let evicted t = t.evicted
+
+(* Physical slot of logical index [i] (0 = front), for 0 <= i < capacity. *)
+let slot t i =
+  let j = t.head + i and n = Array.length t.buf in
+  if j >= n then j - n else j
 
 let grow t =
   let cap = Array.length t.buf in
   let buf = Array.make (cap * 2) None in
   for i = 0 to t.len - 1 do
-    buf.(i) <- t.buf.((t.head + i) land (cap - 1))
+    buf.(i) <- t.buf.(slot t i)
   done;
   t.buf <- buf;
   t.head <- 0
 
 let push t x =
-  if t.len = Array.length t.buf then grow t;
-  t.buf.((t.head + t.len) land (Array.length t.buf - 1)) <- Some x;
-  t.len <- t.len + 1;
-  if t.len > t.hwm then t.hwm <- t.len
-
-let push_front t x =
-  if t.len = Array.length t.buf then grow t;
-  t.head <- (t.head - 1) land (Array.length t.buf - 1);
-  t.buf.(t.head) <- Some x;
+  if t.len = Array.length t.buf then
+    if t.bounded then begin
+      (* The front slot is about to be reused for [x]. *)
+      t.head <- slot t 1;
+      t.len <- t.len - 1;
+      t.evicted <- t.evicted + 1
+    end
+    else grow t;
+  t.buf.(slot t t.len) <- Some x;
   t.len <- t.len + 1;
   if t.len > t.hwm then t.hwm <- t.len
 
@@ -41,42 +52,37 @@ let pop t =
   else begin
     let x = t.buf.(t.head) in
     t.buf.(t.head) <- None;
-    t.head <- (t.head + 1) land (Array.length t.buf - 1);
+    t.head <- slot t 1;
     t.len <- t.len - 1;
     x
   end
 
 let peek t = if t.len = 0 then None else t.buf.(t.head)
-
-let back_index t = (t.head + t.len - 1) land (Array.length t.buf - 1)
-let peek_back t = if t.len = 0 then None else t.buf.(back_index t)
+let peek_back t = if t.len = 0 then None else t.buf.(slot t (t.len - 1))
 
 let replace_back t x =
   if t.len = 0 then invalid_arg "Ring.replace_back: empty"
-  else t.buf.(back_index t) <- Some x
+  else t.buf.(slot t (t.len - 1)) <- Some x
 
 (* Logical-index access: index 0 is the front (oldest) element.  Used by
    the overload shed policy, which scans for droppable entries at cap. *)
-let get t i =
-  if i < 0 || i >= t.len then None
-  else t.buf.((t.head + i) land (Array.length t.buf - 1))
+let get t i = if i < 0 || i >= t.len then None else t.buf.(slot t i)
 
 let set t i x =
   if i < 0 || i >= t.len then invalid_arg "Ring.set: out of range"
-  else t.buf.((t.head + i) land (Array.length t.buf - 1)) <- Some x
+  else t.buf.(slot t i) <- Some x
 
 (* O(n) shift toward the head; acceptable because removal only happens at
    the queue cap, where bounding memory matters more than the shed cost. *)
 let remove t i =
   if i < 0 || i >= t.len then None
   else begin
-    let mask = Array.length t.buf - 1 in
-    let removed = t.buf.((t.head + i) land mask) in
+    let removed = t.buf.(slot t i) in
     for j = i downto 1 do
-      t.buf.((t.head + j) land mask) <- t.buf.((t.head + j - 1) land mask)
+      t.buf.(slot t j) <- t.buf.(slot t (j - 1))
     done;
     t.buf.(t.head) <- None;
-    t.head <- (t.head + 1) land mask;
+    t.head <- slot t 1;
     t.len <- t.len - 1;
     removed
   end
@@ -84,11 +90,18 @@ let remove t i =
 let clear t =
   Array.fill t.buf 0 (Array.length t.buf) None;
   t.head <- 0;
-  t.len <- 0
+  t.len <- 0;
+  t.evicted <- 0
 
 let iter f t =
   for i = 0 to t.len - 1 do
-    match t.buf.((t.head + i) land (Array.length t.buf - 1)) with
-    | Some x -> f x
-    | None -> ()
+    match t.buf.(slot t i) with Some x -> f x | None -> ()
   done
+
+let to_list t =
+  let rec go i acc =
+    if i < 0 then acc
+    else
+      go (i - 1) (match t.buf.(slot t i) with Some x -> x :: acc | None -> acc)
+  in
+  go (t.len - 1) []

@@ -1,31 +1,48 @@
-(** A growable circular buffer.
+(** A circular buffer, growable or bounded.
 
-    Backs the per-connection event queues in {!Server}: events are enqueued
-    at the back, delivered from the front, and the batched delivery path
-    ({!Server.read_events}) drains a contiguous run per call instead of one
-    element at a time.  The buffer doubles in place when full, so steady
-    state allocates nothing per event.
+    A {e growable} ring ({!create}) backs the per-connection event queues in
+    {!Server}: events are enqueued at the back, delivered from the front,
+    and the batched delivery path ({!Server.read_events}) drains a
+    contiguous run per call instead of one element at a time.  The buffer
+    doubles in place when full, so steady state allocates nothing per
+    event.
 
     The back of the queue is also mutable ({!peek_back}, {!replace_back}),
     which is what X-style event compression needs: a new MotionNotify
     replaces the MotionNotify already sitting at the tail rather than
-    enqueueing behind it. *)
+    enqueueing behind it.
+
+    A {e bounded} ring ({!bounded}) keeps at most n elements: a push onto
+    a full ring overwrites the oldest element and counts it in {!evicted}.
+    It never reallocates after creation, so its cost does not depend on
+    how long it has been running.  Every observability log is one: the
+    tracing span ring and slow log, the flight recorder's activity ring and
+    replay journal, the ledger's fate ring, the WM's dispatch waterfall and
+    the metrics sampler. *)
 
 type 'a t
 
 val create : ?capacity:int -> unit -> 'a t
-(** [capacity] is the initial ring size (default 16, rounded up to a power
-    of two). *)
+(** A growable ring with [capacity] initial slots (default 16). *)
+
+val bounded : int -> 'a t
+(** A ring holding at most [n] elements (at least 1). *)
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
-val push : 'a t -> 'a -> unit
-(** Append at the back; grows the ring when full. *)
+val capacity : 'a t -> int
+(** Slots allocated: the bound of a bounded ring, which never changes;
+    the current size of a growable one. *)
 
-val push_front : 'a t -> 'a -> unit
-(** Prepend at the front (used to return the unconsumed remainder of a
-    partially-expanded entry). *)
+val push : 'a t -> 'a -> unit
+(** Append at the back.  When full, a growable ring doubles; a bounded one
+    drops its front element and counts it in {!evicted}. *)
+
+val evicted : 'a t -> int
+(** Elements a bounded ring has overwritten since creation or the last
+    {!clear}; always 0 for a growable ring.  For a ring that is never
+    popped, [length + evicted] is the number of pushes. *)
 
 val pop : 'a t -> 'a option
 (** Remove and return the front element. *)
@@ -51,9 +68,13 @@ val remove : 'a t -> int -> 'a option
     steady-state delivery. *)
 
 val clear : 'a t -> unit
+(** Empty the ring and zero {!evicted}; the slots stay allocated. *)
 
 val high_water : 'a t -> int
 (** The largest length the ring has ever reached. *)
 
 val iter : ('a -> unit) -> 'a t -> unit
-(** Front-to-back, without consuming. *)
+(** Front-to-back (oldest first), without consuming. *)
+
+val to_list : 'a t -> 'a list
+(** The elements front-to-back (oldest first), without consuming. *)

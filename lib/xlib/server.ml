@@ -45,8 +45,8 @@ type fate_record = {
   fr_t_fate : int;
 }
 
-(* Recent-fates window behind [f.fate]; like the flight recorder's ring,
-   it never grows, so a storm costs one slot overwrite per event. *)
+(* Recent-fates window behind [f.fate]: a bounded ring, so a storm costs
+   one slot overwrite per event. *)
 let fate_ring_capacity = 512
 
 type ledger = {
@@ -63,8 +63,7 @@ type ledger = {
   mutable lg_last_skip : int;
       (* a multi-rect Damage entry expands to several events sharing one
          seq; reclassifying delivered->skipped must count the entry once *)
-  lg_fates : fate_record option array;
-  mutable lg_head : int; (* next write slot *)
+  lg_fates : fate_record Ring.t;
   lg_queue_hist : Metrics.histogram array;
       (* event.queue_ns{event} indexed by Event.code, cached at create *)
 }
@@ -85,8 +84,7 @@ let mk_ledger metrics =
     lg_skipped = 0;
     lg_evicted = 0;
     lg_last_skip = 0;
-    lg_fates = Array.make fate_ring_capacity None;
-    lg_head = 0;
+    lg_fates = Ring.bounded fate_ring_capacity;
     lg_queue_hist =
       Array.init (Event.last_event + 1) (fun code ->
           Metrics.labeled_histogram fam (Event.name_of_code code));
@@ -101,22 +99,27 @@ let fate_bump lg = function
   | Skipped -> lg.lg_skipped <- lg.lg_skipped + 1
   | Evicted_with_conn -> lg.lg_evicted <- lg.lg_evicted + 1
 
+(* A delivery also feeds the [event.queue_ns{event}] residency histogram,
+   from the same clock reading as its fate record. *)
 let record_fate lg ~cname ~seq ?(survivor = -1) ~code ~window ~t_in fate =
   fate_bump lg fate;
   if lg.lg_armed then begin
-    lg.lg_fates.(lg.lg_head) <-
-      Some
-        {
-          fr_seq = seq;
-          fr_survivor = survivor;
-          fr_conn = cname;
-          fr_code = code;
-          fr_window = window;
-          fr_fate = fate;
-          fr_t_in = t_in;
-          fr_t_fate = Metrics.now_mono_ns ();
-        };
-    lg.lg_head <- (lg.lg_head + 1) mod fate_ring_capacity
+    let t = Metrics.now_mono_ns () in
+    (match fate with
+    | Delivered when t_in > 0 ->
+        Metrics.observe lg.lg_queue_hist.(code) (t - t_in)
+    | _ -> ());
+    Ring.push lg.lg_fates
+      {
+        fr_seq = seq;
+        fr_survivor = survivor;
+        fr_conn = cname;
+        fr_code = code;
+        fr_window = window;
+        fr_fate = fate;
+        fr_t_in = t_in;
+        fr_t_fate = t;
+      }
   end
 
 (* Damage entries surface as Expose on delivery; fate records use the same
@@ -1166,28 +1169,10 @@ let stamp_of_entry = function
 
 (* Delivery-side ledger accounting, once per popped entry (a multi-rect
    Damage expansion counts once — the unit of conservation is the queue
-   entry): fate counter, queue-residency histogram, fate-ring record. *)
+   entry). *)
 let delivered_fate conn entry =
-  let lg = conn.c_ledger in
-  lg.lg_delivered <- lg.lg_delivered + 1;
-  if lg.lg_armed then begin
-    let seq, t_in, code, window = entry_meta entry in
-    let t = Metrics.now_mono_ns () in
-    if t_in > 0 then Metrics.observe lg.lg_queue_hist.(code) (t - t_in);
-    lg.lg_fates.(lg.lg_head) <-
-      Some
-        {
-          fr_seq = seq;
-          fr_survivor = -1;
-          fr_conn = conn.cname;
-          fr_code = code;
-          fr_window = window;
-          fr_fate = Delivered;
-          fr_t_in = t_in;
-          fr_t_fate = t;
-        };
-    lg.lg_head <- (lg.lg_head + 1) mod fate_ring_capacity
-  end
+  let seq, t_in, code, window = entry_meta entry in
+  record_fate conn.c_ledger ~cname:conn.cname ~seq ~code ~window ~t_in Delivered
 
 let rec next_event_stamped conn =
   if conn.stalled then None
@@ -1254,7 +1239,6 @@ let read_events_stamped conn ~max =
 
 let read_events conn ~max = List.map fst (read_events_stamped conn ~max)
 let flush_batch conn = read_events conn ~max:max_int
-let drain_events conn = flush_batch conn
 
 (* Post damage to a window: delivered as Expose to Exposure_mask
    selectors; overlapping damage coalesces in their queues. *)
@@ -1465,8 +1449,9 @@ let flood_conn server conn ~burst =
   let windows =
     match windows with [] -> [| root server ~screen:0 |] | ws -> Array.of_list ws
   in
+  let n = Array.length windows in
   for i = 0 to burst - 1 do
-    let window = windows.(i mod Array.length windows) in
+    let window = windows.(i mod n) in
     let pos = Geom.point (i land 1023) (i land 63) in
     let event =
       if i land 1 = 0 then Event.Motion_notify { window; pos; root_pos = pos }
@@ -1678,10 +1663,9 @@ let fate_json server ?conn:cfilter ?window () =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\"fates\": [";
   let first = ref true in
-  (* Oldest-first: the write head is also the oldest retained slot. *)
-  for i = 0 to fate_ring_capacity - 1 do
-    match lg.lg_fates.((lg.lg_head + i) mod fate_ring_capacity) with
-    | Some r when keep r ->
+  Ring.iter
+    (fun r ->
+      if keep r then begin
         if not !first then Buffer.add_string b ", ";
         first := false;
         Buffer.add_string b
@@ -1694,8 +1678,8 @@ let fate_json server ?conn:cfilter ?window () =
              (Metrics.json_string (fate_name r.fr_fate))
              (Metrics.json_string r.fr_conn)
              r.fr_window r.fr_survivor r.fr_t_in r.fr_t_fate)
-    | Some _ | None -> ()
-  done;
+      end)
+    lg.lg_fates;
   Buffer.add_string b (Printf.sprintf "], \"ledger\": %s}" (ledger_json server));
   Buffer.contents b
 

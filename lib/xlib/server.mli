@@ -216,9 +216,6 @@ val read_events : conn -> max:int -> Event.t list
 val flush_batch : conn -> Event.t list
 (** Drain everything queued: [read_events ~max:max_int]. *)
 
-val drain_events : conn -> Event.t list
-(** Alias of {!flush_batch}, kept for existing callers. *)
-
 val damage_window : t -> Xid.t -> Geom.rect -> unit
 (** Post an Expose with a window-interior damage rectangle to every
     connection selecting [Exposure_mask] there.  Overlapping damage merges

@@ -32,34 +32,22 @@ type sink = string -> string list -> int -> float -> unit
 
 type t = {
   mutable on : bool;
-  ring : event option array;
-  mutable head : int; (* next write slot *)
-  mutable total : int; (* events recorded since last clear *)
+  ring : event Ring.t;
   mutable stack : frame list; (* innermost open span first *)
   mutable epoch : int;
   mutable slow_threshold : int;
-  slow_capacity : int;
-  mutable slow : slow_entry list; (* newest first, length <= slow_capacity *)
-  mutable slow_length : int;
+  slow : slow_entry Ring.t;
   mutable sink : sink option;
 }
-
-(* The monotonic clock (CLOCK_MONOTONIC via bechamel's stubs): spans need
-   wall-time durations that survive CPU idling, unlike Sys.time. *)
-let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 let create ?(capacity = 4096) ?(slow_capacity = 64) () =
   {
     on = false;
-    ring = Array.make (max 1 capacity) None;
-    head = 0;
-    total = 0;
+    ring = Ring.bounded capacity;
     stack = [];
-    epoch = now_ns ();
+    epoch = Metrics.now_mono_ns ();
     slow_threshold = 10_000_000;
-    slow_capacity = max 1 slow_capacity;
-    slow = [];
-    slow_length = 0;
+    slow = Ring.bounded slow_capacity;
     sink = None;
   }
 
@@ -67,13 +55,10 @@ let enabled t = t.on
 let set_enabled t flag = t.on <- flag
 
 let clear t =
-  Array.fill t.ring 0 (Array.length t.ring) None;
-  t.head <- 0;
-  t.total <- 0;
+  Ring.clear t.ring;
+  Ring.clear t.slow;
   t.stack <- [];
-  t.slow <- [];
-  t.slow_length <- 0;
-  t.epoch <- now_ns ()
+  t.epoch <- Metrics.now_mono_ns ()
 
 let start t =
   clear t;
@@ -86,37 +71,20 @@ let slow_threshold_ns t = t.slow_threshold
 let set_sink t sink = t.sink <- sink
 let has_sink t = t.sink <> None
 
-let record t ev =
-  t.ring.(t.head) <- Some ev;
-  t.head <- (t.head + 1) mod Array.length t.ring;
-  t.total <- t.total + 1
-
 let record_slow t name ts dur attrs =
   let ancestry = List.rev_map (fun f -> f.f_name) t.stack in
-  let entry =
+  Ring.push t.slow
     { slow_name = name; slow_ts = ts; slow_dur = dur; slow_ancestry = ancestry;
       slow_attrs = attrs }
-  in
-  t.slow <- entry :: t.slow;
-  t.slow_length <- t.slow_length + 1;
-  if t.slow_length > t.slow_capacity then begin
-    (* Drop the oldest (last).  The log is short, so the walk is cheap. *)
-    let rec trim = function
-      | [] | [ _ ] -> []
-      | x :: rest -> x :: trim rest
-    in
-    t.slow <- trim t.slow;
-    t.slow_length <- t.slow_capacity
-  end
 
 let close_span t =
   match t.stack with
   | [] -> () (* start/clear happened inside the span; nothing to close *)
   | frame :: rest ->
       t.stack <- rest;
-      let now = now_ns () in
+      let now = Metrics.now_mono_ns () in
       let dur = now - frame.f_start in
-      record t
+      Ring.push t.ring
         {
           ev_name = frame.f_name;
           ev_kind = Span;
@@ -148,7 +116,12 @@ let span t ?(attrs = []) name f =
        while a sink is armed. *)
     let minor = match t.sink with Some _ -> Gc.minor_words () | None -> 0. in
     t.stack <-
-      { f_name = name; f_start = now_ns (); f_attrs = attrs; f_minor = minor }
+      {
+        f_name = name;
+        f_start = Metrics.now_mono_ns ();
+        f_attrs = attrs;
+        f_minor = minor;
+      }
       :: t.stack;
     match f () with
     | v ->
@@ -161,11 +134,11 @@ let span t ?(attrs = []) name f =
 
 let instant t ?(attrs = []) name =
   if t.on then
-    record t
+    Ring.push t.ring
       {
         ev_name = name;
         ev_kind = Instant;
-        ev_ts = now_ns () - t.epoch;
+        ev_ts = Metrics.now_mono_ns () - t.epoch;
         ev_dur = 0;
         ev_depth = List.length t.stack;
         ev_attrs = attrs;
@@ -174,28 +147,17 @@ let instant t ?(attrs = []) name =
 let note t ?(attrs = []) name =
   if t.on then begin
     instant t ~attrs name;
-    record_slow t name (now_ns () - t.epoch) 0 attrs
+    record_slow t name (Metrics.now_mono_ns () - t.epoch) 0 attrs
   end
 
-let events t =
-  (* Oldest first: the ring wraps at [head], so the oldest surviving entry
-     sits at [head] once the ring has wrapped. *)
-  let n = Array.length t.ring in
-  let acc = ref [] in
-  for i = n - 1 downto 0 do
-    match t.ring.((t.head + i) mod n) with
-    | Some ev -> acc := ev :: !acc
-    | None -> ()
-  done;
-  !acc
-
-let event_count t = t.total
-let dropped t = max 0 (t.total - Array.length t.ring)
-let slow_log t = List.rev t.slow
+let events t = Ring.to_list t.ring
+let event_count t = Ring.length t.ring + Ring.evicted t.ring
+let dropped t = Ring.evicted t.ring
+let slow_log t = Ring.to_list t.slow
 
 (* -------- export -------- *)
 
-let attr_json attrs =
+let attrs_json attrs =
   "{"
   ^ String.concat ","
       (List.map
@@ -222,7 +184,7 @@ let chrome_event buf ev ~first =
             \"tid\":1,\"ts\":%s"
            (Metrics.json_string ev.ev_name) (us ev.ev_ts)));
   if ev.ev_attrs <> [] then
-    Buffer.add_string buf (",\"args\":" ^ attr_json ev.ev_attrs);
+    Buffer.add_string buf (",\"args\":" ^ attrs_json ev.ev_attrs);
   Buffer.add_char buf '}'
 
 let to_chrome_json t =
@@ -248,7 +210,7 @@ let slow_log_json t =
            "{\"name\":%s,\"ts_ns\":%d,\"dur_ns\":%d,\"ancestry\":[%s],\"args\":%s}"
            (Metrics.json_string e.slow_name) e.slow_ts e.slow_dur
            (String.concat "," (List.map Metrics.json_string e.slow_ancestry))
-           (attr_json e.slow_attrs)))
+           (attrs_json e.slow_attrs)))
     (slow_log t);
   Buffer.add_string buf "]";
   Buffer.contents buf

@@ -12,7 +12,7 @@
     Costs: when disabled, {!span} is a single mutable-field check and
     the thunk call — no allocation, no clock read.  When enabled, each
     span costs two monotonic clock reads and one record written into a
-    fixed-size ring of recent events (oldest overwritten first), so a
+    bounded {!Ring} of recent events (oldest overwritten first), so a
     tracer can stay on indefinitely without growing.
 
     Spans over a configurable threshold are additionally kept in a
@@ -24,10 +24,9 @@
     ("ph":"i") events that loads directly in Perfetto / chrome://tracing,
     where nesting is reconstructed from timestamp containment.
 
-    Clocks: all timestamps come from the monotonic clock
-    ({!Metrics.time_mono_ns} uses the same source), never from CPU
-    time — span durations measure wall latency, which is what a user
-    perceives. *)
+    Clock: all timestamps are {!Metrics.now_mono_ns} readings, the one
+    clock every series uses — span durations measure wall latency, which
+    is what a user perceives. *)
 
 type t
 
@@ -131,6 +130,10 @@ val to_chrome_json : t -> string
 (** The ring as a Chrome trace-event JSON object
     ([{"traceEvents":[...]}], timestamps in microseconds).  Loadable in
     Perfetto and chrome://tracing. *)
+
+val attrs_json : (string * string) list -> string
+(** An attribute list as a JSON object of strings — the ["args"] of every
+    export here and the ["attrs"] of {!Recorder}'s crash-report entries. *)
 
 val slow_log_json : t -> string
 (** The slow-op log as a JSON array of

@@ -238,7 +238,7 @@ let drain_event_bytes t =
   Wire.A.reset a;
   List.iter
     (fun event -> Wire.encode_event_into a (translate_event t event))
-    (Server.drain_events t.sconn);
+    (Server.flush_batch t.sconn);
   let bytes = Wire.A.contents a in
   t.received <- t.received + String.length bytes;
   bytes

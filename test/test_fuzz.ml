@@ -153,7 +153,7 @@ let prop_server_fuzz =
         List.fold_left (fun live op -> apply_op server conn live op) [ root ] ops
       in
       ignore live;
-      ignore (Server.drain_events conn);
+      ignore (Server.flush_batch conn);
       server_invariants server)
 
 (* -------- level 2: the window manager -------- *)

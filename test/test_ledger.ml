@@ -16,6 +16,7 @@ module Metrics = Swm_xlib.Metrics
 module Event = Swm_xlib.Event
 module Geom = Swm_xlib.Geom
 module Region = Swm_xlib.Region
+module Json = Swm_xlib.Json
 
 let check = Alcotest.check
 
@@ -209,6 +210,43 @@ let test_fate_json_filters () =
   check Alcotest.bool "window filter drops the motion" false
     (contains only_win "\"event\": \"MotionNotify\"")
 
+(* More events than the 512-slot fate window: f.fate's payload keeps
+   exactly the newest 512 records, oldest first. *)
+let test_fate_window_wraps () =
+  let server, conn, _root = motion_setup () in
+  Server.set_coalesce conn false;
+  (* Drained every 100 warps, so the queue cap never sheds. *)
+  let seqs =
+    List.concat_map
+      (fun batch ->
+        for i = 1 to 100 do
+          Server.warp_pointer server ~screen:0 (Geom.point (batch + i) i)
+        done;
+        List.map (fun (_, stamp) -> stamp.Server.seq)
+          (Server.read_events_stamped conn ~max:max_int))
+      [ 0; 100; 200; 300; 400; 500; 600 ]
+  in
+  check Alcotest.int "every motion delivered" 700 (List.length seqs);
+  let fates =
+    match Json.parse (Server.fate_json server ()) with
+    | Ok json -> (
+        match Option.bind (Json.member "fates" json) Json.to_list with
+        | Some l -> l
+        | None -> Alcotest.fail "fate_json: no fates list")
+    | Error msg -> Alcotest.failf "fate_json does not parse: %s" msg
+  in
+  let fate_seqs =
+    List.map
+      (fun r ->
+        match Option.bind (Json.member "seq" r) Json.to_int with
+        | Some s -> s
+        | None -> Alcotest.fail "fate record without a seq")
+      fates
+  in
+  check Alcotest.(list int) "the newest 512 deliveries, oldest first"
+    (List.filteri (fun i _ -> i >= 700 - 512) seqs)
+    fate_seqs
+
 (* -------- properties -------- *)
 
 (* A seeded storm: motions, damages and window churn against two client
@@ -286,6 +324,8 @@ let suite =
       test_queue_residency_observed_when_armed;
     Alcotest.test_case "fate json filters by conn and window" `Quick
       test_fate_json_filters;
+    Alcotest.test_case "fate window keeps the newest 512" `Quick
+      test_fate_window_wraps;
     QCheck_alcotest.to_alcotest prop_fate_accounting_balances;
     QCheck_alcotest.to_alcotest prop_fate_counts_deterministic;
   ]

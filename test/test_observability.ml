@@ -806,6 +806,9 @@ let test_f_waterfall () =
           (int_of e "e2e_ns" >= int_of e "dispatch_ns"
           && int_of e "e2e_ns" >= int_of e "queue_ns"))
     entries;
+  let seqs = List.map (fun e -> int_of e "seq") entries in
+  check Alcotest.(list int) "oldest first: seqs ascend"
+    (List.sort_uniq compare seqs) seqs;
   (* The SWM_COMMAND dispatch links the f.* it executed. *)
   check Alcotest.bool "some dispatch carries its f.* trail" true
     (List.exists
@@ -823,6 +826,38 @@ let test_f_waterfall () =
   let err = parse_ok "f.waterfall()" (reply_of server wm sender "f.waterfall") in
   check Alcotest.bool "missing argument is reported" true
     (Json.member "error" err <> None)
+
+(* More dispatches than the 64-slot waterfall ring: f.waterfall writes
+   exactly the newest 64, oldest first. *)
+let test_f_waterfall_wraps () =
+  let path = tmp_path "waterfall-wrap.json" in
+  let server, wm, _ctx = fixture () in
+  let sender = Server.connect server ~name:"swmcmd" in
+  for _ = 1 to 80 do
+    Swmcmd.send server sender ~screen:0 "f.refresh";
+    ignore (Wm.step wm)
+  done;
+  ignore (reply_of server wm sender (Printf.sprintf "f.waterfall(%s)" path));
+  let wf =
+    parse_ok "waterfall" (In_channel.with_open_text path In_channel.input_all)
+  in
+  Sys.remove path;
+  let seqs =
+    List.map
+      (fun e ->
+        match Json.to_int (member_exn "entry" "seq" e) with
+        | Some s -> s
+        | None -> Alcotest.fail "waterfall entry: seq is not a number")
+      (Option.value ~default:[]
+         (Json.to_list (member_exn "waterfall" "waterfall" wf)))
+  in
+  check Alcotest.int "exactly the ring's capacity" Ctx.waterfall_capacity
+    (List.length seqs);
+  check (Alcotest.option Alcotest.int) "events counts the retained dispatches"
+    (Some Ctx.waterfall_capacity)
+    (Json.to_int (member_exn "waterfall" "events" wf));
+  check Alcotest.(list int) "oldest first: seqs ascend"
+    (List.sort_uniq compare seqs) seqs
 
 (* -------- sticky absolute placement (satellite a) -------- *)
 
@@ -884,6 +919,8 @@ let suite =
     Alcotest.test_case "f.fate lists fates with lineage" `Quick test_f_fate;
     Alcotest.test_case "f.waterfall links events to effects" `Quick
       test_f_waterfall;
+    Alcotest.test_case "f.waterfall keeps the newest 64" `Quick
+      test_f_waterfall_wraps;
     Alcotest.test_case "sticky USPosition is root-absolute" `Quick
       test_sticky_usposition_is_root_absolute;
   ]

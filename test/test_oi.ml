@@ -278,7 +278,7 @@ let test_menu_is_override_redirect () =
     (List.length
        (List.filter
           (function Swm_xlib.Event.Map_request _ -> true | _ -> false)
-          (Server.drain_events wm)))
+          (Server.flush_batch wm)))
 
 let suite =
   [

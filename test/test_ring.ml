@@ -2,7 +2,10 @@
    [get], [set] and [remove] — including wrap-around layouts (head past the
    physical middle) and removal at the head and tail.  The shed policy in
    {!Server} folds and removes entries anywhere in the queue through these,
-   so they must stay honest under every layout the queue can reach. *)
+   so they must stay honest under every layout the queue can reach.
+
+   The bounded mode backs every observability log, so it is checked
+   against a list model: it keeps exactly the newest [n] pushes. *)
 
 module Ring = Swm_xlib.Ring
 
@@ -114,6 +117,66 @@ let test_index_ops_across_growth () =
   check Alcotest.(list int) "final order" [ 3; 4; 5; 6; 8; 9; 10; 11; 99 ]
     (drain r)
 
+(* -------- bounded mode -------- *)
+
+type op = Push of int | Clear
+
+let rec last n l = if List.length l <= n then l else last n (List.tl l)
+
+(* Replay [ops] on a bounded ring and on a list of every push since the
+   last clear, checking after each op that the ring holds the model's last
+   [n] elements oldest first (through [to_list] and [iter]), that it
+   evicted exactly the rest, and that its slot array never changed size. *)
+let bounded_matches_model (n, ops) =
+  let r = Ring.bounded n in
+  let model = ref [] in
+  List.for_all
+    (fun op ->
+      (match op with
+      | Push x ->
+          Ring.push r x;
+          model := !model @ [ x ]
+      | Clear ->
+          Ring.clear r;
+          model := []);
+      let kept = last n !model in
+      let walked = ref [] in
+      Ring.iter (fun x -> walked := x :: !walked) r;
+      Ring.to_list r = kept
+      && List.rev !walked = kept
+      && Ring.length r = List.length kept
+      && Ring.evicted r = List.length !model - List.length kept
+      && Ring.capacity r = n
+      && Ring.peek r = List.nth_opt kept 0
+      && Ring.peek_back r = List.nth_opt (List.rev kept) 0)
+    ops
+
+let prop_bounded_keeps_last_n =
+  QCheck2.Test.make ~name:"bounded ring keeps the last n pushes" ~count:200
+    QCheck2.Gen.(
+      pair (int_range 1 12)
+        (list_size (int_range 0 60)
+           (frequency [ (12, map (fun x -> Push x) nat); (1, pure Clear) ])))
+    bounded_matches_model
+
+(* The same seven pushes into three slots: the bounded ring drops the
+   oldest, the growable one grows. *)
+let test_bounded_vs_growable () =
+  let b = Ring.bounded 3 and g = Ring.create ~capacity:3 () in
+  for i = 1 to 7 do
+    Ring.push b i;
+    Ring.push g i
+  done;
+  check Alcotest.(list int) "bounded keeps the newest three" [ 5; 6; 7 ]
+    (Ring.to_list b);
+  check Alcotest.(pair int int) "bounded: evicted, capacity" (4, 3)
+    (Ring.evicted b, Ring.capacity b);
+  check Alcotest.int "bounded high water is the bound" 3 (Ring.high_water b);
+  check Alcotest.(list int) "growable keeps all" [ 1; 2; 3; 4; 5; 6; 7 ]
+    (Ring.to_list g);
+  check Alcotest.bool "growable evicts nothing and grows" true
+    (Ring.evicted g = 0 && Ring.capacity g > 3)
+
 let suite =
   [
     Alcotest.test_case "get: logical indexing" `Quick test_get_basics;
@@ -126,4 +189,7 @@ let suite =
       test_remove_out_of_range;
     Alcotest.test_case "index ops survive growth" `Quick
       test_index_ops_across_growth;
+    Alcotest.test_case "bounded drops, growable grows" `Quick
+      test_bounded_vs_growable;
+    QCheck_alcotest.to_alcotest prop_bounded_keeps_last_n;
   ]

@@ -92,7 +92,7 @@ let test_map_notify_delivery () =
   let w = new_win server conn root in
   Server.select_input server observer w [ Event.Structure_notify ];
   Server.map_window server conn w;
-  match Server.drain_events observer with
+  match Server.flush_batch observer with
   | [ Event.Map_notify { window } ] ->
       check Alcotest.bool "right window" true (Xid.equal window w)
   | events -> Alcotest.failf "expected one MapNotify, got %d events" (List.length events)
@@ -110,7 +110,7 @@ let test_substructure_notify () =
         | Event.Map_notify _ -> "map"
         | Event.Unmap_notify _ -> "unmap"
         | _ -> "other")
-      (Server.drain_events observer)
+      (Server.flush_batch observer)
   in
   check (Alcotest.list Alcotest.string) "parent sees both" [ "map"; "unmap" ] kinds
 
@@ -121,7 +121,7 @@ let test_redirect_intercepts_map () =
   let w = new_win server conn root in
   Server.map_window server conn w;
   check Alcotest.bool "not actually mapped" false (Server.is_mapped server w);
-  (match Server.drain_events wm with
+  (match Server.flush_batch wm with
   | [ Event.Map_request { window; parent } ] ->
       check Alcotest.bool "window" true (Xid.equal window w);
       check Alcotest.bool "parent" true (Xid.equal parent root)
@@ -160,7 +160,7 @@ let test_configure_redirect () =
   Server.move_resize server conn w (rect 5 5 80 80);
   check Alcotest.bool "geometry unchanged" true
     (Geom.rect_equal (Server.geometry server w) (rect 0 0 50 50));
-  match Server.drain_events wm with
+  match Server.flush_batch wm with
   | [ Event.Configure_request { changes; _ } ] ->
       check (Alcotest.option Alcotest.int) "requested width" (Some 80) changes.cw
   | _ -> Alcotest.fail "expected ConfigureRequest"
@@ -170,7 +170,7 @@ let test_configure_notify_real () =
   let w = new_win server conn root in
   Server.select_input server conn w [ Event.Structure_notify ];
   Server.move_resize server conn w (rect 7 8 90 91);
-  match Server.drain_events conn with
+  match Server.flush_batch conn with
   | [ Event.Configure_notify { geom; synthetic; _ } ] ->
       check Alcotest.bool "geometry" true (Geom.rect_equal geom (rect 7 8 90 91));
       check Alcotest.bool "not synthetic" false synthetic
@@ -187,7 +187,7 @@ let test_property_roundtrip_and_notify () =
   | _ -> Alcotest.fail "property value");
   Server.delete_property server conn w ~name:Prop.wm_name;
   check Alcotest.bool "deleted" true (Server.get_property server w ~name:Prop.wm_name = None);
-  let events = Server.drain_events observer in
+  let events = Server.flush_batch observer in
   match events with
   | [ Event.Property_notify { deleted = false; _ }; Event.Property_notify { deleted = true; _ } ]
     -> ()
@@ -274,7 +274,7 @@ let test_button_propagation () =
   match
     List.filter
       (function Event.Button_press _ -> true | _ -> false)
-      (Server.drain_events conn)
+      (Server.flush_batch conn)
   with
   | [ Event.Button_press { window; pos; _ } ] ->
       check Alcotest.bool "delivered to ancestor" true (Xid.equal window outer);
@@ -307,11 +307,11 @@ let test_pointer_grab () =
     (List.length
        (List.filter
           (function Event.Button_press _ -> true | _ -> false)
-          (Server.drain_events other)));
+          (Server.flush_batch other)));
   (match
      List.filter
        (function Event.Button_press _ -> true | _ -> false)
-       (Server.drain_events conn)
+       (Server.flush_batch conn)
    with
   | [ Event.Button_press { window; pos; _ } ] ->
       check Alcotest.bool "grab window" true (Xid.equal window w);
@@ -326,14 +326,14 @@ let test_enter_leave () =
   Server.map_window server conn w;
   Server.select_input server conn w [ Event.Enter_leave_mask ];
   Server.warp_pointer server ~screen:0 (Geom.point 400 400);
-  ignore (Server.drain_events conn);
+  ignore (Server.flush_batch conn);
   Server.warp_pointer server ~screen:0 (Geom.point 10 10);
-  (match Server.drain_events conn with
+  (match Server.flush_batch conn with
   | [ Event.Enter_notify { window } ] ->
       check Alcotest.bool "enter" true (Xid.equal window w)
   | events -> Alcotest.failf "expected Enter, got %d events" (List.length events));
   Server.warp_pointer server ~screen:0 (Geom.point 400 400);
-  match Server.drain_events conn with
+  match Server.flush_batch conn with
   | [ Event.Leave_notify { window } ] ->
       check Alcotest.bool "leave" true (Xid.equal window w)
   | events -> Alcotest.failf "expected Leave, got %d events" (List.length events)
@@ -349,12 +349,12 @@ let test_crossing_chain () =
   Server.select_input server conn outer [ Event.Enter_leave_mask ];
   Server.select_input server conn inner [ Event.Enter_leave_mask ];
   Server.warp_pointer server ~screen:0 (Geom.point 500 500);
-  ignore (Server.drain_events conn);
+  ignore (Server.flush_batch conn);
   Server.warp_pointer server ~screen:0 (Geom.point 20 20);
   let entered =
     List.filter_map
       (function Event.Enter_notify { window } -> Some window | _ -> None)
-      (Server.drain_events conn)
+      (Server.flush_batch conn)
   in
   check Alcotest.bool "outer then inner" true
     (List.map Xid.to_int entered = [ Xid.to_int outer; Xid.to_int inner ]);
@@ -362,7 +362,7 @@ let test_crossing_chain () =
   let left =
     List.filter_map
       (function Event.Leave_notify { window } -> Some window | _ -> None)
-      (Server.drain_events conn)
+      (Server.flush_batch conn)
   in
   check Alcotest.bool "inner then outer" true
     (List.map Xid.to_int left = [ Xid.to_int inner; Xid.to_int outer ])
@@ -373,9 +373,9 @@ let test_key_press () =
   Server.map_window server conn w;
   Server.select_input server conn w [ Event.Key_press_mask ];
   Server.warp_pointer server ~screen:0 (Geom.point 5 5);
-  ignore (Server.drain_events conn);
+  ignore (Server.flush_batch conn);
   Server.press_key server ~mods:(Swm_xlib.Keysym.mods ~shift:true ()) "Up";
-  match Server.drain_events conn with
+  match Server.flush_batch conn with
   | [ Event.Key_press { keysym; mods; _ } ] ->
       check Alcotest.string "keysym" "Up" keysym;
       check Alcotest.bool "shift" true mods.shift
@@ -388,12 +388,12 @@ let test_focus_events () =
   Server.select_input server conn a [ Event.Focus_change_mask ];
   Server.select_input server conn b [ Event.Focus_change_mask ];
   Server.set_input_focus server conn a;
-  (match Server.drain_events conn with
+  (match Server.flush_batch conn with
   | [ Event.Focus_in { window } ] ->
       check Alcotest.bool "focus in a" true (Xid.equal window a)
   | events -> Alcotest.failf "expected FocusIn, got %d events" (List.length events));
   Server.set_input_focus server conn b;
-  (match Server.drain_events conn with
+  (match Server.flush_batch conn with
   | [ Event.Focus_out { window = o }; Event.Focus_in { window = i } ] ->
       check Alcotest.bool "out of a, into b" true (Xid.equal o a && Xid.equal i b)
   | events -> Alcotest.failf "expected Out+In, got %d events" (List.length events));
@@ -424,7 +424,7 @@ let test_send_event () =
   Server.send_event server conn ~dest:w
     (Event.Configure_notify
        { window = w; geom = rect 1 2 3 4; border = 0; synthetic = true });
-  match Server.drain_events client with
+  match Server.flush_batch client with
   | [ Event.Configure_notify { synthetic = true; geom; _ } ] ->
       check Alcotest.int "x" 1 geom.x
   | _ -> Alcotest.fail "expected synthetic ConfigureNotify"

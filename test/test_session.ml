@@ -213,7 +213,7 @@ let test_places_truncated () =
 
 let test_write_atomic () =
   let path = Filename.temp_file "swm_places" ".test" in
-  Session.write_atomic ~path "hello\n";
+  Swm_xlib.Recorder.write_atomic ~path "hello\n";
   let ic = open_in path in
   let line = input_line ic in
   close_in ic;

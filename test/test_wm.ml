@@ -102,6 +102,30 @@ let test_configure_request_resizes () =
   check Alcotest.bool "client knows its position" true
     (Client_app.believed_position app <> None)
 
+(* The decoration's relayout resizes the frame without re-sending the
+   position it was built at: a size-only ConfigureRequest or a retitle
+   that widens the title bar must leave a moved frame where it is. *)
+let test_moved_frame_stays_put () =
+  let server, wm = fixture () in
+  let app = Stock.xterm server ~at:(Geom.point 60 80) () in
+  ignore (Wm.step wm);
+  let client = managed_client wm app in
+  Swm_core.Decoration.move_frame (Wm.ctx wm) client (Geom.point 300 200);
+  let stays what =
+    let g = Server.geometry server client.Ctx.frame in
+    check Alcotest.(pair int int) what (300, 200) (g.x, g.y)
+  in
+  stays "moved";
+  let width_before = (Server.geometry server client.Ctx.frame).w in
+  Client_app.resize_self app (600, 400);
+  ignore (Wm.step wm);
+  stays "after a size-only ConfigureRequest";
+  check Alcotest.bool "the frame did resize" true
+    ((Server.geometry server client.Ctx.frame).w > width_before);
+  Client_app.set_name app (String.make 120 'w');
+  ignore (Wm.step wm);
+  stays "after a retitle"
+
 let test_name_change_updates_title () =
   let server, wm = fixture () in
   let app = Stock.xterm server () in
@@ -287,6 +311,8 @@ let suite =
     Alcotest.test_case "WM_STATE maintained" `Quick test_wm_state_set;
     Alcotest.test_case "USPosition honoured" `Quick test_usposition_honoured;
     Alcotest.test_case "ConfigureRequest resize" `Quick test_configure_request_resizes;
+    Alcotest.test_case "moved frame stays put on resize and retitle" `Quick
+      test_moved_frame_stays_put;
     Alcotest.test_case "WM_NAME updates title" `Quick test_name_change_updates_title;
     Alcotest.test_case "withdraw unmanages" `Quick test_withdraw_unmanages;
     Alcotest.test_case "destroy unmanages" `Quick test_destroy_unmanages;
