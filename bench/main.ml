@@ -118,6 +118,27 @@ let manage_cycle_swm server wm spec =
   Client_app.destroy app;
   ignore (Wm.step wm)
 
+(* Resource-DB queries and scans per manage cycle, counted on a fresh WM over
+   a fixed number of cycles after one warm-up.  Both counts then repeat
+   exactly; a single cycle could land on a memo reset. *)
+let scan_cycles = 100
+
+let resource_db_per_manage () =
+  let server, wm = fresh_wm () in
+  let db = Config.db (Wm.ctx wm).Ctx.cfg in
+  let cycle i =
+    manage_cycle_swm server wm
+      (Client_app.spec ~instance:(Printf.sprintf "scan%d" i) ~class_:"Scan"
+         ~us_position:true (Geom.rect 10 10 300 200))
+  in
+  cycle 0;
+  let q0 = Xrdb.queries db and s0 = Xrdb.scans db in
+  for i = 1 to scan_cycles do
+    cycle i
+  done;
+  let per n = float_of_int n /. float_of_int scan_cycles in
+  (per (Xrdb.queries db - q0), per (Xrdb.scans db - s0))
+
 (* -------- F1/F2: decoration and root panel construction -------- *)
 
 let bench_figures () =
@@ -276,7 +297,12 @@ let bench_manage_comparison () =
     "protocol requests per manage cycle: swm=%d twm=%d gwm=%d (swm/twm = %.1fx, \
      timing-independent)"
     swm_reqs twm_reqs gwm_reqs
-    (float_of_int swm_reqs /. float_of_int (max 1 twm_reqs))
+    (float_of_int swm_reqs /. float_of_int (max 1 twm_reqs));
+  let queries, scans = resource_db_per_manage () in
+  verdict
+    "resource-DB scans per manage cycle: swm=%.2f of %.1f queries (the memo \
+     answers the rest; timing-independent)"
+    scans queries
 
 let bench_dispatch_comparison () =
   (* Click-to-raise round trip under each WM. *)
@@ -372,6 +398,8 @@ Button3 = : title : f.iconify
          costs a precedence search per lookup but unifies configuration"
       (run_tests
          [
+           Test.make ~name:"eval2/xrdb-scan-221-entries"
+             (Staged.stage (fun () -> ignore (Xrdb.scan db ~names ~classes)));
            Test.make ~name:"eval2/xrdb-query-221-entries"
              (Staged.stage (fun () -> ignore (Xrdb.query db ~names ~classes)));
            Test.make ~name:"eval2/twmrc-lookup"
@@ -385,9 +413,14 @@ Button3 = : title : f.iconify
              (Staged.stage (fun () -> ignore (Twm_like.parse_twmrc twm_config)));
          ])
   in
-  let q = find "eval2/xrdb-query-221-entries" results
+  let sc = find "eval2/xrdb-scan-221-entries" results
+  and q = find "eval2/xrdb-query-221-entries" results
   and l = find "eval2/twmrc-lookup" results in
-  verdict "per-lookup premium for generality: %.0fx (absolute cost still %s)"
+  verdict
+    "per-lookup premium for generality: precedence scan %.0fx (%s), memoised \
+     repeat %.0fx (%s)"
+    (sc /. l)
+    (Format.asprintf "%a" pp_ns sc)
     (q /. l)
     (Format.asprintf "%a" pp_ns q)
 
@@ -599,6 +632,10 @@ let bench_specific_lookup () =
   let scope =
     { Config.instance = "xclock"; class_ = "XClock"; shaped = false; sticky = false }
   in
+  (* The key [Config.query_client] builds for [scope]: the scans search
+     for it directly, without the memo. *)
+  let names = [ "swm"; "color"; "screen0"; "xclock"; "xclock"; "decoration" ]
+  and classes = [ "Swm"; "Color"; "Screen"; "XClock"; "XClock"; "Decoration" ] in
   let results =
     report ~experiment:"A1 (ablation): specific-resource lookup cost (paper §3)"
       ~claim:
@@ -606,6 +643,12 @@ let bench_specific_lookup () =
          code path; cost grows with the number of specific entries"
       (run_tests
          [
+           Test.make ~name:"abl1/scan-base-template"
+             (Staged.stage (fun () ->
+                  ignore (Xrdb.scan (Config.db cfg0) ~names ~classes)));
+           Test.make ~name:"abl1/scan-500-specific"
+             (Staged.stage (fun () ->
+                  ignore (Xrdb.scan (Config.db cfg500) ~names ~classes)));
            Test.make ~name:"abl1/lookup-base-template"
              (Staged.stage (fun () ->
                   ignore (Config.query_client cfg0 ~screen:0 scope "decoration")));
@@ -614,7 +657,11 @@ let bench_specific_lookup () =
                   ignore (Config.query_client cfg500 ~screen:0 scope "decoration")));
          ])
   in
-  ignore results
+  verdict
+    "500 specific entries make the scan %.1fx dearer; a memoised repeat \
+     costs %s either way"
+    (find "abl1/scan-500-specific" results /. find "abl1/scan-base-template" results)
+    (Format.asprintf "%a" pp_ns (find "abl1/lookup-500-specific" results))
 
 (* -------- A2: multiple desktops -------- *)
 
@@ -1812,7 +1859,8 @@ let measure_profile () =
    property of the code path, not the machine. *)
 let write_profile_json ~path results
     (encode_words, churn_words, batch_encode_64_ns, storm_events, storm_major,
-     events, dispatch_wall_ns, root_total_ns, coverage, stacks) =
+     events, dispatch_wall_ns, root_total_ns, coverage, stacks)
+    (queries_per_manage, scans_per_manage) =
   let disabled = find "profile/event_section-disabled" results
   and off = find "profile/pan_storm-disabled" results
   and on = find "profile/pan_storm-armed" results in
@@ -1847,8 +1895,15 @@ let write_profile_json ~path results
   Buffer.add_string b
     (Printf.sprintf
        "  \"flame\": {\"events\": %d, \"dispatch_wall_ns\": %d, \
-        \"root_total_ns\": %d, \"coverage\": %.3f, \"collapsed_stacks\": %d}\n"
+        \"root_total_ns\": %d, \"coverage\": %.3f, \"collapsed_stacks\": %d},\n"
        events dispatch_wall_ns root_total_ns coverage stacks);
+  (* A manage cycle scans only for its client-specific keys (2 of them); a
+     memo that never hits scans for all 54 of its queries. *)
+  Buffer.add_string b
+    (Printf.sprintf
+       "  \"resource_db\": {\"manage_cycles\": %d, \"queries_per_manage\": \
+        %.2f, \"scans_per_manage\": %.2f, \"scans_per_manage_budget\": 3.0}\n"
+       scan_cycles queries_per_manage scans_per_manage);
   Buffer.add_string b "}\n";
   let oc = open_out path in
   output_string oc (Buffer.contents b);
@@ -1889,7 +1944,7 @@ let run_replay_family () =
 
 let run_profile_family () =
   write_profile_json ~path:(out_path "BENCH_profile.json") (bench_profile ())
-    (measure_profile ())
+    (measure_profile ()) (resource_db_per_manage ())
 
 let () =
   Arg.parse

@@ -134,13 +134,7 @@ let attr obj key =
         ~classes:[ kind_class obj.obj_kind; capitalize obj.obj_name; capitalize key ]
 
 let attr_bool obj key ~default =
-  match attr obj key with
-  | None -> default
-  | Some v -> (
-      match String.lowercase_ascii (String.trim v) with
-      | "true" | "yes" | "on" | "1" -> true
-      | "false" | "no" | "off" | "0" -> false
-      | _ -> default)
+  Option.value ~default (Option.bind (attr obj key) Swm_xrdb.Xrdb.parse_bool)
 
 let label obj = obj.obj_label
 let set_external_size obj size = obj.external_size <- size

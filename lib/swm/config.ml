@@ -1,23 +1,30 @@
 module Server = Swm_xlib.Server
 module Xrdb = Swm_xrdb.Xrdb
 
-type t = { db : Xrdb.t; srv : Server.t }
-
-let create db srv = { db; srv }
-let db t = t.db
-let server t = t.srv
+type t = {
+  db : Xrdb.t;
+  srv : Server.t;
+  prefixes : (string list * string list) array;
+      (** per screen: the [swm.<color>.screenN] names and classes *)
+}
 
 let capitalize = String.capitalize_ascii
 
-let prefix t ~screen =
-  let mono = Server.screen_monochrome t.srv ~screen in
-  let color_name = if mono then "monochrome" else "color" in
-  let screen_name = Printf.sprintf "screen%d" screen in
-  ( [ "swm"; color_name; screen_name ],
-    [ "Swm"; capitalize color_name; "Screen" ] )
+let create db srv =
+  let prefix screen =
+    let color_name =
+      if Server.screen_monochrome srv ~screen then "monochrome" else "color"
+    in
+    ( [ "swm"; color_name; Printf.sprintf "screen%d" screen ],
+      [ "Swm"; capitalize color_name; "Screen" ] )
+  in
+  { db; srv; prefixes = Array.init (Server.screen_count srv) prefix }
+
+let db t = t.db
+let server t = t.srv
 
 let query t ~screen ~names ~classes =
-  let pn, pc = prefix t ~screen in
+  let pn, pc = t.prefixes.(screen) in
   Xrdb.query t.db ~names:(pn @ names) ~classes:(pc @ classes)
 
 let query1 t ~screen name =
@@ -36,7 +43,7 @@ type client_scope = {
    instance name.  [shaped] and [sticky] state components are inserted
    before them when applicable, so decorations can depend on those states. *)
 let query_client t ~screen scope resource =
-  let pn, pc = prefix t ~screen in
+  let pn, pc = t.prefixes.(screen) in
   let state_names, state_classes =
     List.split
       (List.filter_map
@@ -51,13 +58,8 @@ let query_client t ~screen scope resource =
   Xrdb.query t.db ~names ~classes
 
 let query_client_bool t ~screen scope resource ~default =
-  match query_client t ~screen scope resource with
-  | None -> default
-  | Some v -> (
-      match String.lowercase_ascii (String.trim v) with
-      | "true" | "yes" | "on" | "1" -> true
-      | "false" | "no" | "off" | "0" -> false
-      | _ -> default)
+  Option.value ~default
+    (Option.bind (query_client t ~screen scope resource) Xrdb.parse_bool)
 
 let object_query t ~screen ~names ~classes = query t ~screen ~names ~classes
 

@@ -12,6 +12,7 @@ module Tracing = Swm_xlib.Tracing
 module Recorder = Swm_xlib.Recorder
 module Replay = Swm_xlib.Replay
 module Profile = Swm_xlib.Profile
+module Xrdb = Swm_xrdb.Xrdb
 
 type invocation = {
   inv_obj : Wobj.t option;
@@ -503,21 +504,26 @@ let waterfall_json (ctx : Ctx.t) =
 
 (* The time-series payload: the sampler's retained window plus the derived
    rates.  A sample is taken first so the window always extends to the
-   moment of the query, even when the event loop has been idle. *)
+   moment of the query, even when the event loop has been idle.  The xrdb
+   section gives the resource-DB memo hit rate as 1 - scans/queries. *)
 let stats_json (ctx : Ctx.t) =
   Metrics.sample ctx.sampler;
   let rate = Metrics.rate ctx.sampler in
   let enqueued = rate "events.enqueued" in
   let coalesced = rate "events.coalesced" in
+  let db = Config.db ctx.cfg in
   Printf.sprintf
     "{\"sampler\":%s,\"derived\":{\"events_per_sec\":%.3f,\
      \"dispatch_per_sec\":%.3f,\"coalesce_ratio\":%.4f,\
-     \"faults_per_sec\":%.3f},\"top\":%s}"
+     \"faults_per_sec\":%.3f},\"xrdb\":{\"entries\":%d,\"queries\":%d,\
+     \"scans\":%d,\"memo\":{\"size\":%d,\"capacity\":%d}},\"top\":%s}"
     (Metrics.stats_json ctx.sampler)
     enqueued
     (rate "wm.events_dispatched")
     (if enqueued > 0. then coalesced /. enqueued else 0.)
     (rate "faults.injected")
+    (Xrdb.size db) (Xrdb.queries db) (Xrdb.scans db) (Xrdb.memo_size db)
+    Xrdb.memo_capacity
     (Metrics.top_json (Server.metrics ctx.server) ())
 
 (* The file-export verbs f.flame, f.flightdump and f.waterfall: trim the

@@ -252,12 +252,7 @@ let create_holders (ctx : Ctx.t) ~screen =
             | None -> []
           in
           let bool_attr attr =
-            match holder_attr attr with
-            | Some v -> (
-                match String.lowercase_ascii (String.trim v) with
-                | "true" | "yes" | "on" | "1" -> true
-                | _ -> false)
-            | None -> false
+            Option.bind (holder_attr attr) Swm_xrdb.Xrdb.parse_bool = Some true
           in
           let fixed_size =
             match holder_attr "size" with

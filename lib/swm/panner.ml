@@ -11,12 +11,8 @@ let create (ctx : Ctx.t) ~screen =
   | None -> None
   | Some vdesk ->
       let want =
-        match Config.query1 ctx.cfg ~screen "panner" with
-        | Some v -> (
-            match String.lowercase_ascii (String.trim v) with
-            | "true" | "yes" | "on" | "1" -> true
-            | _ -> false)
-        | None -> false
+        Option.bind (Config.query1 ctx.cfg ~screen "panner") Swm_xrdb.Xrdb.parse_bool
+        = Some true
       in
       if not want then None
       else begin

@@ -6,12 +6,8 @@ module Event = Swm_xlib.Event
 let bar_thickness = 12
 
 let wanted (ctx : Ctx.t) ~screen =
-  match Config.query1 ctx.cfg ~screen "scrollbars" with
-  | Some v -> (
-      match String.lowercase_ascii (String.trim v) with
-      | "true" | "yes" | "on" | "1" -> true
-      | _ -> false)
-  | None -> false
+  Option.bind (Config.query1 ctx.cfg ~screen "scrollbars") Swm_xrdb.Xrdb.parse_bool
+  = Some true
 
 let make_bar (ctx : Ctx.t) ~screen ~geom =
   let scr = Ctx.screen ctx screen in

@@ -2,12 +2,33 @@ type binding = Tight | Loose
 type component = Name of string | Single_wild
 type key = (binding * component) list
 
-type t = { mutable items : (key * string) list }
-(* Later entries shadow earlier ones with the same key; queries scan all and
-   resolve by Xrm precedence. *)
+module Memo = Hashtbl.Make (String)
 
-let create () = { items = [] }
-let copy db = { items = db.items }
+type t = {
+  mutable items : (key * string) list;
+  memo : string option Memo.t;
+  key_buf : Buffer.t;
+  mutable queries : int;
+  mutable scans : int;
+}
+(* Later entries shadow earlier ones with the same key; a scan visits all and
+   resolves by Xrm precedence.  [memo] holds the answers of earlier scans,
+   [None] included, keyed by [memo_key].  It is emptied by every change to
+   [items] and when it reaches [memo_capacity]: client instance names and
+   swmcmd-supplied menu and function names make the key space unbounded. *)
+
+let memo_capacity = 512
+
+let create () =
+  {
+    items = [];
+    memo = Memo.create 64;
+    key_buf = Buffer.create 64;
+    queries = 0;
+    scans = 0;
+  }
+
+let copy db = { (create ()) with items = db.items }
 let size db = List.length db.items
 
 (* -------- key parsing -------- *)
@@ -26,14 +47,15 @@ let parse_key spec =
       else Error (Printf.sprintf "trailing binding in %S" spec)
     else
       match spec.[i] with
-      | '.' | '*' ->
-          if binding <> None || acc = [] && spec.[i] = '.' then
-            (* Leading '.' or doubled '.' is an error; '*' may lead or repeat
-               (Xrm collapses '*.', '.*' and '**' to a loose binding). *)
-            if spec.[i] = '*' then loop (i + 1) (Some Loose) acc
-            else Error (Printf.sprintf "misplaced '.' in %S" spec)
-          else
-            loop (i + 1) (Some (if spec.[i] = '*' then Loose else Tight)) acc
+      | '.' | '*' -> (
+          (* A run of '.' and '*' containing a '*' is one loose binding, as
+             in Xrm.  A leading '.' and '..' are errors. *)
+          match (binding, spec.[i]) with
+          | None, '.' when acc = [] ->
+              Error (Printf.sprintf "misplaced '.' in %S" spec)
+          | Some Tight, '.' -> Error (Printf.sprintf "misplaced '.' in %S" spec)
+          | Some Loose, _ | _, '*' -> loop (i + 1) (Some Loose) acc
+          | _ -> loop (i + 1) (Some Tight) acc)
       | '?' ->
           let b = Option.value binding ~default:Tight in
           loop (i + 1) None ((b, Single_wild) :: acc)
@@ -73,14 +95,18 @@ let key_to_string key =
   Buffer.contents buf
 
 let put_key db key value =
-  db.items <- (key, value) :: List.filter (fun (k, _) -> k <> key) db.items
+  db.items <- (key, value) :: List.filter (fun (k, _) -> k <> key) db.items;
+  Memo.clear db.memo
 
 let put db spec value =
   match parse_key spec with
   | Ok key -> put_key db key value
   | Error msg -> invalid_arg ("Xrdb.put: " ^ msg)
 
-let remove db key = db.items <- List.filter (fun (k, _) -> k <> key) db.items
+let remove db key =
+  db.items <- List.filter (fun (k, _) -> k <> key) db.items;
+  Memo.clear db.memo
+
 let merge ~into db = List.iter (fun (k, v) -> put_key into k v) (List.rev db.items)
 let entries db = db.items
 
@@ -329,7 +355,7 @@ let match_key key names classes =
   in
   go key 0
 
-let query db ~names ~classes =
+let scan db ~names ~classes =
   if List.length names <> List.length classes then
     invalid_arg "Xrdb.query: names and classes must have equal length";
   let names = Array.of_list names and classes = Array.of_list classes in
@@ -347,14 +373,56 @@ let query db ~names ~classes =
     (List.rev db.items);
   Option.map snd !best
 
-let query_bool db ~names ~classes =
-  match query db ~names ~classes with
-  | None -> None
-  | Some v -> (
-      match String.lowercase_ascii (String.trim v) with
-      | "true" | "yes" | "on" | "1" -> Some true
-      | "false" | "no" | "off" | "0" -> Some false
-      | _ -> None)
+(* The memo key: names and classes interleaved, each preceded by its length
+   as a base-128 varint, so that two different queries never share a key. *)
+let rec add_varint buf n =
+  if n < 0x80 then Buffer.add_char buf (Char.unsafe_chr n)
+  else begin
+    Buffer.add_char buf (Char.unsafe_chr (0x80 lor (n land 0x7f)));
+    add_varint buf (n lsr 7)
+  end
+
+let add_component buf s =
+  add_varint buf (String.length s);
+  Buffer.add_string buf s
+
+let rec add_query buf names classes =
+  match (names, classes) with
+  | [], [] -> ()
+  | n :: names, c :: classes ->
+      add_component buf n;
+      add_component buf c;
+      add_query buf names classes
+  | _ -> invalid_arg "Xrdb.query: names and classes must have equal length"
+
+let memo_key db names classes =
+  Buffer.clear db.key_buf;
+  add_query db.key_buf names classes;
+  Buffer.contents db.key_buf
+
+let query db ~names ~classes =
+  let key = memo_key db names classes in
+  db.queries <- db.queries + 1;
+  match Memo.find db.memo key with
+  | answer -> answer
+  | exception Not_found ->
+      let answer = scan db ~names ~classes in
+      db.scans <- db.scans + 1;
+      if Memo.length db.memo >= memo_capacity then Memo.clear db.memo;
+      Memo.add db.memo key answer;
+      answer
+
+let queries db = db.queries
+let scans db = db.scans
+let memo_size db = Memo.length db.memo
+
+let parse_bool v =
+  match String.lowercase_ascii (String.trim v) with
+  | "true" | "yes" | "on" | "1" -> Some true
+  | "false" | "no" | "off" | "0" -> Some false
+  | _ -> None
+
+let query_bool db ~names ~classes = Option.bind (query db ~names ~classes) parse_bool
 
 let query_int db ~names ~classes =
   match query db ~names ~classes with

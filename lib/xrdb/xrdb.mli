@@ -32,6 +32,10 @@ val size : t -> int
 (** {1 Building the database} *)
 
 val parse_key : string -> (key, string) result
+(** A run of [.] and [*] that contains a [*] is one loose binding, so
+    [swm*.decoration] and [swm*decoration] are the same key.  A leading [.]
+    and [..] are errors. *)
+
 val key_to_string : key -> string
 
 val put : t -> string -> string -> unit
@@ -81,10 +85,37 @@ val remove : t -> key -> unit
 val query : t -> names:string list -> classes:string list -> string option
 (** [query db ~names ~classes] with parallel fully-qualified name and class
     lists (equal lengths) returns the value of the best-matching entry under
-    Xrm precedence, or [None]. *)
+    Xrm precedence, or [None].
+
+    Answers, [None] included, are memoised in [db]: a repeated query costs a
+    hash lookup, not a {!scan}.  The memo is emptied by every change to the
+    entries ({!put}, {!put_key}, {!load_string}, {!merge}, {!remove}) and when
+    it holds {!memo_capacity} answers; a {!copy} starts with an empty one.
+    So [query db] always equals [scan db]. *)
+
+val scan : t -> names:string list -> classes:string list -> string option
+(** The precedence search behind {!query}, run over every entry with no
+    memo: the reference that {!query} is tested against. *)
+
+val memo_capacity : int
+(** The most answers one database's memo holds. *)
+
+val queries : t -> int
+(** {!query} calls on this database since it was created. *)
+
+val scans : t -> int
+(** The {!query} calls that the memo could not answer, each of which ran a
+    {!scan}.  The memo hit rate is [1 - scans / queries]. *)
+
+val memo_size : t -> int
+(** Answers in the memo now. *)
+
+val parse_bool : string -> bool option
+(** Recognises true/false, yes/no, on/off, 1/0 (case-insensitive, blanks
+    trimmed); anything else is [None]. *)
 
 val query_bool : t -> names:string list -> classes:string list -> bool option
-(** Recognises true/false, yes/no, on/off, 1/0 (case-insensitive). *)
+(** {!query} read through {!parse_bool}. *)
 
 val query_int : t -> names:string list -> classes:string list -> int option
 

@@ -162,6 +162,32 @@ let test_include_template_by_name () =
   check (Alcotest.option Alcotest.string) "COLOR defined" (Some "yes")
     (Config.query1 ctx.Swm_core.Ctx.cfg ~screen:0 "colorful")
 
+let test_manage_scans () =
+  (* After the first manage the memo answers every resource query of a
+     manage except the client-specific ones, whose instance is new. *)
+  let module Wm = Swm_core.Wm in
+  let module Client_app = Swm_clients.Client_app in
+  let server = Server.create () in
+  let wm = Wm.start ~resources:[ Swm_core.Templates.open_look ] server in
+  let db = Config.db (Wm.ctx wm).Swm_core.Ctx.cfg in
+  let manage i =
+    let app =
+      Client_app.launch server
+        (Client_app.spec ~instance:(Printf.sprintf "fresh%d" i) ~class_:"Fresh"
+           (Swm_xlib.Geom.rect 40 40 300 200))
+    in
+    ignore (Wm.step wm);
+    Client_app.destroy app;
+    ignore (Wm.step wm)
+  in
+  manage 0;
+  for i = 1 to 20 do
+    let before = Xrdb.scans db in
+    manage i;
+    let scans = Xrdb.scans db - before in
+    if scans > 2 then Alcotest.failf "manage %d ran %d scans" i scans
+  done
+
 let suite =
   [
     Alcotest.test_case "per-screen scoping" `Quick test_per_screen;
@@ -176,4 +202,5 @@ let suite =
     Alcotest.test_case "swm beats Swm" `Quick test_swm_over_Swm;
     Alcotest.test_case "panel definitions" `Quick test_panel_definition;
     Alcotest.test_case "shipped templates parse" `Quick test_templates_load;
+    Alcotest.test_case "a manage scans at most twice" `Quick test_manage_scans;
   ]

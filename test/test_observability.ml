@@ -625,6 +625,9 @@ let test_f_health () =
 
 let test_f_stats () =
   let server, wm, _ctx = fixture () in
+  (* A decoration build asks some resources more than once. *)
+  let _xterm = Stock.xterm server ~at:(Geom.point 60 80) () in
+  ignore (Wm.step wm);
   let sender = Server.connect server ~name:"swmcmd" in
   (* Two queries so the sampler has a window to derive rates over. *)
   ignore (reply_of server wm sender "f.panTo(100,100)\nf.stats");
@@ -641,6 +644,20 @@ let test_f_stats () =
       | Some v -> check Alcotest.bool (key ^ " finite and non-negative") true (v >= 0.)
       | None -> Alcotest.failf "derived.%s is not a number" key)
     [ "events_per_sec"; "dispatch_per_sec"; "coalesce_ratio"; "faults_per_sec" ];
+  (* The resource-DB section: the WM has queried, and the memo answered
+     some of those queries without a scan. *)
+  let xrdb = member_exn "stats" "xrdb" stats in
+  let int_of section key v =
+    match Json.to_int (member_exn section key v) with
+    | Some n -> n
+    | None -> Alcotest.failf "%s.%s is not an integer" section key
+  in
+  check Alcotest.bool "xrdb entries loaded" true (int_of "xrdb" "entries" xrdb > 0);
+  check Alcotest.bool "fewer scans than queries" true
+    (int_of "xrdb" "scans" xrdb < int_of "xrdb" "queries" xrdb);
+  let memo = member_exn "xrdb" "memo" xrdb in
+  check Alcotest.bool "memo within its capacity" true
+    (int_of "memo" "size" memo <= int_of "memo" "capacity" memo);
   (* The sampled series include the dispatch counter, with a live value. *)
   let series = member_exn "sampler" "series" sampler in
   match Json.member "wm.events_dispatched" series with

@@ -141,13 +141,25 @@ let test_merge () =
     (q a [ "swm"; "y" ] [ "Swm"; "Y" ])
 
 let test_key_roundtrip () =
+  (* A run of '.' and '*' with a '*' in it prints back as one '*'. *)
   List.iter
-    (fun s ->
+    (fun (s, printed) ->
       match Xrdb.parse_key s with
-      | Ok key -> check Alcotest.string "roundtrip" s (Xrdb.key_to_string key)
+      | Ok key -> check Alcotest.string ("roundtrip " ^ s) printed (Xrdb.key_to_string key)
       | Error msg -> Alcotest.failf "parse %S: %s" s msg)
-    [ "swm.color.screen0.panner"; "swm*panner"; "*panner"; "Swm*panel.openLook";
-      "swm.?.screen0.x" ]
+    [ ("swm.color.screen0.panner", "swm.color.screen0.panner");
+      ("swm*panner", "swm*panner"); ("*panner", "*panner");
+      ("Swm*panel.openLook", "Swm*panel.openLook");
+      ("swm.?.screen0.x", "swm.?.screen0.x");
+      ("swm*.decoration", "swm*decoration"); ("*.foo", "*foo"); ("a*.*b", "a*b") ];
+  let db = Xrdb.create () in
+  (match Xrdb.load_string db "swm*.decoration: openLook\n" with
+  | Ok 1 -> ()
+  | Ok n -> Alcotest.failf "expected 1 entry, got %d" n
+  | Error msg -> Alcotest.fail msg);
+  check (Alcotest.option Alcotest.string) "'*.' is a loose binding" (Some "openLook")
+    (q db [ "swm"; "color"; "screen0"; "decoration" ]
+       [ "Swm"; "Color"; "Screen"; "Decoration" ])
 
 let test_key_errors () =
   List.iter
@@ -307,6 +319,98 @@ let prop_query_sound =
           | None -> false
           | Some i -> i >= 0 && i < List.length entries))
 
+(* -------- the query memo -------- *)
+
+(* Differential property: through random interleavings of every mutation
+   and repeated queries, the memoised [query] answers what the reference
+   [scan] answers, on every database involved, copies included.  The small
+   alphabet makes keys repeat and [None] answers common. *)
+type op =
+  | Put of int * string * string
+  | Put_key of int * string * string
+  | Remove of int * string
+  | Merge of int * int
+  | Load of int * string
+  | Copy of int
+  | Query of int * string list
+
+let show_op = function
+  | Put (d, k, v) -> Printf.sprintf "put %d %s=%s" d k v
+  | Put_key (d, k, v) -> Printf.sprintf "put_key %d %s=%s" d k v
+  | Remove (d, k) -> Printf.sprintf "remove %d %s" d k
+  | Merge (d, e) -> Printf.sprintf "merge into %d from %d" d e
+  | Load (d, text) -> Printf.sprintf "load %d %S" d text
+  | Copy d -> Printf.sprintf "copy %d" d
+  | Query (d, names) -> Printf.sprintf "query %d %s" d (String.concat "." names)
+
+let names_gen = QCheck2.Gen.(list_size (int_range 1 3) (oneofl [ "a"; "b"; "c" ]))
+
+let op_gen =
+  QCheck2.Gen.(
+    let db = int_range 0 3 in
+    let spec = map key_string_of key_gen in
+    let value = oneofl [ "0"; "1"; "2" ] in
+    frequency
+      [
+        (3, map3 (fun d k v -> Put (d, k, v)) db spec value);
+        (2, map3 (fun d k v -> Put_key (d, k, v)) db spec value);
+        (2, map2 (fun d k -> Remove (d, k)) db spec);
+        (1, map2 (fun d e -> Merge (d, e)) db db);
+        ( 1,
+          map2
+            (fun d lines -> Load (d, String.concat "\n" lines))
+            db
+            (list_size (int_range 1 3) (map2 (fun k v -> k ^ ": " ^ v) spec value)) );
+        (1, map (fun d -> Copy d) db);
+        (6, map2 (fun d names -> Query (d, names)) db names_gen);
+      ])
+
+(* Every query of one to two levels over the alphabet. *)
+let probes =
+  let comps = [ "a"; "b"; "c" ] in
+  List.map (fun c -> [ c ]) comps
+  @ List.concat_map (fun c -> List.map (fun d -> [ c; d ]) comps) comps
+
+let prop_memo_matches_scan =
+  QCheck2.Test.make ~name:"memoised query equals the reference scan" ~count:300
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    QCheck2.Gen.(list_size (int_range 1 25) op_gen)
+    (fun ops ->
+      let dbs = ref [| Xrdb.create () |] in
+      let get i = !dbs.(i mod Array.length !dbs) in
+      let agrees db names =
+        let classes = List.map String.capitalize_ascii names in
+        Xrdb.query db ~names ~classes = Xrdb.scan db ~names ~classes
+      in
+      let key spec = Result.get_ok (Xrdb.parse_key spec) in
+      let step = function
+        | Put (d, k, v) -> Xrdb.put (get d) k v; true
+        | Put_key (d, k, v) -> Xrdb.put_key (get d) (key k) v; true
+        | Remove (d, k) -> Xrdb.remove (get d) (key k); true
+        | Merge (d, e) -> Xrdb.merge ~into:(get d) (get e); true
+        | Load (d, text) -> Result.is_ok (Xrdb.load_string (get d) text)
+        | Copy d -> dbs := Array.append !dbs [| Xrdb.copy (get d) |]; true
+        | Query (d, names) -> agrees (get d) names
+      in
+      List.for_all
+        (fun op ->
+          step op && Array.for_all (fun db -> List.for_all (agrees db) probes) !dbs)
+        ops)
+
+let test_memo_bounded () =
+  let db = db_of [ ("swm*decoration", "openLook") ] in
+  for i = 1 to 10_000 do
+    let name = Printf.sprintf "client%d" i in
+    ignore (q db [ "swm"; name; "decoration" ] [ "Swm"; "Client"; "Decoration" ]);
+    if Xrdb.memo_size db > Xrdb.memo_capacity then
+      Alcotest.failf "memo holds %d answers after %d queries, capacity %d"
+        (Xrdb.memo_size db) i Xrdb.memo_capacity
+  done;
+  check Alcotest.int "every query was distinct, so every one scanned" 10_000
+    (Xrdb.scans db);
+  ignore (q db [ "swm"; "client10000"; "decoration" ] [ "Swm"; "Client"; "Decoration" ]);
+  check Alcotest.int "a repeated query is a memo hit" 10_000 (Xrdb.scans db)
+
 let suite =
   [
     Alcotest.test_case "exact tight match" `Quick test_exact_match;
@@ -335,4 +439,6 @@ let suite =
     Alcotest.test_case "cpp: #include" `Quick test_cpp_include;
     Alcotest.test_case "cpp: errors" `Quick test_cpp_errors;
     QCheck_alcotest.to_alcotest prop_query_sound;
+    QCheck_alcotest.to_alcotest prop_memo_matches_scan;
+    Alcotest.test_case "memo stays within its capacity" `Quick test_memo_bounded;
   ]
