@@ -177,25 +177,57 @@ let bench_figures () =
 
 (* -------- F3: panner refresh -------- *)
 
-let bench_panner () =
-  let mk n =
-    let server = Server.create () in
-    let wm = Wm.start ~resources:[ Templates.open_look; "swm*rootPanels:\n" ] server in
-    let ctx = Wm.ctx wm in
-    let _apps =
-      Workload.launch server
-        { Workload.default_params with count = n; area = (3000, 2400) }
-    in
-    ignore (Wm.step wm);
-    (ctx, n)
+(* N clients spread over the OpenLook desktop, panner on. *)
+let panner_fixture n =
+  let server = Server.create () in
+  let wm = Wm.start ~resources:[ Templates.open_look; "swm*rootPanels:\n" ] server in
+  let _apps =
+    Workload.launch server { Workload.default_params with count = n; area = (3000, 2400) }
   in
-  let fixtures = List.map mk [ 5; 25; 100 ] in
+  ignore (Wm.step wm);
+  (server, Wm.ctx wm)
+
+(* The frames of the current desktop that have a miniature, bottom to top. *)
+let shown_frames server (ctx : Ctx.t) =
+  let vdesk = Option.get (Ctx.screen ctx 0).Ctx.vdesk in
+  List.filter
+    (fun f ->
+      match Xid.Tbl.find_opt ctx.Ctx.frames f with
+      | Some c -> c.Ctx.state = Prop.Normal && not c.Ctx.sticky
+      | None -> false)
+    (Server.children_of server vdesk.Ctx.vwins.(vdesk.Ctx.current))
+
+(* Raise the bottom-most shown frame: its miniature must go from the bottom
+   of the panner to the top.  The WM's queue is drained, so repeated raises
+   do not time the overload ladder of a full queue. *)
+let raise_bottom server ctx =
+  (match shown_frames server ctx with
+  | frame :: _ -> Server.raise_window server ctx.Ctx.conn frame
+  | [] -> ());
+  ignore (Server.flush_batch ctx.Ctx.conn)
+
+(* Requests the panner refresh after [change] issues. *)
+let refresh_requests server ctx change =
+  change ();
+  let r0 = Server.request_count server in
+  Panner.refresh ctx ~screen:0;
+  Server.request_count server - r0
+
+let bench_panner () =
+  let fixtures = List.map (fun n -> (n, panner_fixture n)) [ 5; 25; 100 ] in
   let tests =
-    List.map
-      (fun (ctx, n) ->
-        Test.make
-          ~name:(Printf.sprintf "fig3/panner-refresh-%03d" n)
-          (Staged.stage (fun () -> Panner.refresh ctx ~screen:0)))
+    List.concat_map
+      (fun (n, (server, ctx)) ->
+        [
+          Test.make
+            ~name:(Printf.sprintf "fig3/panner-refresh-%03d" n)
+            (Staged.stage (fun () -> Panner.refresh ctx ~screen:0));
+          Test.make
+            ~name:(Printf.sprintf "fig3/panner-raise-%03d" n)
+            (Staged.stage (fun () ->
+                 raise_bottom server ctx;
+                 Panner.refresh ctx ~screen:0));
+        ])
       fixtures
   in
   let results =
@@ -203,9 +235,47 @@ let bench_panner () =
       ~claim:"the panner shows a miniature of every window; refresh scales with N"
       (run_tests tests)
   in
-  let t5 = find "fig3/panner-refresh-005" results
-  and t100 = find "fig3/panner-refresh-100" results in
-  verdict "refresh(100 windows) / refresh(5 windows) = %.1fx" (t100 /. t5)
+  let t5 = find "fig3/panner-raise-005" results
+  and t100 = find "fig3/panner-raise-100" results in
+  verdict "raise+refresh(100 windows) / raise+refresh(5 windows) = %.1fx" (t100 /. t5);
+  let server, ctx = List.assoc 100 fixtures in
+  verdict
+    "requests per refresh after one raise (100 windows, %d miniatures): %d \
+     (unchanged: %d; a rebuild issues 4N+3; timing-independent)"
+    (Xid.Tbl.length ctx.Ctx.panner_minis)
+    (refresh_requests server ctx (fun () -> raise_bottom server ctx))
+    (refresh_requests server ctx ignore)
+
+(* Requests per panner refresh on 100 clients, over a fixed sequence of
+   [panner_rounds] rounds of each change, so the counts repeat exactly:
+   (clients, miniatures, unchanged, raise, pan, move). *)
+let panner_clients = 100
+let panner_rounds = 20
+
+let panner_requests () =
+  let server, ctx = panner_fixture panner_clients in
+  let per change =
+    let total = ref 0 in
+    for i = 1 to panner_rounds do
+      total := !total + refresh_requests server ctx (fun () -> change i)
+    done;
+    float_of_int !total /. float_of_int panner_rounds
+  in
+  let unchanged = per ignore in
+  let raise = per (fun _ -> raise_bottom server ctx) in
+  let pan =
+    per (fun i ->
+        Vdesk.pan_to ctx ~screen:0
+          (if i mod 2 = 0 then Geom.point 0 0 else Geom.point 1200 900))
+  in
+  let move =
+    per (fun i ->
+        let frame = List.hd (List.rev (shown_frames server ctx)) in
+        let g = Server.geometry server frame in
+        let d = if i mod 2 = 0 then -48 else 48 in
+        Server.move_resize server ctx.Ctx.conn frame { g with x = g.x + d; y = g.y + d })
+  in
+  (panner_clients, Xid.Tbl.length ctx.Ctx.panner_minis, unchanged, raise, pan, move)
 
 (* -------- E1: toolkit-based swm vs direct twm vs interpreted gwm -------- *)
 
@@ -1860,7 +1930,8 @@ let measure_profile () =
 let write_profile_json ~path results
     (encode_words, churn_words, batch_encode_64_ns, storm_events, storm_major,
      events, dispatch_wall_ns, root_total_ns, coverage, stacks)
-    (queries_per_manage, scans_per_manage) =
+    (queries_per_manage, scans_per_manage)
+    (panner_clients, miniatures, unchanged, raise, pan, move) =
   let disabled = find "profile/event_section-disabled" results
   and off = find "profile/pan_storm-disabled" results
   and on = find "profile/pan_storm-armed" results in
@@ -1902,8 +1973,18 @@ let write_profile_json ~path results
   Buffer.add_string b
     (Printf.sprintf
        "  \"resource_db\": {\"manage_cycles\": %d, \"queries_per_manage\": \
-        %.2f, \"scans_per_manage\": %.2f, \"scans_per_manage_budget\": 3.0}\n"
+        %.2f, \"scans_per_manage\": %.2f, \"scans_per_manage_budget\": 3.0},\n"
        scan_cycles queries_per_manage scans_per_manage);
+  (* A reconciling panner pays for what changed; a rebuilding one issues
+     4N+3 requests per refresh, N the miniatures. *)
+  Buffer.add_string b
+    (Printf.sprintf
+       "  \"panner\": {\"clients\": %d, \"miniatures\": %d, \
+        \"requests_per_unchanged\": %.2f, \"requests_per_unchanged_budget\": 0.0, \
+        \"requests_per_raise\": %.2f, \"requests_per_raise_budget\": 1.0, \
+        \"requests_per_pan\": %.2f, \"requests_per_pan_budget\": 1.0, \
+        \"requests_per_move\": %.2f, \"requests_per_move_budget\": 1.0}\n"
+       panner_clients miniatures unchanged raise pan move);
   Buffer.add_string b "}\n";
   let oc = open_out path in
   output_string oc (Buffer.contents b);
@@ -1944,7 +2025,7 @@ let run_replay_family () =
 
 let run_profile_family () =
   write_profile_json ~path:(out_path "BENCH_profile.json") (bench_profile ())
-    (measure_profile ()) (resource_db_per_manage ())
+    (measure_profile ()) (resource_db_per_manage ()) (panner_requests ())
 
 let () =
   Arg.parse

@@ -58,6 +58,7 @@ and vdesk = {
   mutable vsize : int * int;
   mutable panner_client : Xid.t;
   mutable panner_scale : int;
+  mutable panner_outline : Xid.t;
 }
 
 (* Degradation tiers: under load the WM sheds its own discretionary work
@@ -205,6 +206,10 @@ let client_scope client =
   }
 
 let frame_geometry ctx client = Server.geometry ctx.server client.frame
+
+let place ctx win r =
+  if not (Geom.rect_equal (Server.geometry ctx.server win) r) then
+    Server.move_resize ctx.server ctx.conn win r
 
 let log_src = Logs.Src.create "swm" ~doc:"swm window manager"
 

@@ -73,6 +73,9 @@ and vdesk = {
   mutable vsize : int * int;
   mutable panner_client : Xid.t;  (** the panner's client window, or none *)
   mutable panner_scale : int;
+  mutable panner_outline : Xid.t;
+      (** the viewport outline inside the panner, or none before the first
+          {!Panner.refresh} *)
 }
 
 type tier =
@@ -235,6 +238,10 @@ val client_scope : client -> Config.client_scope
 
 val frame_geometry : t -> client -> Geom.rect
 (** The frame's geometry relative to its current parent (desktop or root). *)
+
+val place : t -> Xid.t -> Geom.rect -> unit
+(** Move and resize a window to the rectangle, issuing no request when it
+    is already there. *)
 
 val log_src : Logs.src
 (** The [Logs] source ("swm"); set its level to [Debug] to trace manage /

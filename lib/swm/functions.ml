@@ -149,7 +149,7 @@ let save_geometry (ctx : Ctx.t) (client : Ctx.client) =
 (* f.save followed by f.zoom expands; f.zoom on an already-expanded window
    (the frame no longer matches the save) restores. *)
 let zoom (ctx : Ctx.t) (client : Ctx.client) =
-  match client.zoom_saved with
+  (match client.zoom_saved with
   | Some (saved_frame, (cw, ch))
     when not (Geom.rect_equal saved_frame (Server.geometry ctx.server client.frame)) ->
       Decoration.client_resized ctx client (cw, ch);
@@ -171,7 +171,8 @@ let zoom (ctx : Ctx.t) (client : Ctx.client) =
         (max 16 (sw - deco_w - 2), max 16 (sh - deco_h - 2));
       let fgeom' = Server.geometry ctx.server client.frame in
       Server.move_resize ctx.server ctx.conn client.frame
-        { fgeom' with Geom.x = origin.px; y = origin.py }
+        { fgeom' with Geom.x = origin.px; y = origin.py });
+  Panner.refresh ctx ~screen:client.screen
 
 (* -------- stickiness -------- *)
 

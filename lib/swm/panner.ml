@@ -71,19 +71,127 @@ let is_panner (ctx : Ctx.t) (client : Ctx.client) =
   | Some vdesk -> Xid.equal vdesk.panner_client client.cwin
   | None -> false
 
-let clear_miniatures (ctx : Ctx.t) ~screen =
-  let stale =
-    Xid.Tbl.fold
-      (fun mini (c : Ctx.client) acc ->
-        if c.screen = screen then mini :: acc else acc)
-      ctx.panner_minis []
+(* A desktop rectangle as the panner shows it. *)
+let scaled scale (r : Geom.rect) =
+  Geom.rect (r.x / scale) (r.y / scale) (max 1 (r.w / scale)) (max 1 (r.h / scale))
+
+let shown (ctx : Ctx.t) ~screen (client : Ctx.client) =
+  client.screen = screen && (not client.sticky) && client.state = Prop.Normal
+  && not (is_panner ctx client)
+
+(* The longest increasing subsequence of a permutation of [0 .. n-1], as a
+   mask over its values (patience sorting, O(n log n)). *)
+let longest_in_order (perm : int array) =
+  let n = Array.length perm in
+  let tails = Array.make n 0 and prev = Array.make n (-1) and len = ref 0 in
+  Array.iteri
+    (fun i v ->
+      let lo = ref 0 and hi = ref !len in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if perm.(tails.(mid)) < v then lo := mid + 1 else hi := mid
+      done;
+      if !lo > 0 then prev.(i) <- tails.(!lo - 1);
+      tails.(!lo) <- i;
+      if !lo = !len then incr len)
+    perm;
+  let keep = Array.make n false in
+  let rec mark i =
+    if i >= 0 then begin
+      keep.(perm.(i)) <- true;
+      mark prev.(i)
+    end
   in
+  if !len > 0 then mark tails.(!len - 1);
+  keep
+
+(* Bring the panner's children to the wanted content and pay only for the
+   difference.  The wanted content, bottom to top, is the viewport outline
+   and then one miniature per shown client in the stacking order of the
+   frames, each at its frame's geometry divided by the scale. *)
+let reconcile (ctx : Ctx.t) ~screen (vdesk : Ctx.vdesk) =
+  let server = ctx.server and panner = vdesk.panner_client in
+  let scale = vdesk.panner_scale in
+  let wanted =
+    Array.of_list
+      (List.filter_map
+         (fun frame ->
+           match Xid.Tbl.find_opt ctx.frames frame with
+           | Some client when shown ctx ~screen client -> Some client
+           | Some _ | None -> None)
+         (Server.children_of server vdesk.vwins.(vdesk.current)))
+  in
+  (* Slot 0 holds the outline, slot i the miniature of [wanted.(i - 1)]. *)
+  let slots = Array.make (Array.length wanted + 1) Xid.none in
+  let slot_of = Xid.Tbl.create (Array.length wanted) in
+  Array.iteri (fun i (c : Ctx.client) -> Xid.Tbl.replace slot_of c.cwin (i + 1)) wanted;
+  (* Keep each miniature whose client is still shown; destroy the rest. *)
   List.iter
-    (fun mini ->
-      Xid.Tbl.remove ctx.panner_minis mini;
-      if Server.window_exists ctx.server mini then
-        Server.destroy_window ctx.server mini)
-    stale
+    (fun child ->
+      if Xid.equal child vdesk.panner_outline then slots.(0) <- child
+      else
+        let keep =
+          match Xid.Tbl.find_opt ctx.panner_minis child with
+          | Some (c : Ctx.client) -> (
+              match Xid.Tbl.find_opt slot_of c.cwin with
+              | Some i when wanted.(i - 1) == c && Xid.is_none slots.(i) ->
+                  slots.(i) <- child;
+                  true
+              | Some _ | None -> false)
+          | None -> false
+        in
+        if not keep then begin
+          Xid.Tbl.remove ctx.panner_minis child;
+          Server.destroy_window server child
+        end)
+    (Server.children_of server panner);
+  (* Create what is missing; move and resize what changed. *)
+  Array.iteri
+    (fun i win ->
+      let r =
+        if i = 0 then scaled scale (Vdesk.viewport ctx ~screen)
+        else scaled scale (Server.geometry server wanted.(i - 1).frame)
+      in
+      if not (Xid.is_none win) then Ctx.place ctx win r
+      else if i = 0 then begin
+        let outline = Server.create_window server ctx.conn ~parent:panner ~geom:r ~border:1 () in
+        Server.map_window server ctx.conn outline;
+        vdesk.panner_outline <- outline;
+        slots.(0) <- outline
+      end
+      else begin
+        let mini =
+          Server.create_window server ctx.conn ~parent:panner ~geom:r ~background:'m' ()
+        in
+        Server.select_input server ctx.conn mini
+          [ Event.Button_press_mask; Event.Button_release_mask ];
+        Server.map_window server ctx.conn mini;
+        Xid.Tbl.replace ctx.panner_minis mini wanted.(i - 1);
+        slots.(i) <- mini
+      end)
+    slots;
+  (* Restack: the longest run already in order stays; every other window
+     goes directly above its wanted predecessor, bottom up. *)
+  let rec in_order i = function
+    | [] -> i = Array.length slots
+    | w :: rest -> i < Array.length slots && Xid.equal w slots.(i) && in_order (i + 1) rest
+  in
+  let current = Server.children_of server panner in
+  if not (in_order 0 current) then begin
+    let slot w =
+      if Xid.equal w vdesk.panner_outline then 0
+      else Xid.Tbl.find slot_of (Xid.Tbl.find ctx.panner_minis w).cwin
+    in
+    let keep = longest_in_order (Array.of_list (List.map slot current)) in
+    Array.iteri
+      (fun i win ->
+        if not keep.(i) then
+          if i = 0 then Server.lower_window server ctx.conn win
+          else
+            Server.configure_window server ctx.conn win
+              { Event.no_changes with cstack = Some Event.Above; csibling = Some slots.(i - 1) })
+      slots
+  end
 
 let refresh (ctx : Ctx.t) ~screen =
   if ctx.tier <> Ctx.Tier_full then
@@ -100,61 +208,11 @@ let refresh (ctx : Ctx.t) ~screen =
   Metrics.time_mono_ns (Server.metrics ctx.server) "panner.refresh_ns" @@ fun () ->
   Scrollbar.refresh ctx ~screen;
   match vdesk_of ctx ~screen with
-  | None -> ()
-  | Some vdesk when Xid.is_none vdesk.panner_client -> ()
-  | Some vdesk ->
-      if Server.window_exists ctx.server vdesk.panner_client then begin
-        clear_miniatures ctx ~screen;
-        (* Drop any previous outline children owned by us on the panner. *)
-        List.iter
-          (fun child ->
-            if not (Xid.Tbl.mem ctx.panner_minis child) then
-              Server.destroy_window ctx.server child)
-          (Server.children_of ctx.server vdesk.panner_client);
-        let scale = vdesk.panner_scale in
-        (* Viewport outline first, so the miniatures stack above it and
-           receive their own button presses. *)
-        let vp = Vdesk.viewport ctx ~screen in
-        let outline =
-          Server.create_window ctx.server ctx.conn ~parent:vdesk.panner_client
-            ~geom:
-              (Geom.rect (vp.x / scale) (vp.y / scale)
-                 (max 1 (vp.w / scale))
-                 (max 1 (vp.h / scale)))
-            ~border:1 ()
-        in
-        Server.map_window ctx.server ctx.conn outline;
-        (* One miniature per non-sticky, non-iconic client on the desktop,
-           created bottom-to-top so the panner mirrors the stacking order. *)
-        let stacked_clients =
-          List.filter_map
-            (fun frame -> Xid.Tbl.find_opt ctx.frames frame)
-            (Server.children_of ctx.server vdesk.vwins.(vdesk.current))
-        in
-        List.iter
-          (fun (client : Ctx.client) ->
-            if
-              client.screen = screen && (not client.sticky)
-              && client.state = Prop.Normal
-              && not (is_panner ctx client)
-            then begin
-              let geom = Server.geometry ctx.server client.frame in
-              let mini =
-                Server.create_window ctx.server ctx.conn
-                  ~parent:vdesk.panner_client
-                  ~geom:
-                    (Geom.rect (geom.x / scale) (geom.y / scale)
-                       (max 1 (geom.w / scale))
-                       (max 1 (geom.h / scale)))
-                  ~background:'m' ()
-              in
-              Server.select_input ctx.server ctx.conn mini
-                [ Event.Button_press_mask; Event.Button_release_mask ];
-              Server.map_window ctx.server ctx.conn mini;
-              Xid.Tbl.replace ctx.panner_minis mini client
-            end)
-          stacked_clients
-      end
+  | Some vdesk
+    when (not (Xid.is_none vdesk.panner_client))
+         && Server.window_exists ctx.server vdesk.panner_client ->
+      reconcile ctx ~screen vdesk
+  | Some _ | None -> ()
 
 let client_of_miniature (ctx : Ctx.t) win = Xid.Tbl.find_opt ctx.panner_minis win
 

@@ -19,8 +19,21 @@ val create : Ctx.t -> screen:int -> Swm_xlib.Xid.t option
     Returns the client window, to be managed by {!Wm} like any client. *)
 
 val refresh : Ctx.t -> screen:int -> unit
-(** Rebuild the miniatures and the viewport outline.  Cheap enough to call
-    after every pan/move/manage/unmanage. *)
+(** Reconcile the panner with its wanted content: the viewport outline at
+    the bottom, then one miniature per non-sticky, Normal-state client on
+    the current desktop, in the stacking order of the frames, each at its
+    frame's geometry divided by the scale.  Only the difference costs
+    requests:
+    - a client that joins or leaves the panner creates (and maps) or
+      destroys its miniature;
+    - a window whose scaled rectangle changed, the outline included, gets
+      one move-resize;
+    - windows outside the longest run already in stacking order are each
+      restacked directly above their wanted predecessor, so one raise or
+      lower costs one request.
+    A refresh with nothing changed issues none, scrollbar thumbs included.
+    [Ctx.panner_minis] holds exactly the live miniatures.  Skipped (and
+    counted) below the full governor tier. *)
 
 val is_panner : Ctx.t -> Ctx.client -> bool
 

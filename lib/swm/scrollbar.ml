@@ -43,8 +43,7 @@ let refresh (ctx : Ctx.t) ~screen =
           let pos, len =
             thumb_geometry ~bar_len ~desktop_len:dw ~view_pos:vp.x ~view_len:vp.w
           in
-          Server.move_resize ctx.server ctx.conn thumb
-            (Geom.rect pos 1 len (bar_thickness - 2))
+          Ctx.place ctx thumb (Geom.rect pos 1 len (bar_thickness - 2))
       | Some _ | None -> ());
       match scr.vbar with
       | Some (bar, thumb) when Server.window_exists ctx.server bar ->
@@ -52,8 +51,7 @@ let refresh (ctx : Ctx.t) ~screen =
           let pos, len =
             thumb_geometry ~bar_len ~desktop_len:dh ~view_pos:vp.y ~view_len:vp.h
           in
-          Server.move_resize ctx.server ctx.conn thumb
-            (Geom.rect 1 pos (bar_thickness - 2) len)
+          Ctx.place ctx thumb (Geom.rect 1 pos (bar_thickness - 2) len)
       | Some _ | None -> ()
 
 let create (ctx : Ctx.t) ~screen =

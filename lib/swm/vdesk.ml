@@ -28,7 +28,14 @@ let create (ctx : Ctx.t) ~screen ~size ?(desktops = 1) () =
   Array.iter (fun vwin -> Server.lower_window ctx.server ctx.conn vwin) vwins;
   Server.map_window ctx.server ctx.conn vwins.(0);
   let vdesk =
-    { Ctx.vwins; current = 0; vsize = size; panner_client = Xid.none; panner_scale = 24 }
+    {
+      Ctx.vwins;
+      current = 0;
+      vsize = size;
+      panner_client = Xid.none;
+      panner_scale = 24;
+      panner_outline = Xid.none;
+    }
   in
   scr.vdesk <- Some vdesk;
   vdesk

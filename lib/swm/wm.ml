@@ -612,7 +612,16 @@ let handle_property (ctx : Ctx.t) window name =
         match Xid.Tbl.find_opt ctx.clients window with
         | None -> ()
         | Some client ->
-            if Atom.equal atom atoms.a_wm_name then Decoration.update_name ctx client
+            if Atom.equal atom atoms.a_wm_name then begin
+              (* A longer title can widen the frame, and so its miniature. *)
+              let size () =
+                let g = Ctx.frame_geometry ctx client in
+                (g.w, g.h)
+              in
+              let before = size () in
+              Decoration.update_name ctx client;
+              if size () <> before then Panner.refresh ctx ~screen:client.screen
+            end
             else if Atom.equal atom atoms.a_wm_icon_name then begin
               match client.icon_obj with
               | Some icon -> (
