@@ -277,6 +277,74 @@ let panner_requests () =
   in
   (panner_clients, Xid.Tbl.length ctx.Ctx.panner_minis, unchanged, raise, pan, move)
 
+(* -------- connection scaling: the governor's health tick -------- *)
+
+(* A bare server with [governor_active] busy connections, each owning a
+   window, beside [idle] idle ones (connected, no windows: legal X). *)
+let governor_active = 8
+
+let idle_fixture ~idle =
+  let server = Server.create () in
+  let busy =
+    List.init governor_active (fun i ->
+        let conn = Server.connect server ~name:(Printf.sprintf "busy%d" i) in
+        ignore
+          (Server.create_window server conn ~parent:(Server.root server ~screen:0)
+             ~geom:(Geom.rect 0 0 10 10) ());
+        conn)
+  in
+  for i = 1 to idle do
+    ignore (Server.connect server ~name:(Printf.sprintf "idle%d" i))
+  done;
+  (server, busy)
+
+(* One governor tick ([max_queue_ratio] then [health_tick]) while each busy
+   connection holds a queued event, so it never comes to rest. *)
+let bench_scale () =
+  let tests =
+    List.map
+      (fun idle ->
+        let server, busy = idle_fixture ~idle in
+        List.iter (fun conn -> Server.flood_conn server conn ~burst:1) busy;
+        Test.make
+          ~name:(Printf.sprintf "scale/health-tick-idle-%d" idle)
+          (Staged.stage (fun () ->
+               ignore (Server.max_queue_ratio server);
+               Server.health_tick server)))
+      [ 0; 1_000; 10_000 ]
+  in
+  let results =
+    report ~experiment:"Connection scaling: the governor tick"
+      ~claim:"an idle connection costs the WM nothing (per-tick work is O(active))"
+      (run_tests tests)
+  in
+  verdict "tick beside 10,000 idle connections / beside none = %.2fx"
+    (find "scale/health-tick-idle-10000" results /. find "scale/health-tick-idle-0" results);
+  results
+
+(* Connections a health tick examines, over a fixed sequence on a bare
+   server so the count repeats exactly: [governor_ticks] rounds, each
+   touching every busy connection (a flood, then a drain) before one
+   governor tick, beside [governor_idle] idle connections.  The budget is
+   the number of connections the sequence touches; a tick that folds over
+   every connection reads more than [governor_idle]. *)
+let governor_idle = 10_000
+let governor_ticks = 100
+
+let governor_visits () =
+  let server, busy = idle_fixture ~idle:governor_idle in
+  let v0 = Server.tick_visits server in
+  for _ = 1 to governor_ticks do
+    List.iter
+      (fun conn ->
+        Server.flood_conn server conn ~burst:4;
+        ignore (Server.flush_batch conn))
+      busy;
+    ignore (Server.max_queue_ratio server);
+    Server.health_tick server
+  done;
+  float_of_int (Server.tick_visits server - v0) /. float_of_int governor_ticks
+
 (* -------- E1: toolkit-based swm vs direct twm vs interpreted gwm -------- *)
 
 let bench_manage_comparison () =
@@ -1931,7 +1999,7 @@ let write_profile_json ~path results
     (encode_words, churn_words, batch_encode_64_ns, storm_events, storm_major,
      events, dispatch_wall_ns, root_total_ns, coverage, stacks)
     (queries_per_manage, scans_per_manage)
-    (panner_clients, miniatures, unchanged, raise, pan, move) =
+    (panner_clients, miniatures, unchanged, raise, pan, move) visits_per_tick =
   let disabled = find "profile/event_section-disabled" results
   and off = find "profile/pan_storm-disabled" results
   and on = find "profile/pan_storm-armed" results in
@@ -1983,8 +2051,15 @@ let write_profile_json ~path results
         \"requests_per_unchanged\": %.2f, \"requests_per_unchanged_budget\": 0.0, \
         \"requests_per_raise\": %.2f, \"requests_per_raise_budget\": 1.0, \
         \"requests_per_pan\": %.2f, \"requests_per_pan_budget\": 1.0, \
-        \"requests_per_move\": %.2f, \"requests_per_move_budget\": 1.0}\n"
+        \"requests_per_move\": %.2f, \"requests_per_move_budget\": 1.0},\n"
        panner_clients miniatures unchanged raise pan move);
+  (* The governor tick examines the connections that had something to
+     report; a full fold examines every connection, idle ones included. *)
+  Buffer.add_string b
+    (Printf.sprintf
+       "  \"governor\": {\"idle\": %d, \"active\": %d, \"ticks\": %d, \
+        \"visits_per_tick\": %.2f, \"visits_per_tick_budget\": %d.0}\n"
+       governor_idle governor_active governor_ticks visits_per_tick governor_active);
   Buffer.add_string b "}\n";
   let oc = open_out path in
   output_string oc (Buffer.contents b);
@@ -2024,8 +2099,11 @@ let run_replay_family () =
     (measure_replay rep)
 
 let run_profile_family () =
-  write_profile_json ~path:(out_path "BENCH_profile.json") (bench_profile ())
+  let results = bench_profile () in
+  let results = results @ bench_scale () in
+  write_profile_json ~path:(out_path "BENCH_profile.json") results
     (measure_profile ()) (resource_db_per_manage ()) (panner_requests ())
+    (governor_visits ())
 
 let () =
   Arg.parse

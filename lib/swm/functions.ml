@@ -457,7 +457,8 @@ let health_json (ctx : Ctx.t) =
      \"clients\":%d,\"overload\":{\"queue_cap\":%d,\"events_shed\":%d,\
      \"state_bearing_shed\":%d,\"cap_overruns\":%d,\"quarantined\":%d,\
      \"recovered\":%d,\"evicted\":%d,\"tier_transitions\":%d,\
-     \"events_skipped\":%d},\"recorder\":{\"enabled\":%b,\"recorded\":%d,\
+     \"events_skipped\":%d},\"connections\":{\"open\":%d,\"active\":%d,\
+     \"tick_visits\":%d},\"recorder\":{\"enabled\":%b,\"recorded\":%d,\
      \"dropped\":%d,\"crash_dumps\":%d},\"ledger\":%s}"
     (Metrics.json_string (if degraded then "degraded" else "ok"))
     (Metrics.json_string (Ctx.tier_name ctx.tier))
@@ -471,6 +472,9 @@ let health_json (ctx : Ctx.t) =
     (c "health.evicted")
     (c "governor.transitions")
     (c "governor.events_skipped")
+    (Server.connection_count ctx.server)
+    (Server.active_count ctx.server)
+    (Server.tick_visits ctx.server)
     (Recorder.enabled recorder) (Recorder.recorded recorder)
     (Recorder.dropped recorder) (Recorder.dumps recorder)
     (Server.ledger_json ctx.server)

@@ -12,7 +12,9 @@
 
    The score decays multiplicatively each tick, so a burst of misbehaviour
    must be sustained to reach eviction, and a throttled client that goes
-   quiet earns its way back instead of flapping on a single calm sample. *)
+   quiet earns its way back instead of flapping on a single calm sample.
+   Only quiet ticks spent throttled count: entering Throttled resets the
+   count, so quiet ticks before the quarantine cannot shorten it. *)
 
 type state = Healthy | Throttled | Evicted
 
@@ -34,7 +36,7 @@ let default_thresholds =
 type t = {
   mutable state : state;
   mutable score : float;
-  mutable calm : int;
+  mutable calm : int; (* consecutive quiet ticks; read only while Throttled *)
   (* Last observed cumulative signals, so a sample of running totals can be
      turned into per-tick deltas without the caller tracking them. *)
   mutable last_shed : int;
@@ -93,7 +95,11 @@ let observe th t (s : sample) =
   if pressure < 0.5 then t.calm <- t.calm + 1 else t.calm <- 0;
   let prev = t.state in
   (match t.state with
-  | Healthy -> if t.score >= th.quarantine_score then t.state <- Throttled
+  | Healthy ->
+      if t.score >= th.quarantine_score then begin
+        t.state <- Throttled;
+        t.calm <- 0
+      end
   | Throttled ->
       if t.score >= th.evict_score then t.state <- Evicted
       else if t.calm >= th.calm_ticks && t.score < th.quarantine_score then begin

@@ -93,6 +93,24 @@ let clear t =
   t.len <- 0;
   t.evicted <- 0
 
+(* Compaction in place: a kept element moves its existing cell toward the
+   front, so a pass that keeps everything writes and allocates nothing. *)
+let retain f t =
+  let kept = ref 0 in
+  for i = 0 to t.len - 1 do
+    match t.buf.(slot t i) with
+    | Some x as cell ->
+        if f x then begin
+          if !kept < i then t.buf.(slot t !kept) <- cell;
+          incr kept
+        end
+    | None -> ()
+  done;
+  for i = !kept to t.len - 1 do
+    t.buf.(slot t i) <- None
+  done;
+  t.len <- !kept
+
 let iter f t =
   for i = 0 to t.len - 1 do
     match t.buf.(slot t i) with Some x -> f x | None -> ()

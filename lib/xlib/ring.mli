@@ -73,6 +73,12 @@ val clear : 'a t -> unit
 val high_water : 'a t -> int
 (** The largest length the ring has ever reached. *)
 
+val retain : ('a -> bool) -> 'a t -> unit
+(** Keep the elements [f] accepts, in order, calling [f] once on each,
+    front to back; [f] must not change the ring.  Allocates nothing.  A
+    server health tick filters its active set with it, dropping the
+    connections it finds at rest. *)
+
 val iter : ('a -> unit) -> 'a t -> unit
 (** Front-to-back (oldest first), without consuming. *)
 

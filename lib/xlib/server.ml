@@ -179,6 +179,7 @@ type conn = {
   mutable jexempt : bool;
       (* the WM marks its own connection journal-exempt: a replay restarts
          a fresh WM, which re-derives every WM-issued request itself *)
+  mutable active : bool; (* a member of [c_active] *)
   m_enqueued : Metrics.counter;
   m_coalesced : Metrics.counter;
   m_delivered : Metrics.counter;
@@ -189,6 +190,9 @@ type conn = {
   m_batch : Metrics.histogram;
   c_tracer : Tracing.t;
   c_ledger : ledger; (* shared with the server: one ledger fleet-wide *)
+  c_active : conn Ring.t;
+      (* shared with the server: the active set, the only connections a
+         health tick visits (see [wake]) *)
 }
 
 type window = {
@@ -225,6 +229,8 @@ type t = {
   windows : window Xid.Tbl.t;
   screens : (Xid.t * screen_spec) array;
   conns : (int, conn) Hashtbl.t;
+  active_set : conn Ring.t;
+  mutable tick_visits : int; (* connections examined by health ticks *)
   atom_table : Atom.table;
   mutable next_cid : int;
   mutable pointer_screen : int;
@@ -316,6 +322,8 @@ let create ?(screens = [ default_screen ]) () =
     windows;
     screens = Array.of_list screen_roots;
     conns = Hashtbl.create 8;
+    active_set = Ring.create ();
+    tick_visits = 0;
     atom_table = Atom.create_table ();
     next_cid = 1;
     pointer_screen = 0;
@@ -372,6 +380,7 @@ let connect server ~name =
       h_stalls = 0;
       stalled = false;
       jexempt = false;
+      active = false;
       m_enqueued = Metrics.counter server.metrics "events.enqueued";
       m_coalesced = Metrics.counter server.metrics "events.coalesced";
       m_delivered = Metrics.counter server.metrics "events.delivered";
@@ -380,6 +389,7 @@ let connect server ~name =
       m_batch = Metrics.histogram server.metrics "delivery.batch_size";
       c_tracer = server.s_tracer;
       c_ledger = server.s_ledger;
+      c_active = server.active_set;
     }
   in
   Hashtbl.replace server.conns cid conn;
@@ -388,6 +398,18 @@ let connect server ~name =
 let set_coalesce conn flag = conn.coalesce <- flag
 
 let conn_name conn = conn.cname
+let conn_alive conn = conn.alive
+
+(* The active set.  A connection joins it on anything that changes what the
+   health tick reads: a queue push or shed, a rejected frame or absorbed X
+   error, a stall toggle, and a change of journal exemption or fault
+   protection.  A tick drops the members it finds at rest, so every
+   connection outside the set is at rest and the tick is O(active). *)
+let wake conn =
+  if not conn.active then begin
+    conn.active <- true;
+    Ring.push conn.c_active conn
+  end
 
 (* -------- replay journal taps --------
 
@@ -427,7 +449,9 @@ let journal_fault server op =
   if Recorder.enabled server.s_recorder && not server.journal_busy then
     Recorder.record_op server.s_recorder op
 
-let set_journal_exempt conn flag = conn.jexempt <- flag
+let set_journal_exempt conn flag =
+  conn.jexempt <- flag;
+  wake conn
 
 let with_journal_suspended server f =
   let was = server.journal_suspended in
@@ -558,6 +582,7 @@ let coalesce_harder conn ~seq ~t_in event =
 let note_shed server conn ~seq ~t_in event =
   Metrics.incr server.m_shed;
   conn.h_shed <- conn.h_shed + 1;
+  wake conn;
   record_fate conn.c_ledger ~cname:conn.cname ~seq ~code:(Event.code event)
     ~window:(Xid.to_int (Event.window_of event))
     ~t_in Shed;
@@ -601,6 +626,7 @@ let push_entry conn ~seq ~t_in event =
       let region = Option.map Region.of_rect damage in
       Ring.push conn.ring (Damage { dwindow = window; region; seq; t_in })
   | _ -> Ring.push conn.ring (Plain { ev = event; seq; t_in }));
+  wake conn;
   Metrics.record_max conn.m_depth (queue_depth conn)
 
 let deliver server cid event =
@@ -1425,7 +1451,9 @@ let window_count server = Xid.Tbl.length server.windows
 let is_fault_protected server cid = cid = 0 || List.mem cid server.fault_protected
 
 let stalled conn = conn.stalled
-let set_stalled conn flag = conn.stalled <- flag
+let set_stalled conn flag =
+  conn.stalled <- flag;
+  wake conn
 
 (* Pick deterministically among candidates sorted by a stable key, so the
    victim sequence depends only on the plan seed and the request history. *)
@@ -1499,7 +1527,7 @@ let run_fault server f (action : Fault.action) =
             journal_fault server
               (Printf.sprintf "stall %s %d" (conn_key victim)
                  (if victim.stalled then 0 else 1));
-            victim.stalled <- not victim.stalled
+            set_stalled victim (not victim.stalled)
           end)
   | Fault.Flood_events -> (
       let candidates =
@@ -1539,18 +1567,26 @@ let maybe_inject server =
 
 let () = inject_hook := maybe_inject
 
+(* A connection that gains or loses protection changes what the health
+   tick reads: wake every connection protected before or after. *)
+let set_fault_protected server cids =
+  List.iter
+    (fun cid -> Option.iter wake (Hashtbl.find_opt server.conns cid))
+    (server.fault_protected @ cids);
+  server.fault_protected <- cids
+
 let arm_faults server ?(protect = []) plan =
   let f =
     Fault.arm ~metrics:server.metrics ~tracer:server.s_tracer
       ~recorder:server.s_recorder plan
   in
   server.fault <- Some f;
-  server.fault_protected <- List.map (fun conn -> conn.cid) protect;
+  set_fault_protected server (List.map (fun conn -> conn.cid) protect);
   f
 
 let disarm_faults server =
   server.fault <- None;
-  server.fault_protected <- []
+  set_fault_protected server []
 
 let faults server = server.fault
 
@@ -1563,28 +1599,52 @@ let set_queue_cap server cap =
   server.queue_cap <- cap;
   Hashtbl.iter (fun _ conn -> conn.cap <- cap) server.conns
 
-let set_health_thresholds server th = server.health_th <- th
+(* The active set relies on these: with them a tick leaves a connection at
+   rest unchanged. *)
+let set_health_thresholds server (th : Health.thresholds) =
+  if not (th.quarantine_score > 0.0) then
+    invalid_arg "Server.set_health_thresholds: quarantine_score must be > 0";
+  if not (th.decay >= 0.0 && th.decay <= 1.0) then
+    invalid_arg "Server.set_health_thresholds: decay must be in [0, 1]";
+  server.health_th <- th
+
 let health_thresholds server = server.health_th
 
 (* Pressure attribution from the wire layer: rejected frames and absorbed
    X errors count against the submitting connection's health. *)
-let note_rejected conn = conn.h_rejected <- conn.h_rejected + 1
-let note_conn_xerror conn = conn.h_xerrors <- conn.h_xerrors + 1
+let note_rejected conn =
+  conn.h_rejected <- conn.h_rejected + 1;
+  wake conn
+
+let note_conn_xerror conn =
+  conn.h_xerrors <- conn.h_xerrors + 1;
+  wake conn
 
 let conn_health conn = conn.health.Health.state
 let conn_health_score conn = conn.health.Health.score
 let is_throttled conn = conn.throttled
 let shed_count conn = conn.h_shed
 
+let queue_ratio conn = float_of_int (pending conn) /. float_of_int (max 1 conn.cap)
+
 (* Worst queue-depth-to-cap ratio across live connections: the load
-   governor's primary input. *)
+   governor's primary input.  A connection with something pending is in the
+   active set, so folding the set gives the full fold's answer. *)
 let max_queue_ratio server =
+  let worst = ref 0.0 in
+  Ring.iter
+    (fun conn -> if conn.alive then worst := max !worst (queue_ratio conn))
+    server.active_set;
+  !worst
+
+let max_queue_ratio_fold server =
   Hashtbl.fold
-    (fun _ conn acc ->
-      if conn.alive then
-        max acc (float_of_int (pending conn) /. float_of_int (max 1 conn.cap))
-      else acc)
+    (fun _ conn acc -> if conn.alive then max acc (queue_ratio conn) else acc)
     server.conns 0.0
+
+let connection_count server = Hashtbl.length server.conns
+let active_count server = Ring.length server.active_set
+let tick_visits server = server.tick_visits
 
 (* -------- lifecycle ledger: queries -------- *)
 
@@ -1683,37 +1743,33 @@ let fate_json server ?conn:cfilter ?window () =
   Buffer.add_string b (Printf.sprintf "], \"ledger\": %s}" (ledger_json server));
   Buffer.contents b
 
-(* One health tick: fold each live connection's pressure signals into its
-   score and act on state transitions — quarantine throttles delivery,
-   recovery lifts it, eviction is the X "misbehaving client" close with
-   save-set rescue (via [disconnect]).  The WM's own connection
-   (journal-exempt) and fault-protected connections are never judged.
-   Transitions are collected first because eviction mutates [server.conns]
-   mid-iteration. *)
-let health_tick server =
-  let transitions = ref [] in
-  Hashtbl.iter
-    (fun cid conn ->
-      if conn.alive && (not conn.jexempt) && not (is_fault_protected server cid)
-      then begin
-        (* A stalled client (stopped reading) accrues a stall contribution
-           every tick it stays wedged. *)
-        if conn.stalled then conn.h_stalls <- conn.h_stalls + 1;
-        let sample =
-          {
-            Health.depth_ratio =
-              float_of_int (pending conn) /. float_of_int (max 1 conn.cap);
-            shed = conn.h_shed;
-            rejected = conn.h_rejected;
-            xerrors = conn.h_xerrors;
-            stalls = conn.h_stalls;
-          }
-        in
-        match Health.observe server.health_th conn.health sample with
-        | Health.No_change -> ()
-        | Health.Became state -> transitions := (conn, state) :: !transitions
-      end)
-    server.conns;
+(* Fold one live connection's pressure signals into its score.  The WM's
+   own connection (journal-exempt) and fault-protected connections are
+   never judged.  A state change is collected, not applied: eviction
+   mutates [server.conns] and the active set. *)
+let observe server conn transitions =
+  if (not conn.jexempt) && not (is_fault_protected server conn.cid) then begin
+    (* A stalled client (stopped reading) accrues a stall contribution
+       every tick it stays wedged. *)
+    if conn.stalled then conn.h_stalls <- conn.h_stalls + 1;
+    let sample =
+      {
+        Health.depth_ratio = queue_ratio conn;
+        shed = conn.h_shed;
+        rejected = conn.h_rejected;
+        xerrors = conn.h_xerrors;
+        stalls = conn.h_stalls;
+      }
+    in
+    match Health.observe server.health_th conn.health sample with
+    | Health.No_change -> ()
+    | Health.Became state -> transitions := (conn, state) :: !transitions
+  end
+
+(* Act on the collected transitions in ascending cid order — quarantine
+   throttles delivery, recovery lifts it, eviction is the X "misbehaving
+   client" close with save-set rescue (via [disconnect]). *)
+let apply_transitions server transitions =
   List.iter
     (fun (conn, state) ->
       (match state with
@@ -1740,4 +1796,37 @@ let health_tick server =
         Tracing.instant server.s_tracer "server.health"
           ~attrs:[ ("conn", conn.cname); ("state", state_name) ];
       if state = Health.Evicted then disconnect server conn)
-    (List.rev !transitions)
+    (List.sort (fun (a, _) (b, _) -> compare a.cid b.cid) transitions)
+
+(* At rest, a tick changes nothing observable: a Healthy score of exactly 0
+   stays 0 (decay is in [0, 1]) and below the quarantine score (> 0), and
+   only [calm] counts up, which matters only while throttled. *)
+let at_rest conn =
+  conn.health.Health.state = Health.Healthy
+  && conn.health.Health.score = 0.0
+  && pending conn = 0
+  && not conn.stalled
+
+(* One health tick over the active set: observe each member, keep the ones
+   not at rest (a closed connection leaves), then apply the transitions.
+   Observing wakes nothing, so the set holds still while it is filtered. *)
+let health_tick server =
+  let transitions = ref [] in
+  Ring.retain
+    (fun conn ->
+      server.tick_visits <- server.tick_visits + 1;
+      if conn.alive then observe server conn transitions;
+      conn.active <- conn.alive && not (at_rest conn);
+      conn.active)
+    server.active_set;
+  apply_transitions server !transitions
+
+(* The specification [health_tick] must match: observe every connection. *)
+let health_tick_fold server =
+  let transitions = ref [] in
+  Hashtbl.iter
+    (fun _ conn ->
+      server.tick_visits <- server.tick_visits + 1;
+      if conn.alive then observe server conn transitions)
+    server.conns;
+  apply_transitions server !transitions

@@ -49,6 +49,10 @@ val disconnect : t -> conn -> unit
 
 val conn_name : conn -> string
 
+val conn_alive : conn -> bool
+(** False once the connection is closed ({!disconnect}, eviction, or a
+    fault kill). *)
+
 val set_coalesce : conn -> bool -> unit
 (** Enable/disable event compression on this connection's queue (default
     enabled).  Disabling gives the naive one-event-per-notification
@@ -300,7 +304,8 @@ val faults : t -> Fault.t option
 val stalled : conn -> bool
 val set_stalled : conn -> bool -> unit
 (** Manual stall control for tests: a stalled connection enqueues
-    events but {!next_event}/{!read_events} deliver nothing. *)
+    events but {!next_event}/{!read_events} deliver nothing.  Wakes the
+    connection into the health tick's active set. *)
 
 val flood_conn : t -> conn -> burst:int -> unit
 (** Deliver an event storm (alternating Motion/Expose over the victim's
@@ -329,20 +334,63 @@ val set_queue_cap : t -> int -> unit
     future connections. *)
 
 val set_health_thresholds : t -> Health.thresholds -> unit
+(** Raises [Invalid_argument] unless [quarantine_score > 0] (so NaN is
+    rejected) and [0 <= decay <= 1]: under other thresholds an
+    idle connection would change state on its own, and the active set
+    below could not skip it. *)
+
 val health_thresholds : t -> Health.thresholds
 
+(** {2 The active set}
+
+    A health tick costs O(active connections), not O(connected).  The
+    server keeps an {e active set}; a connection joins it on anything that
+    changes what the tick reads:
+    - a queue push or a shed (at enqueue, or while quarantined);
+    - {!note_rejected} and {!note_conn_xerror};
+    - {!set_stalled} and the fault harness's stall toggle;
+    - {!set_journal_exempt};
+    - {!arm_faults} and {!disarm_faults}, for every connection protected
+      before or after, so for each one whose protection changes.
+
+    A connection is {e at rest} when it is alive and Healthy, its score is
+    exactly [0.0], nothing is pending and it is not stalled.  A tick on a
+    connection at rest changes nothing observable (only the calm count,
+    which matters only while throttled), so a tick drops the members it
+    finds at rest and every connection outside the set is at rest.  The
+    tick is therefore exactly the full fold ({!health_tick_fold}); tests
+    check one against the other. *)
+
 val health_tick : t -> unit
-(** One quarantine pass: fold each live connection's pressure signals
-    (queue depth ratio, sheds, rejected frames, absorbed X errors, stall
-    contributions) into its {!Health} score and apply state transitions —
-    throttle, recover, or evict.  Transitions are recorded (kind
-    ["health"]), traced, and counted ([health.quarantined] /
-    [health.recovered] / [health.evicted]).  The WM calls this from its
-    governor cadence; tests may call it directly. *)
+(** One quarantine pass over the active set: fold each member's pressure
+    signals (queue depth ratio, sheds, rejected frames, absorbed X errors,
+    stall contributions) into its {!Health} score, then apply the state
+    transitions — throttle, recover, or evict — in ascending connection
+    order.  Transitions are recorded (kind ["health"]), traced, and counted
+    ([health.quarantined] / [health.recovered] / [health.evicted]).  The WM
+    calls this from its governor cadence; tests may call it directly. *)
 
 val max_queue_ratio : t -> float
 (** Worst [pending / cap] over live connections — the load governor's
-    queue-pressure input. *)
+    queue-pressure input.  Folds the active set, which holds every
+    connection with something pending. *)
+
+val health_tick_fold : t -> unit
+val max_queue_ratio_fold : t -> float
+(** The reference: {!health_tick} and {!max_queue_ratio} as a fold over
+    every connection, ignoring the active set.  Kept so tests can compare
+    the two; the WM never calls them.  The fold never drops members, so a
+    server ticked only this way keeps every connection it ever woke. *)
+
+val connection_count : t -> int
+(** Open connections. *)
+
+val active_count : t -> int
+(** Members of the active set (a closed one leaves at the next tick). *)
+
+val tick_visits : t -> int
+(** Connections examined by health ticks since the server was created
+    (both {!health_tick} and {!health_tick_fold} count). *)
 
 val note_rejected : conn -> unit
 val note_conn_xerror : conn -> unit

@@ -594,6 +594,7 @@ let test_f_health () =
   let _app = Stock.xterm server () in
   ignore (Wm.step wm);
   let sender = Server.connect server ~name:"swmcmd" in
+  Server.health_tick server;
   let health = parse_ok "f.health" (reply_of server wm sender "f.health") in
   check
     (Alcotest.option Alcotest.string)
@@ -612,6 +613,19 @@ let test_f_health () =
         | Some (Json.Bool b) -> Some b
         | _ -> None)
   | _ -> Alcotest.fail "health: recorder is not an object");
+  (* The health tick's cost: open connections, the active set it visits,
+     and the cumulative count of connections it examined. *)
+  let conns = member_exn "health" "connections" health in
+  let n key =
+    match Json.to_int (member_exn "connections" key conns) with
+    | Some v -> v
+    | None -> Alcotest.failf "connections.%s is not an integer" key
+  in
+  check Alcotest.int "open: the WM, the xterm and the sender" 3 (n "open");
+  check Alcotest.bool "active set within the open connections" true
+    (n "active" >= 0 && n "active" <= n "open");
+  check Alcotest.bool "the tick examined the connections that had events" true
+    (n "tick_visits" >= 1);
   (* A stall flips the status to degraded.  The stall is counted after its
      own dispatch finishes, so provoke one first, then query. *)
   _ctx.Ctx.watchdog_threshold_ns <- 1;

@@ -117,6 +117,27 @@ let test_index_ops_across_growth () =
   check Alcotest.(list int) "final order" [ 3; 4; 5; 6; 8; 9; 10; 11; 99 ]
     (drain r)
 
+(* Retain over a wrapped layout: each element is offered once, front to
+   back, the kept ones close up in order, and the ring stays usable. *)
+let test_retain_wrapped () =
+  let r = wrapped () in
+  let seen = ref [] in
+  Ring.retain
+    (fun x ->
+      seen := x :: !seen;
+      x mod 2 = 0)
+    r;
+  check Alcotest.(list int) "offered once each, front to back" [ 3; 4; 5; 6 ]
+    (List.rev !seen);
+  check Alcotest.(list int) "kept in order" [ 4; 6 ] (Ring.to_list r);
+  Ring.push r 7;
+  Ring.retain (fun _ -> true) r;
+  check Alcotest.(list int) "keeping all changes nothing" [ 4; 6; 7 ] (Ring.to_list r);
+  Ring.retain (fun _ -> false) r;
+  check Alcotest.int "emptied" 0 (Ring.length r);
+  Ring.push r 8;
+  check Alcotest.(list int) "reusable after emptying" [ 8 ] (drain r)
+
 (* -------- bounded mode -------- *)
 
 type op = Push of int | Clear
@@ -189,6 +210,8 @@ let suite =
       test_remove_out_of_range;
     Alcotest.test_case "index ops survive growth" `Quick
       test_index_ops_across_growth;
+    Alcotest.test_case "retain: filter in place under wrap" `Quick
+      test_retain_wrapped;
     Alcotest.test_case "bounded drops, growable grows" `Quick
       test_bounded_vs_growable;
     QCheck_alcotest.to_alcotest prop_bounded_keeps_last_n;

@@ -243,6 +243,7 @@ module Recorder = Swm_xlib.Recorder
 module Governor = Swm_core.Governor
 module Supervisor = Swm_core.Supervisor
 module Workload = Swm_clients.Workload
+module Fault = Swm_xlib.Fault
 
 let resources =
   [ Templates.open_look; "swm*virtualDesktop: False\nswm*rootPanels:\n" ]
@@ -376,6 +377,265 @@ let test_flooder_quarantined_then_evicted () =
     (Health.state_name (Server.conn_health conn));
   check Alcotest.int "eviction counted" 1
     (Metrics.counter_value m "health.evicted")
+
+(* Quiet ticks before a quarantine must not shorten it: a client throttled
+   by slowly rising pressure (every tick below the 0.5 quiet line) still
+   sits out calm_ticks quiet ticks once throttled. *)
+let test_calm_counts_only_while_throttled () =
+  let th =
+    { Health.quarantine_score = 8.0; evict_score = 1000.0; calm_ticks = 3; decay = 0.95 }
+  in
+  let sample depth =
+    { Health.depth_ratio = depth; shed = 0; rejected = 0; xerrors = 0; stalls = 0 }
+  in
+  let h = Health.create () in
+  (* Pressure 0.45 a tick: the score climbs toward 9 and crosses 8 at tick
+     43, every one of those ticks quiet. *)
+  let rec throttle tick =
+    if tick > 100 then Alcotest.fail "never throttled"
+    else
+      match Health.observe th h (sample 0.1125) with
+      | Health.Became Health.Throttled -> tick
+      | _ -> throttle (tick + 1)
+  in
+  check Alcotest.int "throttled at tick 43" 43 (throttle 1);
+  check Alcotest.bool "score just over the quarantine line" true
+    (Float.abs (h.Health.score -. 8.008) < 0.001);
+  let quiet () =
+    ignore (Health.observe th h (sample 0.0));
+    Health.state_name h.Health.state
+  in
+  let first = quiet () in
+  let second = quiet () in
+  let third = quiet () in
+  check Alcotest.(list string) "recovery on the third quiet tick"
+    [ "throttled"; "throttled"; "healthy" ] [ first; second; third ]
+
+(* Thresholds under which an idle connection would change state on its own
+   are refused; the bounds and the tests' infinite scores are accepted. *)
+let test_health_thresholds_validated () =
+  let server = Server.create () in
+  let d = Health.default_thresholds in
+  List.iter
+    (fun (what, th) ->
+      match Server.set_health_thresholds server th with
+      | () -> Alcotest.failf "accepted %s" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("quarantine 0", { d with quarantine_score = 0.0 });
+      ("negative quarantine", { d with quarantine_score = -1.0 });
+      ("NaN quarantine", { d with quarantine_score = Float.nan });
+      ("negative decay", { d with decay = -0.1 });
+      ("decay above 1", { d with decay = 1.5 });
+      ("NaN decay", { d with decay = Float.nan });
+      ("infinite decay", { d with decay = Float.infinity });
+    ];
+  check Alcotest.bool "a refused set leaves the thresholds" true
+    (Server.health_thresholds server = d);
+  List.iter
+    (fun th ->
+      Server.set_health_thresholds server th;
+      check Alcotest.bool "accepted" true (Server.health_thresholds server = th))
+    [
+      { d with decay = 0.0 };
+      { d with decay = 1.0 };
+      { d with quarantine_score = Float.infinity; evict_score = Float.infinity };
+    ]
+
+(* ---- The health tick's active set ---- *)
+
+(* Differential property: through random interleavings of everything that
+   wakes a connection, a server ticking over its active set leaves every
+   connection exactly as a twin ticking with the reference fold over all
+   connections does.  [max_queue_ratio] must agree with the fold after
+   every step, and health transitions must be recorded in the same order.
+   Armed fault plans stall and kill unprotected connections, so the fault
+   harness's stall toggle and closed connections are covered too. *)
+type hop =
+  | Connect
+  | Disconnect of int
+  | Window of int
+  | Flood of int * int
+  | Read of int * int
+  | Stall of int * bool
+  | Rejected of int
+  | Xerror of int
+  | Cap of int
+  | Protect of int list
+  | Unprotect
+  | Exempt of int * bool
+  | Tick
+
+let show_hop = function
+  | Connect -> "connect"
+  | Disconnect i -> Printf.sprintf "disconnect %d" i
+  | Window i -> Printf.sprintf "window %d" i
+  | Flood (i, n) -> Printf.sprintf "flood %d %d" i n
+  | Read (i, n) -> Printf.sprintf "read %d %d" i n
+  | Stall (i, b) -> Printf.sprintf "stall %d %b" i b
+  | Rejected i -> Printf.sprintf "rejected %d" i
+  | Xerror i -> Printf.sprintf "xerror %d" i
+  | Cap n -> Printf.sprintf "cap %d" n
+  | Protect is -> "protect [" ^ String.concat ";" (List.map string_of_int is) ^ "]"
+  | Unprotect -> "unprotect"
+  | Exempt (i, b) -> Printf.sprintf "exempt %d %b" i b
+  | Tick -> "tick"
+
+let hop_gen =
+  QCheck2.Gen.(
+    let c = int_range 0 15 in
+    frequency
+      [
+        (2, pure Connect);
+        (1, map (fun i -> Disconnect i) c);
+        (2, map (fun i -> Window i) c);
+        (4, map2 (fun i n -> Flood (i, n)) c (int_range 1 64));
+        (3, map2 (fun i n -> Read (i, n)) c (int_range 1 32));
+        (1, map2 (fun i b -> Stall (i, b)) c bool);
+        (2, map (fun i -> Rejected i) c);
+        (2, map (fun i -> Xerror i) c);
+        (1, map (fun n -> Cap n) (int_range 1 48));
+        (1, map (fun is -> Protect is) (list_size (int_range 0 3) c));
+        (1, pure Unprotect);
+        (1, map2 (fun i b -> Exempt (i, b)) c bool);
+        (6, pure Tick);
+      ])
+
+let thresholds_gen =
+  QCheck2.Gen.(
+    map4
+      (fun quarantine_score extra calm_ticks decay ->
+        { Health.quarantine_score; evict_score = quarantine_score +. extra; calm_ticks; decay })
+      (float_range 0.5 12.0) (float_range 0.0 30.0) (int_range 1 4) (float_range 0.0 0.99))
+
+let show_thresholds (th : Health.thresholds) =
+  Printf.sprintf "{quarantine %g; evict %g; calm %d; decay %g}" th.quarantine_score
+    th.evict_score th.calm_ticks th.decay
+
+let fault_plan = { Fault.quiet with seed = 11; p_stall_connection = 0.2; p_kill_connection = 0.02 }
+
+let prop_active_tick_matches_fold =
+  QCheck2.Test.make ~name:"active-set tick equals the reference fold" ~count:300
+    ~print:(fun (th, hops) ->
+      show_thresholds th ^ " " ^ String.concat "; " (List.map show_hop hops))
+    QCheck2.Gen.(pair thresholds_gen (list_size (int_range 1 200) hop_gen))
+    (fun (th, hops) ->
+      let make () =
+        let server = Server.create () in
+        Server.set_health_thresholds server th;
+        Recorder.start (Server.recorder server);
+        (server, ref [||])
+      in
+      let a, conns_a = make () and b, conns_b = make () in
+      let both f =
+        f a conns_a;
+        f b conns_b
+      in
+      let nth conns i =
+        let n = Array.length !conns in
+        if n = 0 then None else Some !conns.(i mod n)
+      in
+      let on i f = both (fun server conns -> Option.iter (f server) (nth conns i)) in
+      let step = function
+        | Connect ->
+            both (fun server conns ->
+                let name = Printf.sprintf "c%d" (Array.length !conns) in
+                conns := Array.append !conns [| Server.connect server ~name |])
+        | Disconnect i ->
+            on i (fun server c -> if Server.conn_alive c then Server.disconnect server c)
+        | Window i ->
+            on i (fun server c ->
+                if Server.conn_alive c then
+                  ignore
+                    (Server.create_window server c ~parent:(Server.root server ~screen:0)
+                       ~geom:(Geom.rect 0 0 10 10) ()))
+        | Flood (i, n) -> on i (fun server c -> Server.flood_conn server c ~burst:n)
+        | Read (i, n) -> on i (fun _ c -> ignore (Server.read_events c ~max:n))
+        | Stall (i, flag) -> on i (fun _ c -> Server.set_stalled c flag)
+        | Rejected i -> on i (fun _ c -> Server.note_rejected c)
+        | Xerror i -> on i (fun _ c -> Server.note_conn_xerror c)
+        | Cap n -> both (fun server _ -> Server.set_queue_cap server n)
+        | Protect is ->
+            both (fun server conns ->
+                ignore
+                  (Server.arm_faults server ~protect:(List.filter_map (nth conns) is)
+                     fault_plan))
+        | Unprotect -> both (fun server _ -> Server.disarm_faults server)
+        | Exempt (i, flag) -> on i (fun _ c -> Server.set_journal_exempt c flag)
+        | Tick ->
+            Server.health_tick a;
+            Server.health_tick_fold b
+      in
+      let view c =
+        ( Server.conn_alive c,
+          Server.conn_health c,
+          Server.conn_health_score c,
+          Server.is_throttled c,
+          Server.pending c )
+      in
+      let health_log server =
+        List.filter_map
+          (fun (e : Recorder.entry) ->
+            if e.kind = "health" then Some (e.what, e.attrs) else None)
+          (Recorder.entries (Server.recorder server))
+      in
+      List.for_all
+        (fun hop ->
+          step hop;
+          Array.for_all2 (fun x y -> view x = view y) !conns_a !conns_b
+          && Server.max_queue_ratio a = Server.max_queue_ratio_fold b
+          && (hop <> Tick || health_log a = health_log b))
+        hops)
+
+(* Per-tick cost follows the connections with something to report: one
+   fixed sequence over six busy connections examines the same connections
+   tick by tick whether 0, 1,000 or 10,000 idle connections sit beside
+   them (half connected before the busy ones, half after). *)
+let visits_per_tick ~idle =
+  let server = Server.create () in
+  let idlers n =
+    for i = 1 to n do
+      ignore (Server.connect server ~name:(Printf.sprintf "idle%d" i))
+    done
+  in
+  idlers (idle / 2);
+  let busy =
+    List.init 6 (fun i ->
+        let conn = Server.connect server ~name:(Printf.sprintf "busy%d" i) in
+        ignore
+          (Server.create_window server conn ~parent:(Server.root server ~screen:0)
+             ~geom:(Geom.rect 0 0 10 10) ());
+        conn)
+  in
+  idlers (idle - (idle / 2));
+  List.init 24 (fun round ->
+      List.iteri
+        (fun i conn ->
+          if (round + i) mod 3 = 0 then Server.flood_conn server conn ~burst:8;
+          if (round + i) mod 4 = 0 then ignore (Server.flush_batch conn);
+          if round * i mod 7 = 1 then Server.note_rejected conn)
+        busy;
+      if round = 10 || round = 14 then Server.set_stalled (List.hd busy) (round = 10);
+      let v0 = Server.tick_visits server in
+      ignore (Server.max_queue_ratio server);
+      Server.health_tick server;
+      Server.tick_visits server - v0)
+
+let test_tick_visits_independent_of_idle () =
+  let base = visits_per_tick ~idle:0 in
+  check Alcotest.(list int) "1,000 idle connections" base (visits_per_tick ~idle:1_000);
+  check Alcotest.(list int) "10,000 idle connections" base (visits_per_tick ~idle:10_000);
+  check Alcotest.bool "at most the six busy connections per tick" true
+    (List.for_all (fun v -> v <= 6) base);
+  (* The reference examines every connection, idle or not. *)
+  let server = Server.create () in
+  for i = 1 to 100 do
+    ignore (Server.connect server ~name:(Printf.sprintf "idle%d" i))
+  done;
+  Server.health_tick server;
+  check Alcotest.int "an idle fleet costs the tick nothing" 0 (Server.tick_visits server);
+  Server.health_tick_fold server;
+  check Alcotest.int "the fold examines all of it" 100 (Server.tick_visits server)
 
 let test_governor_tier_ladder () =
   let server = Server.create () in
@@ -521,6 +781,13 @@ let suite =
       test_health_state_machine;
     Alcotest.test_case "flooder quarantined then evicted" `Quick
       test_flooder_quarantined_then_evicted;
+    Alcotest.test_case "calm ticks count only while throttled" `Quick
+      test_calm_counts_only_while_throttled;
+    Alcotest.test_case "health thresholds are validated" `Quick
+      test_health_thresholds_validated;
+    QCheck_alcotest.to_alcotest prop_active_tick_matches_fold;
+    Alcotest.test_case "tick visits independent of idle connections" `Quick
+      test_tick_visits_independent_of_idle;
     Alcotest.test_case "governor walks the tier ladder" `Quick
       test_governor_tier_ladder;
     Alcotest.test_case "degraded tier skips luxury work" `Quick
