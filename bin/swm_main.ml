@@ -94,7 +94,6 @@ let () =
   | Some client -> Icons.iconify ctx client
   | None -> ());
   Vdesk.pan_by ctx ~screen:0 ~dx:200 ~dy:150;
-  Swm_core.Panner.refresh ctx ~screen:0;
   ignore (Wm.step wm);
 
   Printf.printf "panned viewport to %s\n"

@@ -56,7 +56,6 @@ let fig3 () =
   let _b = Stock.xclock server ~at:(Geom.point 700 200) () in
   let _c = Stock.xterm server ~at:(Geom.point 1600 1000) ~instance:"xterm2" () in
   ignore (Wm.step wm);
-  Swm_core.Panner.refresh (Wm.ctx wm) ~screen:0;
   let ctx = Wm.ctx wm in
   (match (Swm_core.Ctx.screen ctx 0).Swm_core.Ctx.vdesk with
   | Some vdesk when not (Swm_xlib.Xid.is_none vdesk.Swm_core.Ctx.panner_client) ->

@@ -11,7 +11,6 @@ module Geom = Swm_xlib.Geom
 module Wm = Swm_core.Wm
 module Ctx = Swm_core.Ctx
 module Vdesk = Swm_core.Vdesk
-module Panner = Swm_core.Panner
 module Functions = Swm_core.Functions
 module Templates = Swm_core.Templates
 module Stock = Swm_clients.Stock
@@ -84,7 +83,6 @@ let () =
   (* The panner shows the whole arrangement at a glance. *)
   (match (Ctx.screen ctx 0).Ctx.vdesk with
   | Some vdesk ->
-      Panner.refresh ctx ~screen:0;
       let pc = Option.get (Wm.find_client wm vdesk.Ctx.panner_client) in
       Format.printf "@.the panner (all four rooms + viewport outline):@.%s@."
         (Swm_xlib.Render.to_string

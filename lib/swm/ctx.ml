@@ -20,6 +20,7 @@ type client = {
   mutable icon_pos : Geom.point option;
   mutable holder : holder option;
   mutable wm_name : string;
+  mutable mini : Xid.t;
 }
 
 and holder = {
@@ -48,6 +49,7 @@ and screen_state = {
   mutable hbar : (Xid.t * Xid.t) option; (* horizontal scrollbar: bar, thumb *)
   mutable vbar : (Xid.t * Xid.t) option;
   mutable focus_policy : focus_policy;
+  mutable damage : damage;
 }
 
 and focus_policy = Focus_none | Focus_pointer | Focus_click
@@ -59,6 +61,16 @@ and vdesk = {
   mutable panner_client : Xid.t;
   mutable panner_scale : int;
   mutable panner_outline : Xid.t;
+}
+
+(* What the WM changed since the panner was last reconciled, recorded where
+   the change happens and applied once at the end of each [Wm.step]. *)
+and damage = {
+  mutable d_full : bool;
+  mutable d_viewport : bool;
+  mutable d_restacks : (client * Swm_xlib.Event.stack_mode) list; (* newest first *)
+  mutable d_members : client list;
+  mutable d_moved : client list;
 }
 
 (* Degradation tiers: under load the WM sheds its own discretionary work
@@ -206,6 +218,35 @@ let client_scope client =
   }
 
 let frame_geometry ctx client = Server.geometry ctx.server client.frame
+
+let no_damage () =
+  { d_full = false; d_viewport = false; d_restacks = []; d_members = []; d_moved = [] }
+
+(* Only a screen with a virtual desktop has a panner or scrollbars to
+   reconcile; elsewhere recording is one test. *)
+let record ctx ~screen f =
+  let scr = ctx.screens.(screen) in
+  match scr.vdesk with Some _ -> f scr.damage | None -> ()
+
+let push c = function c' :: _ as l when c' == c -> l | l -> c :: l
+
+let damage_full ctx ~screen = record ctx ~screen (fun d -> d.d_full <- true)
+let damage_viewport ctx ~screen = record ctx ~screen (fun d -> d.d_viewport <- true)
+
+let damage_geometry ctx client =
+  record ctx ~screen:client.screen (fun d -> d.d_moved <- push client d.d_moved)
+
+let damage_membership ctx client =
+  record ctx ~screen:client.screen (fun d -> d.d_members <- push client d.d_members)
+
+let damage_restack ctx client mode =
+  record ctx ~screen:client.screen (fun d -> d.d_restacks <- (client, mode) :: d.d_restacks)
+
+let restack ctx client mode =
+  (match mode with
+  | Swm_xlib.Event.Above -> Server.raise_window ctx.server ctx.conn client.frame
+  | Swm_xlib.Event.Below -> Server.lower_window ctx.server ctx.conn client.frame);
+  damage_restack ctx client mode
 
 let place ctx win r =
   if not (Geom.rect_equal (Server.geometry ctx.server win) r) then

@@ -30,6 +30,9 @@ type client = {
   mutable icon_pos : Geom.point option;
   mutable holder : holder option;
   mutable wm_name : string;
+  mutable mini : Xid.t;
+      (** this client's miniature in the panner, or none: the inverse of
+          [panner_minis] *)
 }
 
 and holder = {
@@ -60,6 +63,7 @@ and screen_state = {
       (** horizontal desktop scrollbar: (bar, thumb) windows *)
   mutable vbar : (Xid.t * Xid.t) option;  (** vertical scrollbar *)
   mutable focus_policy : focus_policy;  (** the [focusPolicy] resource *)
+  mutable damage : damage;  (** what the panner has yet to show; see {!Panner.apply_damage} *)
 }
 
 and focus_policy =
@@ -74,8 +78,24 @@ and vdesk = {
   mutable panner_client : Xid.t;  (** the panner's client window, or none *)
   mutable panner_scale : int;
   mutable panner_outline : Xid.t;
-      (** the viewport outline inside the panner, or none before the first
-          {!Panner.refresh} *)
+      (** the viewport outline inside the panner, or none before the
+          panner's first full reconcile *)
+}
+
+(** What the WM changed since the panner was last reconciled.  Each kind
+    is recorded where the change happens and applied once, at the end of
+    the next [Wm.step], by {!Panner.apply_damage}.  Recording is a no-op on
+    a screen without a virtual desktop. *)
+and damage = {
+  mutable d_full : bool;
+      (** desktop switch, desktop resize, panner resize: redo everything *)
+  mutable d_viewport : bool;  (** a pan: the outline and scrollbar thumbs *)
+  mutable d_restacks : (client * Swm_xlib.Event.stack_mode) list;
+      (** raises ([Above]) and lowers ([Below]) of frames, newest first *)
+  mutable d_members : client list;
+      (** clients that may have joined or left the panner: managed,
+          unmanaged, WM_STATE changed, stuck or unstuck *)
+  mutable d_moved : client list;  (** clients whose frame geometry changed *)
 }
 
 type tier =
@@ -242,6 +262,22 @@ val frame_geometry : t -> client -> Geom.rect
 val place : t -> Xid.t -> Geom.rect -> unit
 (** Move and resize a window to the rectangle, issuing no request when it
     is already there. *)
+
+val no_damage : unit -> damage
+
+val damage_full : t -> screen:int -> unit
+val damage_viewport : t -> screen:int -> unit
+val damage_geometry : t -> client -> unit
+val damage_membership : t -> client -> unit
+
+val damage_restack : t -> client -> Swm_xlib.Event.stack_mode -> unit
+(** Record that the client's frame went to the top ([Above]) or bottom
+    ([Below]) of its siblings without issuing a request (a rebuilt frame
+    is created on top). *)
+
+val restack : t -> client -> Swm_xlib.Event.stack_mode -> unit
+(** Raise ([Above]) or lower ([Below]) the client's frame and record it:
+    every restack of a frame goes through here. *)
 
 val log_src : Logs.src
 (** The [Logs] source ("swm"); set its level to [Debug] to trace manage /

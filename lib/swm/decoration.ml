@@ -181,7 +181,10 @@ let redecorate (ctx : Ctx.t) (client : Ctx.client) =
         ~pos:(Geom.point abs.x abs.y)
   | None -> ());
   teardown ctx client ~to_root:false;
-  build ctx client ~at:pos
+  build ctx client ~at:pos;
+  (* The rebuilt frame is created on top of its siblings. *)
+  Ctx.damage_restack ctx client Event.Above;
+  Ctx.damage_geometry ctx client
 
 (* The resize/move/retitle paths race with client destroys: a BadWindow
    from a dying client is absorbed here rather than unwinding the event
@@ -194,6 +197,7 @@ let client_resized (ctx : Ctx.t) (client : Ctx.client) (w, h) =
        ~attrs:[ ("client", string_of_int (Xid.to_int client.cwin)) ]
    else fun f -> f ())
   @@ fun () ->
+  Ctx.damage_geometry ctx client;
   let w, h = Icccm.constrain_size (Icccm.read_size_hints ctx client.cwin) (w, h) in
   match (client.deco, client.client_panel) with
   | Some deco, Some panel ->
@@ -209,6 +213,7 @@ let client_resized (ctx : Ctx.t) (client : Ctx.client) (w, h) =
 
 let move_frame (ctx : Ctx.t) (client : Ctx.client) pos =
   Xguard.run ctx ~where:"decoration.move" @@ fun () ->
+  Ctx.damage_geometry ctx client;
   let geom = Server.geometry ctx.server client.frame in
   Server.move_resize ctx.server ctx.conn client.frame
     { geom with Geom.x = pos.Geom.px; y = pos.Geom.py };

@@ -171,8 +171,7 @@ let zoom (ctx : Ctx.t) (client : Ctx.client) =
         (max 16 (sw - deco_w - 2), max 16 (sh - deco_h - 2));
       let fgeom' = Server.geometry ctx.server client.frame in
       Server.move_resize ctx.server ctx.conn client.frame
-        { fgeom' with Geom.x = origin.px; y = origin.py });
-  Panner.refresh ctx ~screen:client.screen
+        { fgeom' with Geom.x = origin.px; y = origin.py })
 
 (* -------- stickiness -------- *)
 
@@ -181,8 +180,7 @@ let set_sticky_and_redecorate (ctx : Ctx.t) (client : Ctx.client) sticky =
     let before = Decoration.decoration_name ctx client in
     Vdesk.set_sticky ctx client sticky;
     let after = Decoration.decoration_name ctx client in
-    if before <> after then Decoration.redecorate ctx client;
-    Panner.refresh ctx ~screen:client.screen
+    if before <> after then Decoration.redecorate ctx client
   end
 
 (* -------- session -------- *)
@@ -254,12 +252,8 @@ let autosave (ctx : Ctx.t) ~file_arg =
 let run_on_client (ctx : Ctx.t) name (client : Ctx.client) =
   Ctx.log ctx "%s on %s (win=%a)" name client.instance Xid.pp client.cwin;
   match name with
-  | "f.raise" ->
-      Server.raise_window ctx.server ctx.conn client.frame;
-      Panner.refresh ctx ~screen:client.screen
-  | "f.lower" ->
-      Server.lower_window ctx.server ctx.conn client.frame;
-      Panner.refresh ctx ~screen:client.screen
+  | "f.raise" -> Ctx.restack ctx client Event.Above
+  | "f.lower" -> Ctx.restack ctx client Event.Below
   | "f.raiselower" ->
       let parent = Server.parent_of ctx.server client.frame in
       let on_top =
@@ -267,15 +261,9 @@ let run_on_client (ctx : Ctx.t) name (client : Ctx.client) =
         | top :: _ -> Xid.equal top client.frame
         | [] -> false
       in
-      if on_top then Server.lower_window ctx.server ctx.conn client.frame
-      else Server.raise_window ctx.server ctx.conn client.frame;
-      Panner.refresh ctx ~screen:client.screen
-  | "f.iconify" ->
-      Icons.iconify ctx client;
-      Panner.refresh ctx ~screen:client.screen
-  | "f.deiconify" ->
-      Icons.deiconify ctx client;
-      Panner.refresh ctx ~screen:client.screen
+      Ctx.restack ctx client (if on_top then Event.Below else Event.Above)
+  | "f.iconify" -> Icons.iconify ctx client
+  | "f.deiconify" -> Icons.deiconify ctx client
   | "f.zoom" -> zoom ctx client
   | "f.save" -> if client.zoom_saved = None then save_geometry ctx client
   | "f.stick" -> set_sticky_and_redecorate ctx client (not client.sticky)
@@ -388,19 +376,18 @@ let split_first_comma = function
    XCirculateSubwindows. *)
 let circulate (ctx : Ctx.t) ~screen direction =
   let parent = Vdesk.effective_parent ctx ~screen ~sticky:false in
-  let frames =
-    List.filter
-      (fun w -> Swm_xlib.Xid.Tbl.mem ctx.frames w)
+  let framed =
+    List.filter_map
+      (fun w -> Swm_xlib.Xid.Tbl.find_opt ctx.frames w)
       (Server.children_of ctx.server parent)
   in
-  (match (direction, frames) with
-  | `Up, bottom :: _ :: _ -> Server.raise_window ctx.server ctx.conn bottom
+  match (direction, framed) with
+  | `Up, bottom :: _ :: _ -> Ctx.restack ctx bottom Event.Above
   | `Down, _ :: _ :: _ -> (
-      match List.rev frames with
-      | top :: _ -> Server.lower_window ctx.server ctx.conn top
+      match List.rev framed with
+      | top :: _ -> Ctx.restack ctx top Event.Below
       | [] -> ())
-  | (`Up | `Down), ([] | [ _ ])  -> ());
-  Panner.refresh ctx ~screen
+  | (`Up | `Down), ([] | [ _ ])  -> ()
 
 (* -------- runtime introspection (f.metrics / f.trace / f.slowlog) -------- *)
 
@@ -593,25 +580,17 @@ let rec run_data ~depth (ctx : Ctx.t) inv name arg =
       Server.warp_pointer ctx.server ~screen (Geom.point (pos.px + int_arg 0) pos.py)
   | "f.pan" -> (
       match pair_arg () with
-      | Some (dx, dy) ->
-          Vdesk.pan_by ctx ~screen ~dx ~dy;
-          Panner.refresh ctx ~screen
+      | Some (dx, dy) -> Vdesk.pan_by ctx ~screen ~dx ~dy
       | None -> ())
   | "f.panto" -> (
       match pair_arg () with
-      | Some (x, y) ->
-          Vdesk.pan_to ctx ~screen (Geom.point x y);
-          Panner.refresh ctx ~screen
+      | Some (x, y) -> Vdesk.pan_to ctx ~screen (Geom.point x y)
       | None -> ())
   | "f.resizedesktop" -> (
       match pair_arg () with
-      | Some (w, h) ->
-          Vdesk.resize_desktop ctx ~screen (w, h);
-          Panner.refresh ctx ~screen
+      | Some (w, h) -> Vdesk.resize_desktop ctx ~screen (w, h)
       | None -> ())
-  | "f.desktop" ->
-      Vdesk.switch_desktop ctx ~screen (int_arg 0);
-      Panner.refresh ctx ~screen
+  | "f.desktop" -> Vdesk.switch_desktop ctx ~screen (int_arg 0)
   | "f.menu" -> (
       match arg with Some menu_name -> post_menu ctx inv menu_name | None -> ())
   | "f.exec" -> (

@@ -68,6 +68,7 @@ let read_wm_hints (ctx : Ctx.t) win =
 
 let set_wm_state (ctx : Ctx.t) (client : Ctx.client) state =
   client.state <- state;
+  Ctx.damage_membership ctx client;
   Server.change_property ctx.server ctx.conn client.cwin ~name:Prop.wm_state_name
     (Prop.Wm_state_value { state; icon = Xid.none })
 

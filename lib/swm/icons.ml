@@ -213,7 +213,7 @@ let deiconify (ctx : Ctx.t) (client : Ctx.client) =
         client.icon_obj <- None
     | None -> ());
     Server.map_window ctx.server ctx.conn client.frame;
-    Server.raise_window ctx.server ctx.conn client.frame;
+    Ctx.restack ctx client Swm_xlib.Event.Above;
     Icccm.set_wm_state ctx client Prop.Normal
   end
 

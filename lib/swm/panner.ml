@@ -61,6 +61,7 @@ let create (ctx : Ctx.t) ~screen =
             Event.Pointer_motion_mask ];
         vdesk.panner_client <- win;
         vdesk.panner_scale <- scale;
+        Ctx.damage_full ctx ~screen;
         Some win
       end
 
@@ -105,6 +106,24 @@ let longest_in_order (perm : int array) =
   if !len > 0 then mark tails.(!len - 1);
   keep
 
+let create_mini (ctx : Ctx.t) ~panner r (client : Ctx.client) =
+  let mini = Server.create_window ctx.server ctx.conn ~parent:panner ~geom:r ~background:'m' () in
+  Server.select_input ctx.server ctx.conn mini
+    [ Event.Button_press_mask; Event.Button_release_mask ];
+  Server.map_window ctx.server ctx.conn mini;
+  Xid.Tbl.replace ctx.panner_minis mini client;
+  client.mini <- mini
+
+let destroy_mini (ctx : Ctx.t) mini =
+  (match Xid.Tbl.find_opt ctx.panner_minis mini with
+  | Some (c : Ctx.client) when Xid.equal c.mini mini -> c.mini <- Xid.none
+  | Some _ | None -> ());
+  Xid.Tbl.remove ctx.panner_minis mini;
+  if Server.window_exists ctx.server mini then Server.destroy_window ctx.server mini
+
+let frames_examined (ctx : Ctx.t) n =
+  Metrics.add (Metrics.counter (Server.metrics ctx.server) "panner.frames_examined") n
+
 (* Bring the panner's children to the wanted content and pay only for the
    difference.  The wanted content, bottom to top, is the viewport outline
    and then one miniature per shown client in the stacking order of the
@@ -112,6 +131,9 @@ let longest_in_order (perm : int array) =
 let reconcile (ctx : Ctx.t) ~screen (vdesk : Ctx.vdesk) =
   let server = ctx.server and panner = vdesk.panner_client in
   let scale = vdesk.panner_scale in
+  let desktop = Server.children_of server vdesk.vwins.(vdesk.current) in
+  let children = Server.children_of server panner in
+  frames_examined ctx (List.length desktop + List.length children);
   let wanted =
     Array.of_list
       (List.filter_map
@@ -119,7 +141,7 @@ let reconcile (ctx : Ctx.t) ~screen (vdesk : Ctx.vdesk) =
            match Xid.Tbl.find_opt ctx.frames frame with
            | Some client when shown ctx ~screen client -> Some client
            | Some _ | None -> None)
-         (Server.children_of server vdesk.vwins.(vdesk.current)))
+         desktop)
   in
   (* Slot 0 holds the outline, slot i the miniature of [wanted.(i - 1)]. *)
   let slots = Array.make (Array.length wanted + 1) Xid.none in
@@ -140,11 +162,8 @@ let reconcile (ctx : Ctx.t) ~screen (vdesk : Ctx.vdesk) =
               | Some _ | None -> false)
           | None -> false
         in
-        if not keep then begin
-          Xid.Tbl.remove ctx.panner_minis child;
-          Server.destroy_window server child
-        end)
-    (Server.children_of server panner);
+        if not keep then destroy_mini ctx child)
+    children;
   (* Create what is missing; move and resize what changed. *)
   Array.iteri
     (fun i win ->
@@ -160,14 +179,8 @@ let reconcile (ctx : Ctx.t) ~screen (vdesk : Ctx.vdesk) =
         slots.(0) <- outline
       end
       else begin
-        let mini =
-          Server.create_window server ctx.conn ~parent:panner ~geom:r ~background:'m' ()
-        in
-        Server.select_input server ctx.conn mini
-          [ Event.Button_press_mask; Event.Button_release_mask ];
-        Server.map_window server ctx.conn mini;
-        Xid.Tbl.replace ctx.panner_minis mini wanted.(i - 1);
-        slots.(i) <- mini
+        create_mini ctx ~panner r wanted.(i - 1);
+        slots.(i) <- wanted.(i - 1).mini
       end)
     slots;
   (* Restack: the longest run already in order stays; every other window
@@ -182,6 +195,7 @@ let reconcile (ctx : Ctx.t) ~screen (vdesk : Ctx.vdesk) =
       if Xid.equal w vdesk.panner_outline then 0
       else Xid.Tbl.find slot_of (Xid.Tbl.find ctx.panner_minis w).cwin
     in
+    frames_examined ctx (List.length current);
     let keep = longest_in_order (Array.of_list (List.map slot current)) in
     Array.iteri
       (fun i win ->
@@ -193,28 +207,169 @@ let reconcile (ctx : Ctx.t) ~screen (vdesk : Ctx.vdesk) =
       slots
   end
 
-let refresh (ctx : Ctx.t) ~screen =
-  if ctx.tier <> Ctx.Tier_full then
-    (* Degraded: the panner is a luxury redraw.  The governor re-runs
-       refresh on every screen when it restores the full tier. *)
-    Metrics.incr
-      (Metrics.counter (Server.metrics ctx.server) "governor.refreshes_skipped")
-  else
+(* The panner window of a screen that shows one. *)
+let live_panner (ctx : Ctx.t) ~screen =
+  match vdesk_of ctx ~screen with
+  | Some vdesk
+    when (not (Xid.is_none vdesk.panner_client))
+         && Server.window_exists ctx.server vdesk.panner_client ->
+      Some vdesk
+  | Some _ | None -> None
+
+let full (ctx : Ctx.t) ~screen =
+  Scrollbar.refresh ctx ~screen;
+  match live_panner ctx ~screen with
+  | Some vdesk -> reconcile ctx ~screen vdesk
+  | None -> ()
+
+let timed (ctx : Ctx.t) f =
   (let tracer = Server.tracer ctx.server in
    if Swm_xlib.Tracing.enabled tracer then
      Swm_xlib.Tracing.span tracer "panner.refresh"
    else fun f -> f ())
   @@ fun () ->
-  Metrics.time_mono_ns (Server.metrics ctx.server) "panner.refresh_ns" @@ fun () ->
-  Scrollbar.refresh ctx ~screen;
-  match vdesk_of ctx ~screen with
-  | Some vdesk
-    when (not (Xid.is_none vdesk.panner_client))
-         && Server.window_exists ctx.server vdesk.panner_client ->
-      reconcile ctx ~screen vdesk
-  | Some _ | None -> ()
+  Metrics.time_mono_ns (Server.metrics ctx.server) "panner.refresh_ns" f
 
-let client_of_miniature (ctx : Ctx.t) win = Xid.Tbl.find_opt ctx.panner_minis win
+let skipped (ctx : Ctx.t) =
+  (* Degraded: the panner is a luxury redraw.  The governor re-runs
+     refresh on every screen when it restores the full tier. *)
+  Metrics.incr (Metrics.counter (Server.metrics ctx.server) "governor.refreshes_skipped")
+
+let refresh (ctx : Ctx.t) ~screen =
+  if ctx.tier <> Ctx.Tier_full then skipped ctx else timed ctx (fun () -> full ctx ~screen)
+
+(* -------- the step reconcile -------- *)
+
+let managed (ctx : Ctx.t) (c : Ctx.client) =
+  match Xid.Tbl.find_opt ctx.clients c.cwin with Some c' -> c' == c | None -> false
+
+(* The full reconcile's rule for one client: managed, shown, and framed on
+   the current desktop. *)
+let wanted (ctx : Ctx.t) ~screen (vdesk : Ctx.vdesk) (c : Ctx.client) =
+  managed ctx c && shown ctx ~screen c
+  && Server.window_exists ctx.server c.frame
+  && Xid.equal (Server.parent_of ctx.server c.frame) vdesk.vwins.(vdesk.current)
+
+(* A client under an interactive move or resize is placed when the gesture
+   ends (its commit records the geometry again), not after every motion. *)
+let in_gesture (ctx : Ctx.t) c =
+  match ctx.mode with
+  | Ctx.Moving { m_client; _ } -> m_client == c
+  | Ctx.Resizing { r_client; _ } -> r_client == c
+  | Ctx.Idle | Ctx.Prompting _ -> false
+
+let rec is_top win = function
+  | [ top ] -> Xid.equal top win
+  | _ :: above -> is_top win above
+  | [] -> false
+
+(* Whether [c]'s frame is the topmost frame with a miniature or about to
+   get one, walking the desktop down from the top. *)
+let topmost_shown (ctx : Ctx.t) ~screen (vdesk : Ctx.vdesk) (c : Ctx.client) examined =
+  let rec walk = function
+    | [] -> false
+    | frame :: below -> (
+        incr examined;
+        if Xid.equal frame c.frame then true
+        else
+          match Xid.Tbl.find_opt ctx.frames frame with
+          | Some other when shown ctx ~screen other -> false
+          | Some _ | None -> walk below)
+  in
+  walk (List.rev (Server.children_of ctx.server vdesk.vwins.(vdesk.current)))
+
+(* One screen's damage, visiting only the damaged clients.  Leavers lose
+   their miniature; restacks replay in the order they happened (a raise
+   puts the miniature on top, a lower directly above the outline); moved
+   clients' miniatures are placed, except mid-gesture; a single joiner
+   whose frame is the topmost shown frame gets its miniature on top.
+   Anything else (more joiners, a joiner lower down, a panner never
+   reconciled) takes the full reconcile. *)
+let apply (ctx : Ctx.t) ~screen (vdesk : Ctx.vdesk) (d : Ctx.damage) =
+  let server = ctx.server and panner = vdesk.panner_client in
+  let scale = vdesk.panner_scale in
+  let examined = ref 0 in
+  let joiners =
+    List.fold_left
+      (fun joiners (c : Ctx.client) ->
+        incr examined;
+        let want = wanted ctx ~screen vdesk c in
+        if Xid.is_none c.mini then
+          if want && not (List.memq c joiners) then c :: joiners else joiners
+        else begin
+          if not want then destroy_mini ctx c.mini;
+          joiners
+        end)
+      [] d.d_members
+  in
+  match joiners with
+  | _ :: _ :: _ -> reconcile ctx ~screen vdesk
+  | [ c ] when not (topmost_shown ctx ~screen vdesk c examined) -> reconcile ctx ~screen vdesk
+  | ([] | [ _ ]) as joiners ->
+      List.iter
+        (fun ((c : Ctx.client), mode) ->
+          if not (Xid.is_none c.mini) then begin
+            incr examined;
+            match (mode, Server.children_of server panner) with
+            | Event.Above, children when is_top c.mini children -> ()
+            | Event.Above, _ -> Server.raise_window server ctx.conn c.mini
+            | Event.Below, _ :: above :: _ when Xid.equal above c.mini -> ()
+            | Event.Below, _ ->
+                Server.configure_window server ctx.conn c.mini
+                  { Event.no_changes with
+                    cstack = Some Event.Above; csibling = Some vdesk.panner_outline }
+          end)
+        (List.rev d.d_restacks);
+      List.iter
+        (fun (c : Ctx.client) ->
+          if not (Xid.is_none c.mini || in_gesture ctx c) then begin
+            incr examined;
+            Ctx.place ctx c.mini (scaled scale (Server.geometry server c.frame))
+          end)
+        d.d_moved;
+      List.iter
+        (fun (c : Ctx.client) ->
+          create_mini ctx ~panner (scaled scale (Server.geometry server c.frame)) c)
+        joiners;
+      if d.d_viewport then
+        Ctx.place ctx vdesk.panner_outline (scaled scale (Vdesk.viewport ctx ~screen));
+      frames_examined ctx !examined
+
+let dirty (d : Ctx.damage) =
+  d.d_full || d.d_viewport
+  || match (d.d_restacks, d.d_members, d.d_moved) with [], [], [] -> false | _ -> true
+
+let apply_damage (ctx : Ctx.t) =
+  Array.iter
+    (fun (scr : Ctx.screen_state) ->
+      let d = scr.damage in
+      if dirty d then begin
+        scr.damage <- Ctx.no_damage ();
+        let screen = scr.index in
+        if ctx.tier <> Ctx.Tier_full then skipped ctx
+        else
+          timed ctx @@ fun () ->
+          match
+            Xguard.protect ctx ~where:"panner.damage" @@ fun () ->
+            if d.d_full then full ctx ~screen
+            else begin
+              if d.d_viewport then Scrollbar.refresh ctx ~screen;
+              match live_panner ctx ~screen with
+              | Some vdesk when Xid.is_none vdesk.panner_outline -> reconcile ctx ~screen vdesk
+              | Some vdesk -> apply ctx ~screen vdesk d
+              | None -> ()
+            end
+          with
+          | Some () -> ()
+          | None -> (* Half applied: resync in full at the next step. *)
+              Ctx.damage_full ctx ~screen
+      end)
+    ctx.screens
+
+let client_of_miniature (ctx : Ctx.t) win =
+  match Xid.Tbl.find_opt ctx.panner_minis win with
+  | Some c when managed ctx c -> Some c
+  | Some _ | None -> None
 
 let desktop_pos_of_panner_pos (ctx : Ctx.t) ~screen pos =
   match vdesk_of ctx ~screen with
@@ -226,8 +381,7 @@ let pan_to_pointer (ctx : Ctx.t) ~screen ~panner_pos =
   let desktop_pos = desktop_pos_of_panner_pos ctx ~screen panner_pos in
   let sw, sh = Server.screen_size ctx.server ~screen in
   Vdesk.pan_to ctx ~screen
-    (Geom.point (desktop_pos.px - (sw / 2)) (desktop_pos.py - (sh / 2)));
-  refresh ctx ~screen
+    (Geom.point (desktop_pos.px - (sw / 2)) (desktop_pos.py - (sh / 2)))
 
 let panner_resized (ctx : Ctx.t) (client : Ctx.client) (w, h) =
   match vdesk_of ctx ~screen:client.screen with
@@ -236,6 +390,5 @@ let panner_resized (ctx : Ctx.t) (client : Ctx.client) (w, h) =
       let sw, sh = Server.screen_size ctx.server ~screen:client.screen in
       let dw = max sw (w * scale) and dh = max sh (h * scale) in
       let limited w = min w 32767 in
-      Vdesk.resize_desktop ctx ~screen:client.screen (limited dw, limited dh);
-      refresh ctx ~screen:client.screen
+      Vdesk.resize_desktop ctx ~screen:client.screen (limited dw, limited dh)
   | Some _ | None -> ()

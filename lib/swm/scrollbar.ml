@@ -101,5 +101,4 @@ let handle_press (ctx : Ctx.t) ~screen direction ~bar_pos =
               let bar_len = (Server.geometry ctx.server bar).h in
               let y = (bar_pos.Geom.py * dh / max 1 bar_len) - (sh / 2) in
               Vdesk.pan_to ctx ~screen (Geom.point o.px y)
-          | None -> ()));
-      refresh ctx ~screen
+          | None -> ()))

@@ -91,7 +91,8 @@ let pan_to (ctx : Ctx.t) ~screen pos =
             ("y", string_of_int y);
           ]
         (Printf.sprintf "pan screen %d to %d,%d" screen x y);
-      Server.move_resize ctx.server ctx.conn vwin { geom with Geom.x = -x; y = -y }
+      Server.move_resize ctx.server ctx.conn vwin { geom with Geom.x = -x; y = -y };
+      Ctx.damage_viewport ctx ~screen
 
 let pan_by ctx ~screen ~dx ~dy =
   let o = offset ctx ~screen in
@@ -106,6 +107,7 @@ let resize_desktop (ctx : Ctx.t) ~screen size =
       if w < sw || h < sh || w > x_window_limit || h > x_window_limit then
         invalid_arg "Vdesk.resize_desktop: bad size";
       vdesk.vsize <- size;
+      Ctx.damage_full ctx ~screen;
       Array.iter
         (fun vwin ->
           let geom = Server.geometry ctx.server vwin in
@@ -137,6 +139,7 @@ let switch_desktop (ctx : Ctx.t) ~screen n =
         vdesk.current <- n;
         Server.map_window ctx.server ctx.conn vdesk.vwins.(n);
         Server.lower_window ctx.server ctx.conn vdesk.vwins.(n);
+        Ctx.damage_full ctx ~screen;
         List.iter
           (fun (c : Ctx.client) ->
             Icccm.set_swm_root ctx c.cwin ~root:(effective_root ctx c))
@@ -161,7 +164,9 @@ let set_sticky (ctx : Ctx.t) (client : Ctx.client) sticky =
           end
         in
         Server.reparent_window ctx.server ctx.conn client.frame ~new_parent:parent ~pos;
-        Server.raise_window ctx.server ctx.conn client.frame);
+        Ctx.restack ctx client Swm_xlib.Event.Above;
+        Ctx.damage_geometry ctx client;
+        Ctx.damage_membership ctx client);
     Icccm.set_swm_root ctx client.cwin ~root:(effective_root ctx client);
     Icccm.send_synthetic_configure ctx client
   end

@@ -183,6 +183,7 @@ let manage_inner (ctx : Ctx.t) win =
         icon_pos = (match hint with Some h -> h.icon_geometry | None -> None);
         holder = None;
         wm_name = Icccm.read_name ctx win;
+        mini = Xid.none;
       }
     in
     Xid.Tbl.replace ctx.clients win client;
@@ -201,8 +202,7 @@ let manage_inner (ctx : Ctx.t) win =
     | Prop.Iconic ->
         Icccm.set_wm_state ctx client Prop.Normal;
         Icons.iconify ctx client
-    | Prop.Normal | Prop.Withdrawn -> Icccm.set_wm_state ctx client Prop.Normal);
-    Panner.refresh ctx ~screen
+    | Prop.Normal | Prop.Withdrawn -> Icccm.set_wm_state ctx client Prop.Normal)
   end
 
 let unmanage (ctx : Ctx.t) (client : Ctx.client) ~destroyed =
@@ -240,8 +240,7 @@ let unmanage (ctx : Ctx.t) (client : Ctx.client) ~destroyed =
       Decoration.teardown ctx client ~to_root:(not destroyed));
   Xid.Tbl.remove ctx.clients client.cwin;
   Xid.Tbl.remove ctx.frames client.cwin;
-  Xguard.run ctx ~where:"unmanage.refresh" (fun () ->
-      Panner.refresh ctx ~screen:client.screen)
+  Ctx.damage_membership ctx client
 
 (* Manage under guard: the client can disappear between the MapRequest and
    any of the requests manage issues (the twm mid-reparent race).  On an
@@ -384,8 +383,7 @@ let handle_moving_live (ctx : Ctx.t) (m_client : Ctx.client) grab_offset m_outli
                 funcs
           end
         end)
-      scr.root_icons;
-    Panner.refresh ctx ~screen
+      scr.root_icons
   end
 
 (* The dragged client may die mid-gesture; drop the mode instead of acting
@@ -422,8 +420,7 @@ let handle_resizing (ctx : Ctx.t) (r_client : Ctx.client) (sw0, sh0) r_pointer r
   if commit then begin
     Server.ungrab_pointer ctx.server ctx.conn;
     ctx.mode <- Ctx.Idle;
-    if Panner.is_panner ctx r_client then Panner.panner_resized ctx r_client (w, h);
-    Panner.refresh ctx ~screen:r_client.screen
+    if Panner.is_panner ctx r_client then Panner.panner_resized ctx r_client (w, h)
   end
   end
 
@@ -497,8 +494,7 @@ let handle_button_press (ctx : Ctx.t) event window button pos root_pos =
                         Server.translate_coordinates ctx.server ~src:window ~dst:bar pos
                     | None -> pos)
               in
-              Scrollbar.handle_press ctx ~screen direction ~bar_pos;
-              Panner.refresh ctx ~screen
+              Scrollbar.handle_press ctx ~screen direction ~bar_pos
           | Some _ | None -> (
           match scr.vdesk with
           | Some vdesk when Xid.equal vdesk.panner_client window && button = 1 ->
@@ -580,12 +576,7 @@ let handle_configure_request (ctx : Ctx.t) window (changes : Event.config_change
           let x = match cx with Some x -> x + o.px | None -> fgeom.x in
           let y = match cy with Some y -> y + o.py | None -> fgeom.y in
           Decoration.move_frame ctx client (Geom.point x y));
-      (match changes.cstack with
-      | Some Event.Above -> Server.raise_window ctx.server ctx.conn client.frame
-      | Some Event.Below -> Server.lower_window ctx.server ctx.conn client.frame
-      | None -> ());
-      if not (Panner.is_panner ctx client) then
-        Panner.refresh ctx ~screen:client.screen
+      Option.iter (Ctx.restack ctx client) changes.cstack
   | None ->
       (* Not managed: apply verbatim (we hold the redirect, so this
          configures directly). *)
@@ -620,7 +611,7 @@ let handle_property (ctx : Ctx.t) window name =
               in
               let before = size () in
               Decoration.update_name ctx client;
-              if size () <> before then Panner.refresh ctx ~screen:client.screen
+              if size () <> before then Ctx.damage_geometry ctx client
             end
             else if Atom.equal atom atoms.a_wm_icon_name then begin
               match client.icon_obj with
@@ -646,10 +637,7 @@ let on_map_request ctx = function
       match Xid.Tbl.find_opt ctx.Ctx.clients window with
       | Some client ->
           (* Mapping an iconified window deiconifies it (ICCCM). *)
-          if client.Ctx.state = Prop.Iconic then begin
-            Icons.deiconify ctx client;
-            Panner.refresh ctx ~screen:client.screen
-          end
+          if client.Ctx.state = Prop.Iconic then Icons.deiconify ctx client
           else Server.map_window ctx.server ctx.conn window
       | None -> manage ctx window)
   | _ -> ()
@@ -1023,6 +1011,7 @@ let step (ctx : Ctx.t) =
           drain ()
   in
   drain ();
+  Panner.apply_damage ctx;
   if Recorder.enabled recorder then
     Recorder.journal_snapshot recorder (state_snapshot_json ctx);
   !count
@@ -1047,6 +1036,7 @@ let run (ctx : Ctx.t) ~max_events =
             handle_event_timed ctx event stamp)
           events
   done;
+  Panner.apply_damage ctx;
   if Recorder.enabled recorder then
     Recorder.journal_snapshot recorder (state_snapshot_json ctx);
   !count
@@ -1101,6 +1091,7 @@ let start ?(resources = []) ?(host = "localhost") ?(display = ":0") server =
           hbar = None;
           vbar = None;
           focus_policy = Ctx.Focus_none;
+          damage = Ctx.no_damage ();
         })
   in
   let metrics = Server.metrics server in
@@ -1275,8 +1266,7 @@ let start ?(resources = []) ?(host = "localhost") ?(display = ":0") server =
     (match Panner.create ctx ~screen with
     | Some panner_win ->
         Server.map_window ctx.server ctx.conn panner_win;
-        manage ctx panner_win;
-        Panner.refresh ctx ~screen
+        manage ctx panner_win
     | None -> ());
     (* Adopt pre-existing client windows.  Per-child guard: a client can
        die between [children_of] and any of these queries, and one corpse

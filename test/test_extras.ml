@@ -86,11 +86,12 @@ let test_scrollbar_click_pans () =
   check Alcotest.bool "thumb moved" true (tg.x > 0)
 
 let test_thumb_follows_function_pan () =
-  let server, _wm, ctx = scroll_fixture () in
+  let server, wm, ctx = scroll_fixture () in
   let scr = Ctx.screen ctx 0 in
   let _, vthumb = Option.get scr.Ctx.vbar in
   let before = (Server.geometry server vthumb).y in
   run ctx "f.panTo(0,900)";
+  ignore (Wm.step wm);
   let after = (Server.geometry server vthumb).y in
   check Alcotest.bool "v-thumb tracked the pan" true (after > before)
 

@@ -61,6 +61,7 @@ let test_panner_mirrors_stacking () =
   Functions.execute ctx
     (Functions.invocation ~client:ca ~screen:0 ())
     [ { Swm_core.Bindings.fname = "f.raise"; farg = None } ];
+  ignore (Wm.step wm);
   let vdesk = Option.get (Ctx.screen ctx 0).Ctx.vdesk in
   let minis =
     List.filter_map

@@ -176,6 +176,35 @@ let test_move_crossing_out_of_panner () =
   check Alcotest.bool "near the pointer's desktop position" true
     (abs (fg.x - (300 + o.px)) < 40 && abs (fg.y - (200 + o.py)) < 40)
 
+(* A skipped reconcile leaves a destroyed client's miniature behind; button
+   2 on it must not start a move of the dead client (whose frame is gone). *)
+let test_stale_miniature_is_inert () =
+  let server, wm, ctx = fixture () in
+  let app = Stock.xterm server ~at:(Geom.point 480 240) () in
+  ignore (Wm.step wm);
+  let client = client_of wm app in
+  let mini =
+    List.find
+      (fun w ->
+        match Panner.client_of_miniature ctx w with Some c -> c == client | None -> false)
+      (Server.children_of server (panner_client ctx wm).Ctx.cwin)
+  in
+  ctx.Ctx.tier <- Ctx.Tier_reduced;
+  Client_app.destroy app;
+  ignore (Wm.step wm);
+  let xerrors () =
+    Swm_xlib.Metrics.counter_value (Server.metrics server) "wm.xerrors"
+  in
+  let before = xerrors () in
+  let abs = Server.root_geometry server mini in
+  Server.warp_pointer server ~screen:0 (Geom.point (abs.x + 1) (abs.y + 1));
+  ignore (Wm.step wm);
+  Server.press_button server 2;
+  ignore (Wm.step wm);
+  check Alcotest.int "no X error" before (xerrors ());
+  check Alcotest.bool "still idle" true (ctx.Ctx.mode = Ctx.Idle);
+  ctx.Ctx.tier <- Ctx.Tier_full
+
 let test_panner_resize_resizes_desktop () =
   let server, wm, ctx = fixture () in
   ignore (Wm.step wm);
@@ -267,6 +296,8 @@ type op =
   | Pan of int * int
   | Desktop of int
   | Reduced of op  (** the op at [Tier_reduced], then back to [Tier_full] *)
+  | Batch of op list  (** several ops before one step: damage coalesces *)
+  | Drag of int * int * int  (** f.move, one motion step, release *)
 
 let rec show_op = function
   | Manage (x, y) -> Printf.sprintf "manage at %d,%d" x y
@@ -282,6 +313,8 @@ let rec show_op = function
   | Pan (x, y) -> Printf.sprintf "f.panto(%d,%d)" x y
   | Desktop d -> Printf.sprintf "f.desktop(%d)" d
   | Reduced op -> "reduced: " ^ show_op op
+  | Batch ops -> "batch [" ^ String.concat ", " (List.map show_op ops) ^ "]"
+  | Drag (i, dx, dy) -> Printf.sprintf "drag %d by %d,%d" i dx dy
 
 let op_gen =
   let open QCheck2.Gen in
@@ -309,7 +342,36 @@ let op_gen =
         map (fun d -> Desktop d) (int_range 0 1);
       ]
   in
-  frequency [ (10, base); (1, map (fun op -> Reduced op) base) ]
+  frequency
+    [
+      (10, base);
+      (1, map (fun op -> Reduced op) base);
+      (3, map (fun ops -> Batch ops) (list_size (int_range 2 4) base));
+      (1, map3 (fun i dx dy -> Drag (i, dx, dy)) client (int_range (-300) 300)
+            (int_range (-300) 300));
+    ]
+
+(* [None] when [panner_minis] and the clients' [mini] fields are inverses. *)
+let inverse_error ctx =
+  let bad =
+    Xid.Tbl.fold
+      (fun mini (c : Ctx.client) acc ->
+        if Xid.equal c.Ctx.mini mini then acc
+        else Some (Printf.sprintf "miniature of %s not its client's mini" c.Ctx.instance))
+      ctx.Ctx.panner_minis None
+  in
+  match bad with
+  | Some _ -> bad
+  | None ->
+      List.find_map
+        (fun (c : Ctx.client) ->
+          if Xid.is_none c.Ctx.mini then None
+          else
+            match Xid.Tbl.find_opt ctx.Ctx.panner_minis c.Ctx.mini with
+            | Some c' when c' == c -> None
+            | Some _ | None ->
+                Some (Printf.sprintf "%s's mini not in panner_minis" c.Ctx.instance))
+        (Ctx.all_clients ctx)
 
 let prop_reconcile_matches_spec =
   QCheck2.Test.make ~name:"panner reconcile matches its spec" ~count:100
@@ -338,6 +400,11 @@ let prop_reconcile_matches_spec =
       in
       let with_client i f =
         with_app i (fun app -> Option.iter f (Wm.find_client wm (Client_app.window app)))
+      in
+      (* The WM runs every f.* under its X-error guard: inside a batch a
+         function can meet a window destroyed since the last step. *)
+      let exec ctx ?client text =
+        ignore (Swm_core.Xguard.protect ctx ~where:"test" (fun () -> exec ctx ?client text))
       in
       let rec apply = function
         | Manage (x, y) -> apps := !apps @ [ launch x y ]
@@ -369,6 +436,17 @@ let prop_reconcile_matches_spec =
               Governor.tick ctx
             done;
             if ctx.Ctx.tier <> Ctx.Tier_full then Alcotest.fail "tier not restored"
+        | Batch ops -> List.iter apply ops
+        | Drag (i, dx, dy) ->
+            with_client i (fun client ->
+                exec ctx ~client "f.move";
+                match ctx.Ctx.mode with
+                | Ctx.Moving _ ->
+                    let p = Server.pointer_pos server in
+                    Server.warp_pointer server ~screen:0 (Geom.point (p.px + dx) (p.py + dy));
+                    ignore (Wm.step wm);
+                    Server.release_button server 1
+                | Ctx.Idle | Ctx.Resizing _ | Ctx.Prompting _ -> ())
       in
       List.iteri
         (fun n op ->
@@ -376,11 +454,13 @@ let prop_reconcile_matches_spec =
           ignore (Wm.step wm);
           let fail what e = QCheck2.Test.fail_reportf "op %d (%s): %s: %s" n (show_op op) what e in
           Option.iter (fail "after the op") (content_error ctx);
+          Option.iter (fail "map and panner_minis") (inverse_error ctx);
           let r0 = Server.request_count server in
           Panner.refresh ctx ~screen:0;
           let again = Server.request_count server - r0 in
           if again <> 0 then fail "second refresh" (Printf.sprintf "%d requests" again);
-          Option.iter (fail "after a second refresh") (content_error ctx))
+          Option.iter (fail "after a second refresh") (content_error ctx);
+          Option.iter (fail "map and panner_minis after a refresh") (inverse_error ctx))
         ops;
       true)
 
@@ -451,11 +531,13 @@ let test_zoom_updates_miniature () =
   let client = client_of wm app in
   let before = mini_geometry server ctx wm client in
   exec ctx ~client "f.save f.zoom";
+  ignore (Wm.step wm);
   let fg = Server.geometry server client.Ctx.frame in
   check Alcotest.(list int) "zoomed frame" [ 0; 0; 1150; 898 ] [ fg.x; fg.y; fg.w; fg.h ];
   let m = mini_geometry server ctx wm client in
   check Alcotest.(list int) "zoomed miniature" [ 0; 0; 47; 37 ] [ m.x; m.y; m.w; m.h ];
   exec ctx ~client "f.zoom";
+  ignore (Wm.step wm);
   check Alcotest.bool "restored miniature" true
     (Geom.rect_equal before (mini_geometry server ctx wm client))
 
@@ -485,6 +567,8 @@ let suite =
       test_move_window_via_miniature;
     Alcotest.test_case "move crossing out of the panner" `Quick
       test_move_crossing_out_of_panner;
+    Alcotest.test_case "a stale miniature does not start a move" `Quick
+      test_stale_miniature_is_inert;
     Alcotest.test_case "resizing panner resizes desktop" `Quick
       test_panner_resize_resizes_desktop;
     QCheck_alcotest.to_alcotest prop_reconcile_matches_spec;
