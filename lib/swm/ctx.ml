@@ -21,6 +21,7 @@ type client = {
   mutable holder : holder option;
   mutable wm_name : string;
   mutable mini : Xid.t;
+  mutable corners : Xid.t list;
 }
 
 and holder = {
@@ -50,6 +51,7 @@ and screen_state = {
   mutable vbar : (Xid.t * Xid.t) option;
   mutable focus_policy : focus_policy;
   mutable damage : damage;
+  mutable n_clients : int;
 }
 
 and focus_policy = Focus_none | Focus_pointer | Focus_click
@@ -193,6 +195,20 @@ let client_of_window ctx win =
 
 let all_clients ctx = Xid.Tbl.fold (fun _ c acc -> c :: acc) ctx.clients []
 
+let add_client ctx client =
+  if not (Xid.Tbl.mem ctx.clients client.cwin) then begin
+    let scr = ctx.screens.(client.screen) in
+    scr.n_clients <- scr.n_clients + 1
+  end;
+  Xid.Tbl.replace ctx.clients client.cwin client
+
+let remove_client ctx client =
+  if Xid.Tbl.mem ctx.clients client.cwin then begin
+    let scr = ctx.screens.(client.screen) in
+    scr.n_clients <- scr.n_clients - 1
+  end;
+  Xid.Tbl.remove ctx.clients client.cwin
+
 let clients_of_class ctx class_ =
   List.filter (fun c -> String.equal c.class_ class_) (all_clients ctx)
 
@@ -238,6 +254,16 @@ let damage_geometry ctx client =
 
 let damage_membership ctx client =
   record ctx ~screen:client.screen (fun d -> d.d_members <- push client d.d_members)
+
+(* A longer title or label can widen a frame, and so its miniature. *)
+let damage_if_resized ctx client f =
+  let size () =
+    let g = frame_geometry ctx client in
+    (g.w, g.h)
+  in
+  let before = size () in
+  f ();
+  if size () <> before then damage_geometry ctx client
 
 let damage_restack ctx client mode =
   record ctx ~screen:client.screen (fun d -> d.d_restacks <- (client, mode) :: d.d_restacks)

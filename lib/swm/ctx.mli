@@ -33,6 +33,7 @@ type client = {
   mutable mini : Xid.t;
       (** this client's miniature in the panner, or none: the inverse of
           [panner_minis] *)
+  mutable corners : Xid.t list;  (** its resize-corner windows, also in [corners] *)
 }
 
 and holder = {
@@ -64,6 +65,7 @@ and screen_state = {
   mutable vbar : (Xid.t * Xid.t) option;  (** vertical scrollbar *)
   mutable focus_policy : focus_policy;  (** the [focusPolicy] resource *)
   mutable damage : damage;  (** what the panner has yet to show; see {!Panner.apply_damage} *)
+  mutable n_clients : int;  (** managed clients on this screen; see {!add_client} *)
 }
 
 and focus_policy =
@@ -243,6 +245,10 @@ val screen : t -> int -> screen_state
 val client_of_window : t -> Xid.t -> client option
 (** Resolve a client from either its own window or its frame. *)
 
+val add_client : t -> client -> unit
+val remove_client : t -> client -> unit
+(** Enter or leave [clients], keeping the screen's [n_clients] count. *)
+
 val clients_of_class : t -> string -> client list
 val all_clients : t -> client list
 (** In unspecified order. *)
@@ -269,6 +275,10 @@ val damage_full : t -> screen:int -> unit
 val damage_viewport : t -> screen:int -> unit
 val damage_geometry : t -> client -> unit
 val damage_membership : t -> client -> unit
+
+val damage_if_resized : t -> client -> (unit -> unit) -> unit
+(** Run the function, then record geometry damage if it changed the size
+    of the client's frame. *)
 
 val damage_restack : t -> client -> Swm_xlib.Event.stack_mode -> unit
 (** Record that the client's frame went to the top ([Above]) or bottom

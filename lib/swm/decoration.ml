@@ -36,15 +36,13 @@ let attach_corners (ctx : Ctx.t) (client : Ctx.client) =
       Server.select_input ctx.server ctx.conn corner
         [ Event.Button_press_mask; Event.Button_release_mask ];
       Server.map_window ctx.server ctx.conn corner;
-      Xid.Tbl.replace ctx.corners corner client)
+      Xid.Tbl.replace ctx.corners corner client;
+      client.corners <- corner :: client.corners)
     positions
 
 let detach_corners (ctx : Ctx.t) (client : Ctx.client) =
-  let mine =
-    Xid.Tbl.fold
-      (fun corner c acc -> if c == client then corner :: acc else acc)
-      ctx.corners []
-  in
+  let mine = client.corners in
+  client.corners <- [];
   List.iter
     (fun corner ->
       Xid.Tbl.remove ctx.corners corner;

@@ -107,10 +107,7 @@ let is_sticky_resource (ctx : Ctx.t) ~screen scope =
   Config.query_client_bool ctx.cfg ~screen scope "sticky" ~default:false
 
 let cascade_slot (ctx : Ctx.t) ~screen =
-  let n =
-    List.length
-      (List.filter (fun (c : Ctx.client) -> c.screen = screen) (Ctx.all_clients ctx))
-  in
+  let n = (Ctx.screen ctx screen).n_clients in
   let step = 40 in
   Geom.point (16 + (n mod 12 * step)) (16 + (n mod 8 * step))
 
@@ -184,9 +181,10 @@ let manage_inner (ctx : Ctx.t) win =
         holder = None;
         wm_name = Icccm.read_name ctx win;
         mini = Xid.none;
+        corners = [];
       }
     in
-    Xid.Tbl.replace ctx.clients win client;
+    Ctx.add_client ctx client;
     let at = initial_position ctx ~screen ~sticky win hint in
     Ctx.log ctx "manage %s.%s win=%a at=%a%s%s" instance class_ Xid.pp win
       Geom.pp_point at
@@ -238,7 +236,7 @@ let unmanage (ctx : Ctx.t) (client : Ctx.client) ~destroyed =
     destroyed;
   Xguard.run ctx ~where:"unmanage.teardown" (fun () ->
       Decoration.teardown ctx client ~to_root:(not destroyed));
-  Xid.Tbl.remove ctx.clients client.cwin;
+  Ctx.remove_client ctx client;
   Xid.Tbl.remove ctx.frames client.cwin;
   Ctx.damage_membership ctx client
 
@@ -603,16 +601,8 @@ let handle_property (ctx : Ctx.t) window name =
         match Xid.Tbl.find_opt ctx.clients window with
         | None -> ()
         | Some client ->
-            if Atom.equal atom atoms.a_wm_name then begin
-              (* A longer title can widen the frame, and so its miniature. *)
-              let size () =
-                let g = Ctx.frame_geometry ctx client in
-                (g.w, g.h)
-              in
-              let before = size () in
-              Decoration.update_name ctx client;
-              if size () <> before then Ctx.damage_geometry ctx client
-            end
+            if Atom.equal atom atoms.a_wm_name then
+              Ctx.damage_if_resized ctx client (fun () -> Decoration.update_name ctx client)
             else if Atom.equal atom atoms.a_wm_icon_name then begin
               match client.icon_obj with
               | Some icon -> (
@@ -1092,6 +1082,7 @@ let start ?(resources = []) ?(host = "localhost") ?(display = ":0") server =
           vbar = None;
           focus_policy = Ctx.Focus_none;
           damage = Ctx.no_damage ();
+          n_clients = 0;
         })
   in
   let metrics = Server.metrics server in

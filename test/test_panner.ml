@@ -298,6 +298,7 @@ type op =
   | Reduced of op  (** the op at [Tier_reduced], then back to [Tier_full] *)
   | Batch of op list  (** several ops before one step: damage coalesces *)
   | Drag of int * int * int  (** f.move, one motion step, release *)
+  | SetLabel of int  (** f.setLabel(name,...) with a label of this many chars *)
 
 let rec show_op = function
   | Manage (x, y) -> Printf.sprintf "manage at %d,%d" x y
@@ -315,6 +316,7 @@ let rec show_op = function
   | Reduced op -> "reduced: " ^ show_op op
   | Batch ops -> "batch [" ^ String.concat ", " (List.map show_op ops) ^ "]"
   | Drag (i, dx, dy) -> Printf.sprintf "drag %d by %d,%d" i dx dy
+  | SetLabel n -> Printf.sprintf "f.setLabel(name,<%d chars>)" n
 
 let op_gen =
   let open QCheck2.Gen in
@@ -340,6 +342,7 @@ let op_gen =
         map2 (fun i n -> Retitle (i, n)) client (int_range 1 200);
         map2 (fun x y -> Pan (x, y)) (int_range (-100) 2500) (int_range (-100) 1900);
         map (fun d -> Desktop d) (int_range 0 1);
+        map (fun n -> SetLabel n) (int_range 1 120);
       ]
   in
   frequency
@@ -437,6 +440,7 @@ let prop_reconcile_matches_spec =
             done;
             if ctx.Ctx.tier <> Ctx.Tier_full then Alcotest.fail "tier not restored"
         | Batch ops -> List.iter apply ops
+        | SetLabel n -> exec ctx (Printf.sprintf "f.setLabel(name,%s)" (String.make n 'L'))
         | Drag (i, dx, dy) ->
             with_client i (fun client ->
                 exec ctx ~client "f.move";
