@@ -258,25 +258,21 @@ let in_gesture (ctx : Ctx.t) c =
   | Ctx.Resizing { r_client; _ } -> r_client == c
   | Ctx.Idle | Ctx.Prompting _ -> false
 
-let rec is_top win = function
-  | [ top ] -> Xid.equal top win
-  | _ :: above -> is_top win above
-  | [] -> false
-
 (* Whether [c]'s frame is the topmost frame with a miniature or about to
    get one, walking the desktop down from the top. *)
 let topmost_shown (ctx : Ctx.t) ~screen (vdesk : Ctx.vdesk) (c : Ctx.client) examined =
-  let rec walk = function
-    | [] -> false
-    | frame :: below -> (
-        incr examined;
-        if Xid.equal frame c.frame then true
-        else
-          match Xid.Tbl.find_opt ctx.frames frame with
-          | Some other when shown ctx ~screen other -> false
-          | Some _ | None -> walk below)
+  let rec walk frame =
+    if Xid.is_none frame then false
+    else begin
+      incr examined;
+      if Xid.equal frame c.frame then true
+      else
+        match Xid.Tbl.find_opt ctx.frames frame with
+        | Some other when shown ctx ~screen other -> false
+        | Some _ | None -> walk (Server.below_sibling ctx.server frame)
+    end
   in
-  walk (List.rev (Server.children_of ctx.server vdesk.vwins.(vdesk.current)))
+  walk (Server.top_child ctx.server vdesk.vwins.(vdesk.current))
 
 (* One screen's damage, visiting only the damaged clients.  Leavers lose
    their miniature; restacks replay in the order they happened (a raise
@@ -310,11 +306,13 @@ let apply (ctx : Ctx.t) ~screen (vdesk : Ctx.vdesk) (d : Ctx.damage) =
         (fun ((c : Ctx.client), mode) ->
           if not (Xid.is_none c.mini) then begin
             incr examined;
-            match (mode, Server.children_of server panner) with
-            | Event.Above, children when is_top c.mini children -> ()
-            | Event.Above, _ -> Server.raise_window server ctx.conn c.mini
-            | Event.Below, _ :: above :: _ when Xid.equal above c.mini -> ()
-            | Event.Below, _ ->
+            match mode with
+            | Event.Above when Xid.equal (Server.top_child server panner) c.mini -> ()
+            | Event.Above -> Server.raise_window server ctx.conn c.mini
+            | Event.Below
+              when Xid.equal (Server.below_sibling server c.mini) vdesk.panner_outline ->
+                ()
+            | Event.Below ->
                 Server.configure_window server ctx.conn c.mini
                   { Event.no_changes with
                     cstack = Some Event.Above; csibling = Some vdesk.panner_outline }
