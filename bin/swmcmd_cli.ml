@@ -2,41 +2,24 @@
 
    Since the simulated server lives in one process, this CLI shows the
    protocol round-trip: a client connection writes SWM_COMMAND on the root,
-   the WM's event loop picks it up and executes it.  Commands are taken
-   from argv (joined), e.g.:
+   the WM's event loop picks it up and executes it.  Four modes:
 
-     swmcmd_cli "f.iconify(XTerm)"
-
-   Introspection flags run the channel in both directions — the command
-   goes in over SWM_COMMAND and the reply comes back on SWM_RESULT:
-
-     swmcmd_cli --metrics            print the WM's metrics registry (JSON)
-     swmcmd_cli --metrics --table    the same, as a human-readable table
-     swmcmd_cli --metrics --prometheus   Prometheus text exposition
-     swmcmd_cli --slowlog            print the slow-op log (JSON)
-     swmcmd_cli --health             one-line liveness summary (f.health)
+     swmcmd_cli "f.iconify(XTerm)"   send a command (argv joined) and print
+                                     the managed clients' states
+     swmcmd_cli --query SECTION[,ARG]
+                                     arm the recorder, the tracer and the
+                                     profiler, run a scripted session (pan
+                                     storm + iconify burst), then send
+                                     f.query(SECTION[,ARG]) and print the
+                                     reply from SWM_RESULT; exit 1 on an
+                                     {"error"} reply.  For example
+                                     --query health, --query fate,#12,
+                                     --query trace > trace.json,
+                                     --query flame,out.collapsed
      swmcmd_cli --top [FRAMES]       refreshing terminal table of counter
-                                     rates from f.stats while a scripted
-                                     workload runs (default 6 frames)
-     swmcmd_cli --fate [CONN|WIN]    recent event fates from the lifecycle
-                                     ledger (f.fate JSON), optionally
-                                     filtered to a connection or window
-     swmcmd_cli --waterfall FILE     run the scripted session and write the
-                                     recent-dispatch waterfall (ingress ->
-                                     queue -> dispatch -> requests) to FILE
-     swmcmd_cli --flightdump FILE    write a flight-recorder report to FILE
-     swmcmd_cli --replay FILE        f.replay(FILE): re-execute a crash
-                                     report or repro file and print the
-                                     convergence outcome (JSON)
-     swmcmd_cli --trace FILE         trace a scripted session (pan storm +
-                                     iconify burst) and write Chrome
-                                     trace-event JSON to FILE
-     swmcmd_cli --profile            profile the scripted session and print
-                                     the span-tree profile (f.profile JSON:
-                                     self/total time + allocation per frame)
-     swmcmd_cli --flame FILE         profile the scripted session and write
-                                     a collapsed-stack flamegraph to FILE
-                                     (feed to flamegraph.pl / speedscope)
+                                     rates from f.query(stats) while a
+                                     scripted workload runs (default 6
+                                     frames)
      swmcmd_cli --chaos SEED         run a workload storm under the seeded
                                      fault plan and report what the WM
                                      absorbed (replayable per seed) *)
@@ -49,6 +32,7 @@ module Wire_conn = Swm_xlib.Wire_conn
 module Tracing = Swm_xlib.Tracing
 module Json = Swm_xlib.Json
 module Recorder = Swm_xlib.Recorder
+module Profile = Swm_xlib.Profile
 module Wm = Swm_core.Wm
 module Ctx = Swm_core.Ctx
 module Swmcmd = Swm_core.Swmcmd
@@ -57,51 +41,25 @@ module Stock = Swm_clients.Stock
 
 type mode =
   | Command of string
-  | Metrics of string option  (* None = JSON; Some "table"/"prometheus" *)
-  | Slowlog
-  | Health
+  | Query of string  (* SECTION[,ARG] *)
   | Top of int  (* frames to render *)
-  | Fate of string option
-  | Waterfall of string
-  | Flightdump of string
-  | Replay of string
-  | Trace of string
-  | Profile
-  | Flame of string
   | Chaos of int
 
 let usage () =
   prerr_endline
-    "usage: swmcmd_cli [COMMAND... | --metrics [--table | --prometheus] | \
-     --slowlog | --health | --top [FRAMES] | --fate [CONN|WIN] | \
-     --waterfall FILE | --flightdump FILE | \
-     --replay FILE | --trace FILE | --profile | --flame FILE | \
+    "usage: swmcmd_cli [COMMAND... | --query SECTION[,ARG] | --top [FRAMES] | \
      --chaos SEED]";
   exit 2
 
 let parse_args () =
   match List.tl (Array.to_list Sys.argv) with
   | [] -> Command "f.iconify(XTerm)"
-  | [ "--metrics" ] -> Metrics None
-  | [ "--metrics"; "--table" ] | [ "--table"; "--metrics" ] ->
-      Metrics (Some "table")
-  | [ "--metrics"; "--prometheus" ] | [ "--prometheus"; "--metrics" ] ->
-      Metrics (Some "prometheus")
-  | [ "--slowlog" ] -> Slowlog
-  | [ "--health" ] -> Health
+  | [ "--query"; query ] -> Query query
   | [ "--top" ] -> Top 6
   | [ "--top"; frames ] -> (
       match int_of_string_opt frames with
       | Some n when n > 0 -> Top n
       | Some _ | None -> usage ())
-  | [ "--fate" ] -> Fate None
-  | [ "--fate"; sel ] -> Fate (Some sel)
-  | [ "--waterfall"; file ] -> Waterfall file
-  | [ "--flightdump"; file ] -> Flightdump file
-  | [ "--replay"; file ] -> Replay file
-  | [ "--trace"; file ] -> Trace file
-  | [ "--profile" ] -> Profile
-  | [ "--flame"; file ] -> Flame file
   | [ "--chaos"; seed ] -> (
       match int_of_string_opt seed with Some s -> Chaos s | None -> usage ())
   | first :: _ as rest ->
@@ -128,10 +86,10 @@ let read_reply server =
       prerr_endline "swmcmd_cli: swm left no SWM_RESULT reply";
       exit 1
 
-(* The scripted session the trace captures: a pan storm followed by an
+(* The scripted session --query observes: a pan storm followed by an
    iconify burst, with the command lines submitted as encoded bytes through
-   a Wire_conn so the trace starts at wire decode and reaches down through
-   dispatch to pans and redraws. *)
+   a Wire_conn so traces and profiles start at wire decode and reach down
+   through dispatch to pans and redraws. *)
 let scripted_session server wm =
   let wire = Wire_conn.create server ~name:"swmcmd-wire" in
   let root = Wire_conn.root_id wire ~screen:0 in
@@ -171,23 +129,33 @@ let run_command command =
   | Ctx.Prompting _ -> print_endline "swm is now prompting for a target window"
   | _ -> ()
 
-let run_introspection verb =
+(* --query: arm every observer around the scripted session, so each
+   section has a story to tell, then ask.  The tracer and the profiler are
+   stopped before the query (what they gathered is kept); the recorder
+   stays armed for flightdump. *)
+let run_query query =
   let server, wm = setup () in
   let sender = Server.connect server ~name:"swmcmd" in
-  (* Give the introspection something to report. *)
-  roundtrip server wm sender "f.panTo(240,160)";
-  roundtrip server wm sender verb;
-  print_string (read_reply server);
-  print_newline ()
+  Recorder.start (Server.recorder server);
+  Tracing.start (Server.tracer server);
+  Profile.start (Server.profiler server);
+  scripted_session server wm;
+  Profile.stop (Server.profiler server);
+  Tracing.stop (Server.tracer server);
+  roundtrip server wm sender (Printf.sprintf "f.query(%s)" query);
+  let reply = read_reply server in
+  print_string reply;
+  print_newline ();
+  if String.starts_with ~prefix:"{\"error\":" reply then exit 1
 
 (* --top: a refreshing terminal table of counter totals and rates, driven by
-   f.stats round-trips while a scripted workload keeps the WM busy.  The
-   reply is parsed (not regex-scraped) — the renderer doubles as a living
-   check that f.stats emits well-formed JSON. *)
+   f.query(stats) round-trips while a scripted workload keeps the WM busy.
+   The reply is parsed (not regex-scraped) — the renderer doubles as a
+   living check that the stats section emits well-formed JSON. *)
 let render_top ~frame ~frames reply =
   match Json.parse reply with
   | Error msg ->
-      Printf.eprintf "swmcmd_cli: unparseable f.stats reply: %s\n" msg;
+      Printf.eprintf "swmcmd_cli: unparseable f.query(stats) reply: %s\n" msg;
       exit 1
   | Ok stats ->
       let buf = Buffer.create 1024 in
@@ -253,98 +221,11 @@ let run_top frames =
     done;
     roundtrip server wm sender "f.iconify(XTerm)";
     roundtrip server wm sender "f.deiconify(XTerm)";
-    roundtrip server wm sender "f.stats";
+    roundtrip server wm sender "f.query(stats)";
     render_top ~frame ~frames (read_reply server);
     if frame < frames then Unix.sleepf 0.25
   done;
   print_newline ()
-
-(* The parsed reply of a file-export verb (f.waterfall, f.flame); exits 1
-   on an unparseable reply or an {"error"}. *)
-let export_reply server verb =
-  let reply = read_reply server in
-  match Json.parse reply with
-  | Error msg ->
-      Printf.eprintf "swmcmd_cli: unparseable %s reply: %s\n" verb msg;
-      exit 1
-  | Ok json -> (
-      match Json.member "error" json with
-      | Some (Json.Str msg) ->
-          Printf.eprintf "swmcmd_cli: %s failed: %s\n" verb msg;
-          exit 1
-      | _ -> json)
-
-let int_field json name =
-  Option.value (Option.bind (Json.member name json) Json.to_int) ~default:0
-
-(* --waterfall: run the scripted session so the waterfall ring has a story
-   to tell, then have the WM write it atomically via f.waterfall. *)
-let run_waterfall file =
-  let server, wm = setup () in
-  let sender = Server.connect server ~name:"swmcmd" in
-  scripted_session server wm;
-  roundtrip server wm sender (Printf.sprintf "f.waterfall(%s)" file);
-  let json = export_reply server "f.waterfall" in
-  Printf.printf "wrote %s: %d bytes\n" file (int_field json "bytes")
-
-let run_flightdump file =
-  let server, wm = setup () in
-  let sender = Server.connect server ~name:"swmcmd" in
-  (* Arm the recorder and give it a tail to dump. *)
-  Recorder.start (Server.recorder server);
-  for i = 1 to 8 do
-    roundtrip server wm sender (Printf.sprintf "f.panTo(%d,%d)" (i * 100) (i * 60))
-  done;
-  roundtrip server wm sender (Printf.sprintf "f.flightdump(%s)" file);
-  print_string (read_reply server);
-  print_newline ()
-
-let run_trace file =
-  let server, wm = setup () in
-  let sender = Server.connect server ~name:"swmcmd" in
-  roundtrip server wm sender "f.trace(start)";
-  scripted_session server wm;
-  roundtrip server wm sender "f.trace(stop)";
-  roundtrip server wm sender "f.trace(dump)";
-  let json = read_reply server in
-  Out_channel.with_open_text file (fun oc -> Out_channel.output_string oc json);
-  let tracer = Server.tracer server in
-  Printf.printf "wrote %s: %d events (%d dropped), %d slow spans\n" file
-    (List.length (Tracing.events tracer))
-    (Tracing.dropped tracer)
-    (List.length (Tracing.slow_log tracer))
-
-(* --profile / --flame: arm the profiler around the same scripted session the
-   tracer uses, so the flamegraph covers wire decode → dispatch → pan →
-   redraw, then read the aggregate back over SWM_RESULT. *)
-let profiled_session server wm =
-  let sender = Server.connect server ~name:"swmcmd" in
-  roundtrip server wm sender "f.profile(start)";
-  scripted_session server wm;
-  roundtrip server wm sender "f.profile(stop)";
-  sender
-
-let run_profile () =
-  let server, wm = setup () in
-  let sender = profiled_session server wm in
-  roundtrip server wm sender "f.profile(dump)";
-  print_string (read_reply server);
-  print_newline ()
-
-let run_flame file =
-  let server, wm = setup () in
-  let sender = profiled_session server wm in
-  roundtrip server wm sender (Printf.sprintf "f.flame(%s)" file);
-  let json = export_reply server "f.flame" in
-  let coverage =
-    Option.value ~default:0.
-      (Option.bind (Json.member "coverage" json) Json.to_float)
-  in
-  Printf.printf
-    "wrote %s: %d collapsed stacks, %d bytes (coverage %.1f%% of %d ns \
-     dispatch wall)\n"
-    file (int_field json "frames") (int_field json "bytes") (coverage *. 100.)
-    (int_field json "dispatch_wall_ns")
 
 (* A replayable chaos demo: the test suite's storm at CLI scale, printing
    the injected fault schedule and what the WM absorbed. *)
@@ -396,17 +277,6 @@ let run_chaos seed =
 let () =
   match parse_args () with
   | Command command -> run_command command
-  | Metrics None -> run_introspection "f.metrics"
-  | Metrics (Some fmt) -> run_introspection (Printf.sprintf "f.metrics(%s)" fmt)
-  | Slowlog -> run_introspection "f.slowlog"
-  | Health -> run_introspection "f.health"
+  | Query query -> run_query query
   | Top frames -> run_top frames
-  | Fate None -> run_introspection "f.fate"
-  | Fate (Some sel) -> run_introspection (Printf.sprintf "f.fate(%s)" sel)
-  | Waterfall file -> run_waterfall file
-  | Flightdump file -> run_flightdump file
-  | Replay file -> run_introspection (Printf.sprintf "f.replay(%s)" file)
-  | Trace file -> run_trace file
-  | Profile -> run_profile ()
-  | Flame file -> run_flame file
   | Chaos seed -> run_chaos seed

@@ -89,7 +89,7 @@ let tier_name = function
 (* Per-event waterfall: the most recent dispatches with their full
    ingress -> queue -> dispatch -> f.* -> requests story, filled by
    [Wm.handle_event_full] while the lifecycle ledger is armed and exported
-   by [f.waterfall]. *)
+   by [f.query(waterfall,FILE)]. *)
 type waterfall_rec = {
   wf_seq : int; (* the triggering event's ingress seq *)
   wf_code : int;

@@ -111,7 +111,7 @@ val tier_name : tier -> string
 (** One recent dispatch in the per-event waterfall: the full ingress ->
     queue -> dispatch -> f.* -> requests story for one delivered event,
     filled by {!Wm.handle_event_full} while the lifecycle ledger is armed
-    and exported by [f.waterfall]. *)
+    and exported by [f.query(waterfall,FILE)]. *)
 type waterfall_rec = {
   wf_seq : int;  (** the triggering event's ingress seq *)
   wf_code : int;
@@ -170,7 +170,8 @@ type t = {
   mutable autosave_pending : int;  (** events since the last autosave *)
   sampler : Swm_xlib.Metrics.sampler;
       (** time-series snapshots of the key counters, fed every
-          [statsInterval] dispatched events — the data behind [f.stats] *)
+          [statsInterval] dispatched events — the data behind
+          [f.query(stats)] *)
   mutable stats_interval : int;
       (** dispatched events between sampler snapshots ([statsInterval],
           default 32) *)

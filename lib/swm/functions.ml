@@ -23,21 +23,8 @@ type invocation = {
 let invocation ?obj ?client ~screen () =
   { inv_obj = obj; inv_client = client; inv_screen = screen }
 
-(* Functions whose argument is data, not a window-selection mode.
-   f.metrics lives here (not with the nullaries) so it can take an optional
-   format argument; a bare "f.metrics" still works, the data path just sees
-   no argument. *)
-let data_arg_functions =
-  [
-    "f.warpvertical"; "f.warphorizontal"; "f.pan"; "f.panto"; "f.desktop";
-    "f.menu"; "f.exec"; "f.places"; "f.autosave"; "f.resizedesktop"; "f.setlabel";
-    "f.setbindings"; "f.warpto"; "f.scrollholder"; "f.function"; "f.trace";
-    "f.metrics"; "f.flightdump"; "f.replay"; "f.profile"; "f.flame";
-    "f.fate"; "f.waterfall";
-  ]
-
-(* f.replay must start a fresh WM, which lives above this module in the
-   dependency order; Wm installs the real runner at link time. *)
+(* f.query(replay,FILE) must start a fresh WM, which lives above this module
+   in the dependency order; Wm installs the real runner at link time. *)
 let replay_runner : (Replay.report -> Replay.outcome) ref =
   ref (fun _ ->
       Replay.Crashed
@@ -45,21 +32,7 @@ let replay_runner : (Replay.report -> Replay.outcome) ref =
 
 let set_replay_runner f = replay_runner := f
 
-let window_functions =
-  [
-    "f.raise"; "f.lower"; "f.raiselower"; "f.iconify"; "f.deiconify"; "f.move";
-    "f.resize"; "f.zoom"; "f.save"; "f.stick"; "f.unstick"; "f.delete"; "f.focus";
-    "f.identify";
-  ]
-
-let nullary_functions =
-  [ "f.quit"; "f.restart"; "f.refresh"; "f.unpostmenu"; "f.circulateup";
-    "f.circulatedown"; "f.slowlog"; "f.health"; "f.stats" ]
-
-let function_names = window_functions @ data_arg_functions @ nullary_functions
-
 let canon name = String.lowercase_ascii name
-let known name = List.mem (canon name) function_names
 
 (* -------- target resolution -------- *)
 
@@ -247,116 +220,7 @@ let autosave (ctx : Ctx.t) ~file_arg =
       if Tracing.enabled tracer then
         Tracing.instant tracer "session.autosave" ~attrs:[ ("path", path) ]
 
-(* -------- single-function execution on one client -------- *)
-
-let run_on_client (ctx : Ctx.t) name (client : Ctx.client) =
-  Ctx.log ctx "%s on %s (win=%a)" name client.instance Xid.pp client.cwin;
-  match name with
-  | "f.raise" -> Ctx.restack ctx client Event.Above
-  | "f.lower" -> Ctx.restack ctx client Event.Below
-  | "f.raiselower" ->
-      let parent = Server.parent_of ctx.server client.frame in
-      let on_top = Xid.equal (Server.top_child ctx.server parent) client.frame in
-      Ctx.restack ctx client (if on_top then Event.Below else Event.Above)
-  | "f.iconify" -> Icons.iconify ctx client
-  | "f.deiconify" -> Icons.deiconify ctx client
-  | "f.zoom" -> zoom ctx client
-  | "f.save" -> if client.zoom_saved = None then save_geometry ctx client
-  | "f.stick" -> set_sticky_and_redecorate ctx client (not client.sticky)
-  | "f.unstick" -> set_sticky_and_redecorate ctx client false
-  | "f.delete" -> (
-      (* ICCCM: clients speaking WM_DELETE_WINDOW are asked politely;
-         everything else is destroyed. *)
-      if Server.window_exists ctx.server client.cwin then
-        match Server.get_property ctx.server client.cwin ~name:Prop.wm_protocols with
-        | Some (Prop.Atom_list protocols)
-          when List.mem Prop.wm_delete_window protocols ->
-            Server.send_event ctx.server ctx.conn ~dest:client.cwin
-              (Swm_xlib.Event.Client_message
-                 {
-                   window = client.cwin;
-                   name = Prop.wm_protocols;
-                   data = Prop.wm_delete_window;
-                 })
-        | Some _ | None -> Server.destroy_window ctx.server client.cwin)
-  | "f.focus" -> Server.set_input_focus ctx.server ctx.conn client.cwin
-  | "f.identify" ->
-      (* twm-style window information popup at the pointer; dismissed by
-         the next button press. *)
-      if
-        (not (Xid.is_none ctx.identify_win))
-        && Server.window_exists ctx.server ctx.identify_win
-      then Server.destroy_window ctx.server ctx.identify_win;
-      let cgeom = Server.geometry ctx.server client.cwin in
-      let fgeom = Server.geometry ctx.server client.frame in
-      let info =
-        Printf.sprintf "%s.%s %dx%d%+d%+d %s%s" client.instance client.class_
-          cgeom.w cgeom.h fgeom.x fgeom.y
-          (Prop.wm_state_to_string client.state)
-          (if client.sticky then " sticky" else "")
-      in
-      let pointer = Server.pointer_pos ctx.server in
-      let scr = Ctx.screen ctx client.screen in
-      let popup =
-        Server.create_window ctx.server ctx.conn ~parent:scr.root
-          ~geom:
-            (Geom.rect pointer.px pointer.py ((String.length info * 8) + 8) 24)
-          ~border:1 ~override_redirect:true ~background:' ' ~label:info ()
-      in
-      Server.raise_window ctx.server ctx.conn popup;
-      Server.map_window ctx.server ctx.conn popup;
-      ctx.identify_win <- popup
-  | "f.move" ->
-      let pointer = Server.pointer_pos ctx.server in
-      (* Offset measured from the frame's border corner, which is what the
-         geometry refers to. *)
-      let abs = Server.root_geometry ctx.server client.frame in
-      let origin = Geom.point abs.x abs.y in
-      let opaque =
-        match Config.query1 ctx.cfg ~screen:client.screen "opaqueMove" with
-        | Some v -> (
-            match String.lowercase_ascii (String.trim v) with
-            | "false" | "no" | "off" | "0" -> false
-            | _ -> true)
-        | None -> true
-      in
-      let m_outline =
-        if opaque then Xid.none
-        else begin
-          (* A border-only outline tracks the pointer; the window itself
-             moves only on release (paper §6.1's "full size outline"). *)
-          let fgeom = Server.geometry ctx.server client.frame in
-          let parent = Server.parent_of ctx.server client.frame in
-          let outline =
-            Server.create_window ctx.server ctx.conn ~parent ~geom:fgeom ~border:1
-              ~override_redirect:true ()
-          in
-          Server.raise_window ctx.server ctx.conn outline;
-          Server.map_window ctx.server ctx.conn outline;
-          outline
-        end
-      in
-      ctx.mode <-
-        Ctx.Moving
-          {
-            m_client = client;
-            grab_offset = Geom.point (pointer.px - origin.px) (pointer.py - origin.py);
-            m_outline;
-          };
-      Server.grab_pointer ctx.server ctx.conn client.frame
-  | "f.resize" ->
-      let cgeom = Server.geometry ctx.server client.cwin in
-      ctx.mode <-
-        Ctx.Resizing
-          {
-            r_client = client;
-            r_start_client = (cgeom.w, cgeom.h);
-            r_pointer = Server.pointer_pos ctx.server;
-            r_dir = Geom.point 1 1;
-            r_frame0 = Server.geometry ctx.server client.frame;
-          };
-      Server.grab_pointer ctx.server ctx.conn client.frame
-  | _ -> ()
+(* -------- arguments -------- *)
 
 let split_first_comma = function
   | None -> None
@@ -367,6 +231,21 @@ let split_first_comma = function
             ( String.trim (String.sub arg 0 i),
               String.sub arg (i + 1) (String.length arg - i - 1) )
       | None -> None)
+
+let int_arg arg = Option.value (Option.bind arg int_of_string_opt) ~default:0
+
+let pair_arg arg =
+  match Option.map (String.split_on_char ',') arg with
+  | Some [ x; y ] -> (
+      match (int_of_string_opt (String.trim x), int_of_string_opt (String.trim y)) with
+      | Some x, Some y -> Some (x, y)
+      | _ -> None)
+  | Some _ | None -> None
+
+let warp_by (ctx : Ctx.t) inv ~dx ~dy =
+  let pos = Server.pointer_pos ctx.server in
+  Server.warp_pointer ctx.server ~screen:inv.inv_screen
+    (Geom.point (pos.px + dx) (pos.py + dy))
 
 (* Rotate the stacking of managed frames under the effective parent, like
    XCirculateSubwindows. *)
@@ -385,7 +264,20 @@ let circulate (ctx : Ctx.t) ~screen direction =
       | [] -> ())
   | (`Up | `Down), ([] | [ _ ])  -> ()
 
-(* -------- runtime introspection (f.metrics / f.trace / f.slowlog) -------- *)
+(* f.function(name): the function list of the swm*function.<name> resource
+   (user-defined macros). *)
+let macro (ctx : Ctx.t) ~screen name =
+  match
+    Config.query ctx.cfg ~screen ~names:[ "function"; name ]
+      ~classes:[ "Function"; String.capitalize_ascii name ]
+  with
+  | Some src -> (
+      match Bindings.parse ("<Btn1> : " ^ String.trim src) with
+      | Ok [ { funcs; _ } ] -> funcs
+      | Ok _ | Error _ -> [])
+  | None -> []
+
+(* -------- f.query: runtime introspection -------- *)
 
 (* Replies travel the swmcmd channel in reverse: the result text is written
    to the SWM_RESULT root property, where the sending client reads it back
@@ -395,35 +287,7 @@ let set_result (ctx : Ctx.t) ~screen text =
   Server.change_property ctx.server ctx.conn scr.root ~name:Prop.swm_result
     (Prop.String text)
 
-let trace_control (ctx : Ctx.t) ~screen arg =
-  let tracer = Server.tracer ctx.server in
-  match Option.map (fun a -> String.lowercase_ascii (String.trim a)) arg with
-  | Some "start" ->
-      Tracing.start tracer;
-      set_result ctx ~screen "{\"tracing\":\"started\"}"
-  | Some "stop" ->
-      Tracing.stop tracer;
-      set_result ctx ~screen "{\"tracing\":\"stopped\"}"
-  | Some "dump" -> set_result ctx ~screen (Tracing.to_chrome_json tracer)
-  | Some _ | None ->
-      set_result ctx ~screen "{\"error\":\"f.trace takes start, stop or dump\"}"
-
-(* f.profile(start|stop|dump) — the continuous profiler.  start arms the
-   GC probes and the span-aggregating sink (enabling the tracer if it was
-   off); stop disarms but keeps the aggregated tree; dump replies with the
-   call-tree JSON. *)
-let profile_control (ctx : Ctx.t) ~screen arg =
-  let profiler = Server.profiler ctx.server in
-  match Option.map (fun a -> String.lowercase_ascii (String.trim a)) arg with
-  | Some "start" ->
-      Profile.start profiler;
-      set_result ctx ~screen "{\"profiling\":\"started\"}"
-  | Some "stop" ->
-      Profile.stop profiler;
-      set_result ctx ~screen "{\"profiling\":\"stopped\"}"
-  | Some "dump" -> set_result ctx ~screen (Profile.to_json profiler)
-  | Some _ | None ->
-      set_result ctx ~screen "{\"error\":\"f.profile takes start, stop or dump\"}"
+let error_json msg = Printf.sprintf "{\"error\":%s}" (Metrics.json_string msg)
 
 (* One-glance liveness summary: overall status plus the counters an operator
    would reach for first.  "degraded" as soon as the watchdog has seen a
@@ -464,9 +328,10 @@ let health_json (ctx : Ctx.t) =
 
 (* The recent-dispatch waterfall: every retained dispatch with its
    ingress -> queue -> dispatch timings, the requests it issued, and the
-   f.* verbs it ran — the per-event causality view behind f.waterfall.
-   Entries are emitted oldest-first; queue_ns/e2e_ns are -1 when the event
-   entered the queue while the ledger was disarmed (no ingress stamp). *)
+   f.* functions it ran — the per-event causality view behind
+   f.query(waterfall,FILE).  Entries are emitted oldest-first;
+   queue_ns/e2e_ns are -1 when the event entered the queue while the ledger
+   was disarmed (no ingress stamp). *)
 let waterfall_json (ctx : Ctx.t) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
@@ -514,231 +379,336 @@ let stats_json (ctx : Ctx.t) =
     Xrdb.memo_capacity
     (Metrics.top_json (Server.metrics ctx.server) ())
 
-(* The file-export verbs f.flame, f.flightdump and f.waterfall: trim the
-   path argument, render the content, write it atomically and reply
-   {"<verb>":path,"bytes":n<extra>} — or {"error":msg}. *)
-let write_export (ctx : Ctx.t) ~screen ~verb arg render =
-  match Option.map String.trim arg with
-  | Some path when path <> "" -> (
+(* A section that takes no argument. *)
+let no_arg section reply (ctx : Ctx.t) = function
+  | None -> reply ctx
+  | Some _ -> error_json (Printf.sprintf "f.query(%s) takes no argument" section)
+
+(* The trace and profile sections: start clears and arms, stop disarms but
+   keeps what was gathered, no argument dumps it. *)
+let switch ~section ~key ~start ~stop ~dump arg =
+  match Option.map String.lowercase_ascii arg with
+  | None -> dump ()
+  | Some "start" ->
+      start ();
+      Printf.sprintf "{\"%s\":\"started\"}" key
+  | Some "stop" ->
+      stop ();
+      Printf.sprintf "{\"%s\":\"stopped\"}" key
+  | Some _ ->
+      error_json (Printf.sprintf "f.query(%s) takes start, stop or no argument" section)
+
+(* The file sections: render the content, write it atomically to the path
+   argument and reply {"<section>":path,"bytes":n<extra>}. *)
+let write_export ~section arg render =
+  match arg with
+  | None -> error_json (Printf.sprintf "f.query(%s) takes a file path" section)
+  | Some path -> (
       let content, extra = render () in
       try
         Recorder.write_atomic ~path content;
-        set_result ctx ~screen
-          (Printf.sprintf "{\"%s\":%s,\"bytes\":%d%s}" verb
-             (Metrics.json_string path) (String.length content) extra)
-      with Sys_error msg ->
-        set_result ctx ~screen
-          (Printf.sprintf "{\"error\":%s}" (Metrics.json_string msg)))
-  | Some _ | None ->
-      set_result ctx ~screen
-        (Printf.sprintf "{\"error\":\"f.%s takes a file path\"}" verb)
+        Printf.sprintf "{\"%s\":%s,\"bytes\":%d%s}" section
+          (Metrics.json_string path) (String.length content) extra
+      with Sys_error msg -> error_json msg)
 
-let run_nullary (ctx : Ctx.t) inv name =
-  match name with
-  | "f.quit" -> ctx.running <- false
-  | "f.restart" ->
-      ctx.restart_requested <- true;
-      ctx.running <- false
-  | "f.refresh" -> ()
-  | "f.unpostmenu" -> unpost_menu ctx ~screen:inv.inv_screen
-  | "f.circulateup" -> circulate ctx ~screen:inv.inv_screen `Up
-  | "f.circulatedown" -> circulate ctx ~screen:inv.inv_screen `Down
-  | "f.slowlog" ->
-      set_result ctx ~screen:inv.inv_screen
-        (Tracing.slow_log_json (Server.tracer ctx.server))
-  | "f.health" -> set_result ctx ~screen:inv.inv_screen (health_json ctx)
-  | "f.stats" -> set_result ctx ~screen:inv.inv_screen (stats_json ctx)
-  | _ -> ()
+(* Each section's reply for its argument (the text after the first comma,
+   trimmed; [None] when there is none). *)
+let sections : (string * (Ctx.t -> string option -> string)) list = [
+  ("metrics", fun ctx arg ->
+    let metrics = Server.metrics ctx.server in
+    match Option.map String.lowercase_ascii arg with
+    | None -> Metrics.to_json metrics
+    | Some "prometheus" -> Metrics.to_prometheus metrics
+    | Some "table" -> Metrics.to_table metrics
+    | Some _ -> error_json "f.query(metrics) takes no argument, prometheus or table");
+  ("stats", no_arg "stats" stats_json);
+  ("health", no_arg "health" health_json);
+  ("slowlog", no_arg "slowlog" (fun ctx ->
+    Tracing.slow_log_json (Server.tracer ctx.server)));
+  ("trace", fun ctx ->
+    let tracer = Server.tracer ctx.server in
+    switch ~section:"trace" ~key:"tracing"
+      ~start:(fun () -> Tracing.start tracer)
+      ~stop:(fun () -> Tracing.stop tracer)
+      ~dump:(fun () -> Tracing.to_chrome_json tracer));
+  (* The continuous profiler: start arms the GC probes and the
+     span-aggregating sink (enabling the tracer if it was off); the dump is
+     the call-tree JSON. *)
+  ("profile", fun ctx ->
+    let profiler = Server.profiler ctx.server in
+    switch ~section:"profile" ~key:"profiling"
+      ~start:(fun () -> Profile.start profiler)
+      ~stop:(fun () -> Profile.stop profiler)
+      ~dump:(fun () -> Profile.to_json profiler));
+  (* The lifecycle ledger's recent fate records (what happened to each event:
+     delivered, coalesced into a survivor, folded, shed, dropped, skipped,
+     evicted), optionally filtered to a connection name or a window id, plus
+     the running conservation counters.  "Where did my event go?" answered
+     from live state. *)
+  ("fate", fun ctx -> function
+    | None -> Server.fate_json ctx.server ()
+    | Some sel -> (
+        (* [sel] is trimmed and non-empty *)
+        let id = if sel.[0] = '#' then String.sub sel 1 (String.length sel - 1) else sel in
+        match int_of_string_opt id with
+        | Some w -> Server.fate_json ctx.server ~window:w ()
+        | None -> Server.fate_json ctx.server ~conn:sel ()));
+  (* The aggregated call tree as collapsed-stack text (flamegraph.pl /
+     speedscope input), replying with the coverage numbers. *)
+  ("flame", fun ctx arg ->
+    write_export ~section:"flame" arg (fun () ->
+      let profiler = Server.profiler ctx.server in
+      let collapsed = Profile.to_collapsed profiler in
+      ( collapsed,
+        Printf.sprintf
+          ",\"frames\":%d,\"root_total_ns\":%d,\"dispatch_wall_ns\":%d,\
+           \"coverage\":%.3f"
+          (String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 collapsed)
+          (Profile.root_total_ns profiler)
+          (Profile.dispatch_wall_ns profiler)
+          (Profile.coverage profiler) )));
+  ("flightdump", fun ctx arg ->
+    write_export ~section:"flightdump" arg (fun () ->
+      ( Recorder.dump_json (Server.recorder ctx.server) ~reason:"f.query(flightdump)"
+          ~metrics:(Server.metrics ctx.server) ~tracer:(Server.tracer ctx.server),
+        "" )));
+  ("waterfall", fun ctx arg ->
+    write_export ~section:"waterfall" arg (fun () -> (waterfall_json ctx, "")));
+  (* Re-execute a crash report or repro file against a fresh Server+WM pair
+     and report the convergence outcome, so the repro workflow works over
+     swmcmd without restarting swm. *)
+  ("replay", fun _ -> function
+    | None -> error_json "f.query(replay) takes a file path"
+    | Some path -> (
+        match
+          Result.bind
+            (try Ok (In_channel.with_open_text path In_channel.input_all)
+             with Sys_error msg -> Error msg)
+            Replay.parse_report
+        with
+        | Ok report -> Replay.outcome_json (!replay_runner report)
+        | Error msg -> error_json msg));
+]
 
-let rec run_data ~depth (ctx : Ctx.t) inv name arg =
-  let screen = inv.inv_screen in
-  let int_arg default = match Option.bind arg int_of_string_opt with
-    | Some n -> n
-    | None -> default
+(* f.query(SECTION[,ARG]): every reply lands on SWM_RESULT, errors too. *)
+let query (ctx : Ctx.t) inv arg =
+  let section, arg =
+    match split_first_comma arg with
+    | Some (section, rest) ->
+        (section, match String.trim rest with "" -> None | a -> Some a)
+    | None -> (String.trim (Option.value arg ~default:""), None)
   in
-  let pair_arg () =
-    match arg with
-    | None -> None
-    | Some a -> (
-        match String.split_on_char ',' a with
-        | [ x; y ] -> (
-            match (int_of_string_opt (String.trim x), int_of_string_opt (String.trim y)) with
-            | Some x, Some y -> Some (x, y)
-            | _ -> None)
-        | _ -> None)
+  let names = String.concat ", " (List.map fst sections) in
+  set_result ctx ~screen:inv.inv_screen
+    (match List.assoc_opt (String.lowercase_ascii section) sections with
+    | Some reply -> reply ctx arg
+    | None when section = "" -> error_json ("f.query takes a section: " ^ names)
+    | None ->
+        error_json (Printf.sprintf "f.query has no section %s; sections: %s" section names))
+
+(* -------- the function table -------- *)
+
+type handler =
+  | On_client of (Ctx.t -> Ctx.client -> unit)
+      (* needs target windows: the current one, a class, an id, or a prompt *)
+  | On_data of (Ctx.t -> invocation -> string option -> unit)
+      (* takes its argument as data, or none *)
+  | Macro  (* f.function: runs a function list named by its argument *)
+
+(* The f.* vocabulary, each name once in its canonical (lower-case) form. *)
+let functions : (string, handler) Hashtbl.t =
+  let on_pair f =
+    On_data (fun ctx inv arg -> Option.iter (f ctx ~screen:inv.inv_screen) (pair_arg arg))
   in
-  match name with
-  | "f.warpvertical" ->
-      let pos = Server.pointer_pos ctx.server in
-      Server.warp_pointer ctx.server ~screen (Geom.point pos.px (pos.py + int_arg 0))
-  | "f.warphorizontal" ->
-      let pos = Server.pointer_pos ctx.server in
-      Server.warp_pointer ctx.server ~screen (Geom.point (pos.px + int_arg 0) pos.py)
-  | "f.pan" -> (
-      match pair_arg () with
-      | Some (dx, dy) -> Vdesk.pan_by ctx ~screen ~dx ~dy
-      | None -> ())
-  | "f.panto" -> (
-      match pair_arg () with
-      | Some (x, y) -> Vdesk.pan_to ctx ~screen (Geom.point x y)
-      | None -> ())
-  | "f.resizedesktop" -> (
-      match pair_arg () with
-      | Some (w, h) -> Vdesk.resize_desktop ctx ~screen (w, h)
-      | None -> ())
-  | "f.desktop" -> Vdesk.switch_desktop ctx ~screen (int_arg 0)
-  | "f.menu" -> (
-      match arg with Some menu_name -> post_menu ctx inv menu_name | None -> ())
-  | "f.exec" -> (
-      match arg with Some cmd -> ctx.executed <- cmd :: ctx.executed | None -> ())
-  | "f.places" -> places ctx ~file_arg:arg
-  | "f.autosave" -> autosave ctx ~file_arg:arg
-  | "f.setlabel" -> (
-      (* f.setLabel(object,new label) — dynamic appearance, paper §4.2. *)
-      match split_first_comma arg with
-      | Some (obj_name, text) ->
-          let tk = (Ctx.screen ctx screen).tk in
-          List.iter
-            (fun obj ->
-              let set () = Wobj.set_label obj text in
-              match Decoration.frame_of_object ctx obj with
-              | Some client -> Ctx.damage_if_resized ctx client set
-              | None -> set ())
-            (Wobj.find_objects_by_name tk obj_name)
-      | None -> ())
-  | "f.setbindings" -> (
-      (* f.setBindings(object,<Btn1> : f.raise ...) — dynamic behaviour. *)
-      match split_first_comma arg with
-      | Some (obj_name, src) ->
-          let tk = (Ctx.screen ctx screen).tk in
-          List.iter
-            (fun obj -> Wobj.set_attr obj "bindings" src)
-            (Wobj.find_objects_by_name tk obj_name)
-      | None -> ())
-  | "f.function" -> (
-      (* f.function(name): run the function list from the
-         swm*function.<name> resource (user-defined macros). *)
-      match arg with
-      | Some macro_name when depth < 8 -> (
-          match
-            Config.query ctx.cfg ~screen
-              ~names:[ "function"; macro_name ]
-              ~classes:[ "Function"; String.capitalize_ascii macro_name ]
-          with
-          | Some src -> (
-              match Bindings.parse ("<Btn1> : " ^ String.trim src) with
-              | Ok [ { funcs; _ } ] -> execute_at ~depth:(depth + 1) ctx inv funcs
-              | Ok _ | Error _ -> ())
-          | None -> ())
-      | Some _ | None -> ())
-  | "f.scrollholder" -> (
-      (* f.scrollHolder(name,delta) — the holder's scrolling window. *)
+  let on_objects (ctx : Ctx.t) inv arg f =
+    match split_first_comma arg with
+    | Some (obj_name, rest) ->
+        let tk = (Ctx.screen ctx inv.inv_screen).tk in
+        List.iter (fun obj -> f obj rest) (Wobj.find_objects_by_name tk obj_name)
+    | None -> ()
+  in
+  Hashtbl.of_seq @@ List.to_seq @@ [
+    ("f.raise", On_client (fun ctx client -> Ctx.restack ctx client Event.Above));
+    ("f.lower", On_client (fun ctx client -> Ctx.restack ctx client Event.Below));
+    ("f.raiselower", On_client (fun ctx client ->
+      let parent = Server.parent_of ctx.server client.frame in
+      let on_top = Xid.equal (Server.top_child ctx.server parent) client.frame in
+      Ctx.restack ctx client (if on_top then Event.Below else Event.Above)));
+    ("f.iconify", On_client Icons.iconify);
+    ("f.deiconify", On_client Icons.deiconify);
+    ("f.zoom", On_client zoom);
+    ("f.save", On_client (fun ctx client ->
+      if client.zoom_saved = None then save_geometry ctx client));
+    ("f.stick", On_client (fun ctx client ->
+      set_sticky_and_redecorate ctx client (not client.sticky)));
+    ("f.unstick", On_client (fun ctx client ->
+      set_sticky_and_redecorate ctx client false));
+    ("f.delete", On_client (fun ctx client ->
+      (* ICCCM: clients speaking WM_DELETE_WINDOW are asked politely;
+         everything else is destroyed. *)
+      if Server.window_exists ctx.server client.cwin then
+        match Server.get_property ctx.server client.cwin ~name:Prop.wm_protocols with
+        | Some (Prop.Atom_list protocols)
+          when List.mem Prop.wm_delete_window protocols ->
+            Server.send_event ctx.server ctx.conn ~dest:client.cwin
+              (Swm_xlib.Event.Client_message
+                 {
+                   window = client.cwin;
+                   name = Prop.wm_protocols;
+                   data = Prop.wm_delete_window;
+                 })
+        | Some _ | None -> Server.destroy_window ctx.server client.cwin));
+    ("f.focus", On_client (fun ctx client ->
+      Server.set_input_focus ctx.server ctx.conn client.cwin));
+    ("f.identify", On_client (fun ctx client ->
+      (* twm-style window information popup at the pointer; dismissed by
+         the next button press. *)
+      if
+        (not (Xid.is_none ctx.identify_win))
+        && Server.window_exists ctx.server ctx.identify_win
+      then Server.destroy_window ctx.server ctx.identify_win;
+      let cgeom = Server.geometry ctx.server client.cwin in
+      let fgeom = Server.geometry ctx.server client.frame in
+      let info =
+        Printf.sprintf "%s.%s %dx%d%+d%+d %s%s" client.instance client.class_
+          cgeom.w cgeom.h fgeom.x fgeom.y
+          (Prop.wm_state_to_string client.state)
+          (if client.sticky then " sticky" else "")
+      in
+      let pointer = Server.pointer_pos ctx.server in
+      let scr = Ctx.screen ctx client.screen in
+      let popup =
+        Server.create_window ctx.server ctx.conn ~parent:scr.root
+          ~geom:
+            (Geom.rect pointer.px pointer.py ((String.length info * 8) + 8) 24)
+          ~border:1 ~override_redirect:true ~background:' ' ~label:info ()
+      in
+      Server.raise_window ctx.server ctx.conn popup;
+      Server.map_window ctx.server ctx.conn popup;
+      ctx.identify_win <- popup));
+    ("f.move", On_client (fun ctx client ->
+      let pointer = Server.pointer_pos ctx.server in
+      (* Offset measured from the frame's border corner, which is what the
+         geometry refers to. *)
+      let abs = Server.root_geometry ctx.server client.frame in
+      let origin = Geom.point abs.x abs.y in
+      let opaque =
+        match Config.query1 ctx.cfg ~screen:client.screen "opaqueMove" with
+        | Some v -> (
+            match String.lowercase_ascii (String.trim v) with
+            | "false" | "no" | "off" | "0" -> false
+            | _ -> true)
+        | None -> true
+      in
+      let m_outline =
+        if opaque then Xid.none
+        else begin
+          (* A border-only outline tracks the pointer; the window itself
+             moves only on release (paper §6.1's "full size outline"). *)
+          let fgeom = Server.geometry ctx.server client.frame in
+          let parent = Server.parent_of ctx.server client.frame in
+          let outline =
+            Server.create_window ctx.server ctx.conn ~parent ~geom:fgeom ~border:1
+              ~override_redirect:true ()
+          in
+          Server.raise_window ctx.server ctx.conn outline;
+          Server.map_window ctx.server ctx.conn outline;
+          outline
+        end
+      in
+      ctx.mode <-
+        Ctx.Moving
+          {
+            m_client = client;
+            grab_offset = Geom.point (pointer.px - origin.px) (pointer.py - origin.py);
+            m_outline;
+          };
+      Server.grab_pointer ctx.server ctx.conn client.frame));
+    ("f.resize", On_client (fun ctx client ->
+      let cgeom = Server.geometry ctx.server client.cwin in
+      ctx.mode <-
+        Ctx.Resizing
+          {
+            r_client = client;
+            r_start_client = (cgeom.w, cgeom.h);
+            r_pointer = Server.pointer_pos ctx.server;
+            r_dir = Geom.point 1 1;
+            r_frame0 = Server.geometry ctx.server client.frame;
+          };
+      Server.grab_pointer ctx.server ctx.conn client.frame));
+    ("f.warpvertical", On_data (fun ctx inv arg ->
+      warp_by ctx inv ~dx:0 ~dy:(int_arg arg)));
+    ("f.warphorizontal", On_data (fun ctx inv arg ->
+      warp_by ctx inv ~dx:(int_arg arg) ~dy:0));
+    ("f.warpto", On_data (fun ctx _ arg ->
+      match Option.map (Ctx.clients_of_class ctx) arg with
+      | Some (client :: _) ->
+          let scr = Ctx.screen ctx client.screen in
+          let abs =
+            Server.translate_coordinates ctx.server ~src:client.frame
+              ~dst:scr.root (Geom.point 0 0)
+          in
+          let geom = Server.geometry ctx.server client.frame in
+          Server.warp_pointer ctx.server ~screen:client.screen
+            (Geom.point (abs.px + (geom.w / 2)) (abs.py + (geom.h / 2)))
+      | Some [] | None -> ()));
+    ("f.pan", on_pair (fun ctx ~screen (dx, dy) -> Vdesk.pan_by ctx ~screen ~dx ~dy));
+    ("f.panto", on_pair (fun ctx ~screen (x, y) ->
+      Vdesk.pan_to ctx ~screen (Geom.point x y)));
+    ("f.resizedesktop", on_pair Vdesk.resize_desktop);
+    ("f.desktop", On_data (fun ctx inv arg ->
+      Vdesk.switch_desktop ctx ~screen:inv.inv_screen (int_arg arg)));
+    ("f.menu", On_data (fun ctx inv arg -> Option.iter (post_menu ctx inv) arg));
+    ("f.unpostmenu", On_data (fun ctx inv _ -> unpost_menu ctx ~screen:inv.inv_screen));
+    ("f.exec", On_data (fun ctx _ arg ->
+      Option.iter (fun cmd -> ctx.executed <- cmd :: ctx.executed) arg));
+    ("f.places", On_data (fun ctx _ arg -> places ctx ~file_arg:arg));
+    ("f.autosave", On_data (fun ctx _ arg -> autosave ctx ~file_arg:arg));
+    (* f.setLabel(object,new label) — dynamic appearance, paper §4.2. *)
+    ("f.setlabel", On_data (fun ctx inv arg ->
+      on_objects ctx inv arg (fun obj text ->
+        let set () = Wobj.set_label obj text in
+        match Decoration.frame_of_object ctx obj with
+        | Some client -> Ctx.damage_if_resized ctx client set
+        | None -> set ())));
+    (* f.setBindings(object,<Btn1> : f.raise ...) — dynamic behaviour. *)
+    ("f.setbindings", On_data (fun ctx inv arg ->
+      on_objects ctx inv arg (fun obj src -> Wobj.set_attr obj "bindings" src)));
+    (* f.scrollHolder(name,delta) — the holder's scrolling window. *)
+    ("f.scrollholder", On_data (fun ctx inv arg ->
       match split_first_comma arg with
       | Some (holder_name, delta_text) -> (
           match
-            (Icons.find_holder ctx ~screen holder_name,
+            (Icons.find_holder ctx ~screen:inv.inv_screen holder_name,
              int_of_string_opt (String.trim delta_text))
           with
           | Some holder, Some delta -> Icons.scroll_holder ctx holder delta
           | _ -> ())
-      | None -> ())
-  | "f.trace" -> trace_control ctx ~screen arg
-  | "f.profile" -> profile_control ctx ~screen arg
-  | "f.flame" ->
-      (* f.flame(FILE) — write the aggregated call tree as collapsed-stack
-         text (flamegraph.pl / speedscope input) and reply with what was
-         written plus the coverage numbers. *)
-      write_export ctx ~screen ~verb:"flame" arg (fun () ->
-          let profiler = Server.profiler ctx.server in
-          let collapsed = Profile.to_collapsed profiler in
-          ( collapsed,
-            Printf.sprintf
-              ",\"frames\":%d,\"root_total_ns\":%d,\"dispatch_wall_ns\":%d,\
-               \"coverage\":%.3f"
-              (String.fold_left
-                 (fun n c -> if c = '\n' then n + 1 else n)
-                 0 collapsed)
-              (Profile.root_total_ns profiler)
-              (Profile.dispatch_wall_ns profiler)
-              (Profile.coverage profiler) ))
-  | "f.metrics" -> (
-      let metrics = Server.metrics ctx.server in
-      match Option.map (fun a -> String.lowercase_ascii (String.trim a)) arg with
-      | None -> set_result ctx ~screen (Metrics.to_json metrics)
-      | Some "prometheus" -> set_result ctx ~screen (Metrics.to_prometheus metrics)
-      | Some "table" -> set_result ctx ~screen (Metrics.to_table metrics)
-      | Some _ ->
-          set_result ctx ~screen
-            "{\"error\":\"f.metrics takes no argument, prometheus or table\"}")
-  | "f.flightdump" ->
-      write_export ctx ~screen ~verb:"flightdump" arg (fun () ->
-          ( Recorder.dump_json
-              (Server.recorder ctx.server)
-              ~reason:"f.flightdump"
-              ~metrics:(Server.metrics ctx.server)
-              ~tracer:(Server.tracer ctx.server),
-            "" ))
-  | "f.replay" -> (
-      (* f.replay(FILE) — re-execute a crash report or repro file against a
-         fresh Server+WM pair and report the convergence outcome, so the
-         repro workflow works over swmcmd without restarting swm. *)
-      match Option.map String.trim arg with
-      | Some path when path <> "" -> (
-          match
-            try Ok (In_channel.with_open_text path In_channel.input_all)
-            with Sys_error msg -> Error msg
-          with
-          | Error msg ->
-              set_result ctx ~screen
-                (Printf.sprintf "{\"error\":%s}" (Metrics.json_string msg))
-          | Ok text -> (
-              match Replay.parse_report text with
-              | Error msg ->
-                  set_result ctx ~screen
-                    (Printf.sprintf "{\"error\":%s}" (Metrics.json_string msg))
-              | Ok report ->
-                  set_result ctx ~screen (Replay.outcome_json (!replay_runner report))))
-      | Some _ | None ->
-          set_result ctx ~screen "{\"error\":\"f.replay takes a file path\"}")
-  | "f.fate" -> (
-      (* f.fate([CONN|WINDOW]) — the lifecycle ledger's recent fate records
-         (what happened to each event: delivered, coalesced into a survivor,
-         folded, shed, dropped, skipped, evicted), optionally filtered to a
-         connection name or a window id, plus the running conservation
-         counters.  "Where did my event go?" answered from live state. *)
-      match Option.map String.trim arg with
-      | None | Some "" -> set_result ctx ~screen (Server.fate_json ctx.server ())
-      | Some sel -> (
-          let window_of sel =
-            if String.length sel > 1 && sel.[0] = '#' then
-              int_of_string_opt (String.sub sel 1 (String.length sel - 1))
-            else int_of_string_opt sel
-          in
-          match window_of sel with
-          | Some w -> set_result ctx ~screen (Server.fate_json ctx.server ~window:w ())
-          | None -> set_result ctx ~screen (Server.fate_json ctx.server ~conn:sel ())))
-  | "f.waterfall" ->
-      (* f.waterfall(FILE) — write the recent-dispatch waterfall JSON. *)
-      write_export ctx ~screen ~verb:"waterfall" arg (fun () ->
-          (waterfall_json ctx, ""))
-  | "f.warpto" -> (
-      match arg with
-      | Some class_arg -> (
-          match Ctx.clients_of_class ctx class_arg with
-          | client :: _ ->
-              let scr = Ctx.screen ctx client.screen in
-              let abs =
-                Server.translate_coordinates ctx.server ~src:client.frame
-                  ~dst:scr.root (Geom.point 0 0)
-              in
-              let geom = Server.geometry ctx.server client.frame in
-              Server.warp_pointer ctx.server ~screen:client.screen
-                (Geom.point (abs.px + (geom.w / 2)) (abs.py + (geom.h / 2)))
-          | [] -> ())
-      | None -> ())
-  | _ -> ()
+      | None -> ()));
+    ("f.circulateup", On_data (fun ctx inv _ -> circulate ctx ~screen:inv.inv_screen `Up));
+    ("f.circulatedown", On_data (fun ctx inv _ ->
+      circulate ctx ~screen:inv.inv_screen `Down));
+    ("f.function", Macro);
+    ("f.query", On_data query);
+    ("f.refresh", On_data (fun _ _ _ -> ()));
+    ("f.quit", On_data (fun ctx _ _ -> ctx.running <- false));
+    ("f.restart", On_data (fun ctx _ _ ->
+      ctx.restart_requested <- true;
+      ctx.running <- false));
+  ]
 
-and execute_at ~depth (ctx : Ctx.t) inv (funcs : Bindings.func_call list) =
+let known name = Hashtbl.mem functions (canon name)
+
+(* Run [body] inside a span named after the function, tagged with its
+   argument, when tracing is on. *)
+let with_arg_span tracer name (f : Bindings.func_call) body =
+  if Tracing.enabled tracer then
+    Tracing.span tracer name
+      ~attrs:(match f.farg with None -> [] | Some a -> [ ("arg", a) ])
+      body
+  else body ()
+
+let rec execute_at ~depth (ctx : Ctx.t) inv (funcs : Bindings.func_call list) =
   match funcs with
   | [] -> ()
   | f :: rest -> (
@@ -748,13 +718,14 @@ and execute_at ~depth (ctx : Ctx.t) inv (funcs : Bindings.func_call list) =
         ~kind:"function"
         ~attrs:(match f.farg with None -> [] | Some a -> [ ("arg", a) ])
         name;
-      (* Per-function attribution, always on: which f.* verbs a session
+      let handler = Hashtbl.find_opt functions name in
+      (* Per-function attribution, always on: which f.* functions a session
          actually exercises (and how often) — the other half of the
          top-talkers view next to per-connection delivery.  Unknown names
          stay out so a typo storm cannot burn label slots. *)
-      (* max_series must clear the full f.* vocabulary (~44 names) so no
-         legitimate verb lands in "other". *)
-      if known name then begin
+      (* max_series must clear the full f.* vocabulary (36 names) so no
+         legitimate function lands in "other". *)
+      if Option.is_some handler then begin
         Metrics.incr
           (Metrics.labeled_counter
              (Metrics.counter_family
@@ -767,41 +738,41 @@ and execute_at ~depth (ctx : Ctx.t) inv (funcs : Bindings.func_call list) =
         ctx.fn_trail <- name :: ctx.fn_trail
       end;
       let tracer = Server.tracer ctx.server in
-      if List.mem name nullary_functions then begin
-        (if Tracing.enabled tracer then Tracing.span tracer name
-         else fun f -> f ())
-        @@ (fun () -> run_nullary ctx inv name);
-        execute_at ~depth ctx inv rest
-      end
-      else if List.mem name data_arg_functions then begin
-        (if Tracing.enabled tracer then
-           Tracing.span tracer name
-             ~attrs:(match f.farg with None -> [] | Some a -> [ ("arg", a) ])
-         else fun f -> f ())
-        @@ (fun () -> run_data ~depth ctx inv name f.farg);
-        execute_at ~depth ctx inv rest
-      end
-      else if List.mem name window_functions then begin
-        match resolve_targets ctx inv f with
-        | Clients clients ->
-            (* Per-client guard: one client dying mid-list must not abort
-               the function for the remaining targets. *)
-            List.iter
-              (fun (client : Ctx.client) ->
-                (if Tracing.enabled tracer then
-                   Tracing.span tracer name
-                     ~attrs:[ ("client", client.instance) ]
-                 else fun f -> f ())
-                @@ fun () ->
-                Xguard.run ctx ~where:name (fun () -> run_on_client ctx name client))
-              clients;
-            execute_at ~depth ctx inv rest
-        | Needs_prompt ->
-            (* Park this function and the rest until a window is picked. *)
-            ctx.mode <- Ctx.Prompting (f :: rest)
-      end
-      else (* unknown function: skip it but keep going *)
-        execute_at ~depth ctx inv rest)
+      match handler with
+      | Some (On_data run) ->
+          with_arg_span tracer name f (fun () -> run ctx inv f.farg);
+          execute_at ~depth ctx inv rest
+      | Some Macro ->
+          with_arg_span tracer name f (fun () ->
+              match f.farg with
+              | Some macro_name when depth < 8 ->
+                  execute_at ~depth:(depth + 1) ctx inv
+                    (macro ctx ~screen:inv.inv_screen macro_name)
+              | Some _ | None -> ());
+          execute_at ~depth ctx inv rest
+      | Some (On_client run) -> (
+          match resolve_targets ctx inv f with
+          | Clients clients ->
+              (* Per-client guard: one client dying mid-list must not abort
+                 the function for the remaining targets. *)
+              List.iter
+                (fun (client : Ctx.client) ->
+                  (if Tracing.enabled tracer then
+                     Tracing.span tracer name
+                       ~attrs:[ ("client", client.instance) ]
+                   else fun f -> f ())
+                  @@ fun () ->
+                  Xguard.run ctx ~where:name (fun () ->
+                      Ctx.log ctx "%s on %s (win=%a)" name client.instance Xid.pp
+                        client.cwin;
+                      run ctx client))
+                clients;
+              execute_at ~depth ctx inv rest
+          | Needs_prompt ->
+              (* Park this function and the rest until a window is picked. *)
+              ctx.mode <- Ctx.Prompting (f :: rest))
+      | None -> (* unknown function: skip it but keep going *)
+          execute_at ~depth ctx inv rest)
 
 let execute ctx inv funcs = execute_at ~depth:0 ctx inv funcs
 

@@ -14,7 +14,14 @@ f.iconify(#0x1234)   iconify a particular window id
 
     A function needing a window but invoked with none (e.g. from a root
     panel button or swmcmd) puts swm into prompting mode: the next button
-    press selects the target and the pending functions run on it. *)
+    press selects the target and the pending functions run on it.
+
+    [f.query(SECTION[,ARG])] answers every introspection question
+    ([metrics], [stats], [health], [slowlog], [trace], [profile], [fate],
+    [flame], [flightdump], [waterfall], [replay]; see docs/MANUAL.md): it
+    writes the section's reply to the SWM_RESULT root property, where the
+    swmcmd sender reads it back.  A missing or unknown section, or an
+    argument the section does not take, replies [{"error":...}]. *)
 
 type invocation = {
   inv_obj : Swm_oi.Wobj.t option;  (** the object the binding fired on *)
@@ -24,11 +31,6 @@ type invocation = {
 
 val invocation :
   ?obj:Swm_oi.Wobj.t -> ?client:Ctx.client -> screen:int -> unit -> invocation
-
-val known : string -> bool
-(** Is this a recognised function name? *)
-
-val function_names : string list
 
 val execute : Ctx.t -> invocation -> Bindings.func_call list -> unit
 (** Run a function list.  If some function needs a target window and none
@@ -48,10 +50,10 @@ val resume_with_target : Ctx.t -> Ctx.client -> unit
 
 val set_replay_runner :
   (Swm_xlib.Replay.report -> Swm_xlib.Replay.outcome) -> unit
-(** Install the engine behind [f.replay].  Starting a fresh WM lives above
-    this module in the dependency order, so {!Wm} installs its
-    [Wm.replay] here at link time; [f.replay] reports an error if invoked
-    before any runner is installed. *)
+(** Install the engine behind [f.query(replay,FILE)].  Starting a fresh WM
+    lives above this module in the dependency order, so {!Wm} installs its
+    [Wm.replay] here at link time; the section replies with an error if
+    invoked before any runner is installed. *)
 
 val client_under_pointer : Ctx.t -> Ctx.client option
 

@@ -36,8 +36,13 @@ let handle_property_change (ctx : Ctx.t) ~screen =
             with
             | Some (Ok ()) | None -> ()
             | Some (Error msg) ->
-                (* A bad line must not vanish silently: count it and leave a
-                   trace breadcrumb carrying the offending text. *)
+                (* A bad line must not vanish silently.  Reply with the
+                   error, so the sender never mistakes the previous reply
+                   for this line's; count it; leave a trace breadcrumb
+                   carrying the offending text. *)
+                Server.change_property ctx.server ctx.conn root ~name:Prop.swm_result
+                  (Prop.String
+                     (Printf.sprintf "{\"error\":%s}" (Metrics.json_string msg)));
                 let metrics = Server.metrics ctx.server in
                 Metrics.incr (Metrics.counter metrics "swmcmd.errors");
                 Ctx.log ctx "swmcmd: bad line %S: %s" line msg;

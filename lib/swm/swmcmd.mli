@@ -6,9 +6,9 @@
     prompting mode (the pointer "changes to a question mark") — the next
     button press selects the target.
 
-    Introspection verbs ([f.metrics], [f.trace(dump)], [f.slowlog]) run the
-    channel in reverse: swm writes the reply to the SWM_RESULT root
-    property, which the sender reads back with {!read_result}. *)
+    [f.query(SECTION[,ARG])] runs the channel in reverse: swm writes the
+    reply to the SWM_RESULT root property, which the sender reads back with
+    {!read_result}. *)
 
 val send :
   Swm_xlib.Server.t -> Swm_xlib.Server.conn -> screen:int -> string -> unit
@@ -17,10 +17,11 @@ val send :
 
 val read_result : Swm_xlib.Server.t -> screen:int -> string option
 (** Client side: the current SWM_RESULT reply, if any — the text written by
-    the most recent introspection command swm executed. *)
+    the most recent [f.query] or failed line swm executed. *)
 
 val handle_property_change : Ctx.t -> screen:int -> unit
 (** WM side: called on PropertyNotify for SWM_COMMAND — drain and execute.
-    A line that fails to parse or execute is not silently dropped: it bumps
-    the [swmcmd.errors] counter and, when tracing is on, records a
+    A line that fails to parse, or names an unknown function, is not
+    silently dropped: it replies [{"error":msg}] on SWM_RESULT, bumps the
+    [swmcmd.errors] counter and, when tracing is on, records a
     [swmcmd.error] instant carrying the offending line. *)

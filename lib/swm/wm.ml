@@ -774,7 +774,7 @@ let autosave_tick (ctx : Ctx.t) =
             Functions.autosave ctx ~file_arg:None)
 
 (* Every [stats_interval] dispatched events, snapshot the key counters into
-   the time-series sampler so [f.stats] can report rates (events/sec,
+   the time-series sampler so [f.query(stats)] can report rates (events/sec,
    faults/sec) instead of only all-time totals. *)
 let stats_tick (ctx : Ctx.t) =
   ctx.stats_pending <- ctx.stats_pending + 1;
@@ -1298,6 +1298,6 @@ let replay_harness (report : Replay.report) server =
 
 let replay report = Replay.run report ~make:(replay_harness report)
 
-(* Give f.replay its engine (Functions sits below this module and cannot
-   start a WM itself). *)
+(* Give f.query(replay,FILE) its engine (Functions sits below this module
+   and cannot start a WM itself). *)
 let () = Functions.set_replay_runner replay

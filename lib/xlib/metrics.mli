@@ -107,7 +107,7 @@ val family_top : counter_family -> int -> (string * int) list
 val top_json : t -> ?n:int -> unit -> string
 (** Every counter family's {!family_top} (default [n = 8]) as one JSON
     object: [{family:{"key":k,"top":[{"label":l,"value":v},..]},..}] —
-    the payload behind [f.stats]'s ["top"] section. *)
+    the payload behind [f.query(stats)]'s ["top"] section. *)
 
 (** {2 Clock}
 
@@ -195,4 +195,4 @@ val rate : sampler -> string -> float
 
 val stats_json : sampler -> string
 (** [{"samples":n,"window_ns":w,"series":{name:{"value":v,
-    "rate_per_sec":r},..}}] — the payload behind [f.stats]. *)
+    "rate_per_sec":r},..}}] — the payload behind [f.query(stats)]. *)

@@ -88,9 +88,9 @@ let stop p =
 
 (* -------- GC probes -------- *)
 
-(* Armed is checked again at exit: the event that carries the f.profile(stop)
-   command disarms mid-section, and sampling it would count a dispatch whose
-   span never reached the sink (skewing coverage). *)
+(* Armed is checked again at exit: the event that carries the
+   f.query(profile,stop) command disarms mid-section, and sampling it would
+   count a dispatch whose span never reached the sink (skewing coverage). *)
 let event_section p f =
   if not p.p_armed then f ()
   else begin

@@ -53,7 +53,7 @@ val event_section : t -> (unit -> 'a) -> 'a
     words and collection counts to their counters, and accumulating the
     profiler's own dispatch wall-time total ({!dispatch_wall_ns}).  The
     armed flag is re-checked at exit so the event carrying the
-    [f.profile(stop)] command is not half-sampled. *)
+    [f.query(profile,stop)] command is not half-sampled. *)
 
 type section
 
@@ -101,7 +101,7 @@ val coverage : t -> float
 val to_json : t -> string
 (** [{"armed":b,"events":n,"dispatch_wall_ns":w,"root_total_ns":r,
      "coverage":c,"tree":{name:{"count","total_ns","self_ns",
-     "alloc_words","children":{..}},..}}] — the [f.profile(dump)]
+     "alloc_words","children":{..}},..}}] — the [f.query(profile)]
     payload. *)
 
 val to_collapsed : t -> string

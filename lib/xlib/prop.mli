@@ -79,7 +79,7 @@ val swm_places : string
 
 val swm_result : string
 (** Root-window property where swm writes the reply to an introspection
-    command ([f.metrics], [f.trace(dump)], [f.slowlog]) so the sending
+    command ([f.query(SECTION[,ARG])]) so the sending
     client can read it back — the swmcmd round-trip run in reverse. *)
 
 (** {1 Journal codec} *)

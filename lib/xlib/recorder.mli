@@ -120,7 +120,7 @@ val write_atomic : path:string -> string -> unit
 (** Write via [path ^ ".tmp"] then rename, so a crash mid-write leaves
     either the old file or the new one, never a torn mixture.  Every file
     the WM writes goes through it: crash reports, session places files and
-    the [f.flame] / [f.flightdump] / [f.waterfall] exports. *)
+    the flame, flightdump and waterfall exports of [f.query]. *)
 
 val arm_dump : t -> path:string -> unit
 (** Crash reports go to [path] (written atomically: [path.tmp] then

@@ -2,7 +2,7 @@
 
     A {e growable} ring ({!create}) backs the per-connection event queues in
     {!Server}: events are enqueued at the back, delivered from the front,
-    and the batched delivery path ({!Server.read_events}) drains a
+    and the batched delivery path ({!Server.read_events_stamped}) drains a
     contiguous run per call instead of one element at a time.  The buffer
     doubles in place when full, so steady state allocates nothing per
     event.

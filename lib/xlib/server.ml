@@ -12,9 +12,9 @@ exception Bad_access of string
    — they are plain ints, and conservation
    ([enqueued = delivered + sum of fates + pending]) must hold whether or
    not anyone is watching — while the timestamps, the bounded ring of
-   recent fate records behind [f.fate], and the [event.queue_ns{event}]
-   residency histograms are taken only while the ledger is armed
-   ({!set_ledger}, default on). *)
+   recent fate records behind [f.query(fate)], and the
+   [event.queue_ns{event}] residency histograms are taken only while the
+   ledger is armed ({!set_ledger}, default on). *)
 
 type fate =
   | Delivered
@@ -45,7 +45,7 @@ type fate_record = {
   fr_t_fate : int;
 }
 
-(* Recent-fates window behind [f.fate]: a bounded ring, so a storm costs
+(* Recent-fates window behind [f.query(fate)]: a bounded ring, so a storm costs
    one slot overwrite per event. *)
 let fate_ring_capacity = 512
 
@@ -1419,22 +1419,6 @@ let rec next_event_stamped conn =
 
 let next_event conn = Option.map fst (next_event_stamped conn)
 
-let rec peek_event conn =
-  if conn.stalled then None
-  else
-    match conn.overflow with
-  | (event, _) :: _ -> Some event
-  | [] -> (
-      match Ring.peek conn.ring with
-      | None -> None
-      | Some entry -> (
-          match events_of_entry entry with
-          | [] ->
-              ignore (Ring.pop conn.ring);
-              delivered_fate conn entry;
-              peek_event conn
-          | event :: _ -> Some event))
-
 let read_events_stamped conn ~max =
   (if Tracing.enabled conn.c_tracer then
      Tracing.span conn.c_tracer "server.deliver" ~attrs:[ ("conn", conn.cname) ]
@@ -1451,8 +1435,7 @@ let read_events_stamped conn ~max =
   (match events with [] -> () | _ -> Metrics.observe conn.m_batch (List.length events));
   events
 
-let read_events conn ~max = List.map fst (read_events_stamped conn ~max)
-let flush_batch conn = read_events conn ~max:max_int
+let flush_batch conn = List.map fst (read_events_stamped conn ~max:max_int)
 
 (* Post damage to a window: delivered as Expose to Exposure_mask
    selectors; overlapping damage coalesces in their queues. *)

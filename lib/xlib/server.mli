@@ -15,7 +15,7 @@
     enqueue time (unless disabled with {!set_coalesce}): consecutive
     MotionNotify on the same window collapse to the latest, redundant
     ConfigureNotify sequences fold to the final geometry, and overlapping
-    Expose damage merges via {!Region.union}.  {!read_events} and
+    Expose damage merges via {!Region.union}.  {!read_events_stamped} and
     {!flush_batch} drain a whole batch per call — the cheap path heavy
     clients should prefer over one-at-a-time {!next_event} polling.  A
     {!Metrics} registry ({!metrics}) counts events enqueued / coalesced /
@@ -74,9 +74,9 @@ val metrics : t -> Metrics.t
 val tracer : t -> Tracing.t
 (** The server's span tracer (disabled until {!Tracing.start}).  The
     server itself records [server.enqueue] / [server.coalesce] instants at
-    queue time and a [server.deliver] span around each {!read_events}
-    batch; every other pipeline layer (wire decode, WM dispatch, [f.*]
-    functions, redraws, pans) nests its spans into the same tracer. *)
+    queue time and a [server.deliver] span around each delivered batch;
+    every other pipeline layer (wire decode, WM dispatch, [f.*] functions,
+    redraws, pans) nests its spans into the same tracer. *)
 
 val recorder : t -> Recorder.t
 (** The server's flight recorder (disabled until {!Recorder.start}).  The
@@ -86,7 +86,7 @@ val recorder : t -> Recorder.t
 
 val profiler : t -> Profile.t
 (** The server's profiler (disarmed until {!Profile.start}, usually via
-    the [f.profile(start)] verb).  It shares this server's metrics
+    [f.query(profile,start)]).  It shares this server's metrics
     registry and tracer; while armed it samples GC deltas around every
     dispatched event and folds closed spans into an aggregated call
     tree.  The server also maintains the [events.delivered.by_conn{conn}]
@@ -215,7 +215,8 @@ val pending : conn -> int
     counts once even though it may expand to several events). *)
 
 val next_event : conn -> Event.t option
-val peek_event : conn -> Event.t option
+(** The next event, one at a time — the drain the twm-like and gwm-like
+    baselines use. *)
 
 type stamp = { seq : int; ingress_ns : int }
 (** An event's ingress identity: the fleet-wide sequence id allocated at
@@ -223,18 +224,15 @@ type stamp = { seq : int; ingress_ns : int }
     disarmed).  Every event expanded from one coalesced Damage entry
     shares that entry's stamp. *)
 
-val next_event_stamped : conn -> (Event.t * stamp) option
 val read_events_stamped : conn -> max:int -> (Event.t * stamp) list
-(** {!next_event} / {!read_events} with each event's ingress stamp — what
-    the WM drains so dispatch can measure ingress-to-effect latency and
-    tag spans, recorder entries and waterfalls with the triggering seq. *)
-
-val read_events : conn -> max:int -> Event.t list
-(** Drain up to [max] events in one call — the batched counterpart of
-    {!next_event}.  Records the batch size in [delivery.batch_size]. *)
+(** Drain up to [max] events in one call, each with its ingress stamp — the
+    batched counterpart of {!next_event}, and what the WM drains so
+    dispatch can measure ingress-to-effect latency and tag spans, recorder
+    entries and waterfalls with the triggering seq.  Records the batch size
+    in [delivery.batch_size]. *)
 
 val flush_batch : conn -> Event.t list
-(** Drain everything queued: [read_events ~max:max_int]. *)
+(** Drain everything queued, without stamps. *)
 
 val damage_window : t -> Xid.t -> Geom.rect -> unit
 (** Post an Expose with a window-interior damage rectangle to every
@@ -320,7 +318,7 @@ val faults : t -> Fault.t option
 val stalled : conn -> bool
 val set_stalled : conn -> bool -> unit
 (** Manual stall control for tests: a stalled connection enqueues
-    events but {!next_event}/{!read_events} deliver nothing.  Wakes the
+    events but nothing is delivered.  Wakes the
     connection into the health tick's active set. *)
 
 val flood_conn : t -> conn -> burst:int -> unit
@@ -443,8 +441,8 @@ val shed_count : conn -> int
      + skipped + evicted_with_conn + pending]
 
     holds at every quiescent point ({!ledger_counts}[.lc_balance = 0]),
-    checked in the test suites and exposed in [f.health].  Fate counters
-    always run; timestamps, the bounded recent-fates ring behind [f.fate]
+    checked in the test suites and exposed in [f.query(health)].  Fate counters
+    always run; timestamps, the bounded recent-fates ring behind [f.query(fate)]
     and the [event.queue_ns{event}] residency histograms are taken only
     while the ledger is armed (default on). *)
 
@@ -478,12 +476,12 @@ val ledger_skip : conn -> Event.t -> stamp -> unit
 
 val ledger_json : t -> string
 (** {!ledger_counts} as one JSON object (plus ["armed"]) — the ["ledger"]
-    section of [f.health]. *)
+    section of [f.query(health)]. *)
 
 val fate_json : t -> ?conn:string -> ?window:int -> unit -> string
 (** The retained fate records, oldest first, optionally filtered by
     connection name or window id, plus the ledger totals — the payload
-    behind [f.fate(CONN|WINDOW)]. *)
+    behind [f.query(fate,CONN|#WIN)]. *)
 
 (** {1 Replay journal}
 

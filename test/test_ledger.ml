@@ -210,7 +210,7 @@ let test_fate_json_filters () =
   check Alcotest.bool "window filter drops the motion" false
     (contains only_win "\"event\": \"MotionNotify\"")
 
-(* More events than the 512-slot fate window: f.fate's payload keeps
+(* More events than the 512-slot fate window: f.query(fate)'s payload keeps
    exactly the newest 512 records, oldest first. *)
 let test_fate_window_wraps () =
   let server, conn, _root = motion_setup () in

@@ -1,6 +1,6 @@
 (* Observability suite: the flight recorder (ring semantics, snapshots,
    crash reports), the event-loop watchdog, the time-series sampler and its
-   swmcmd verbs (f.health / f.stats / f.flightdump), the Prometheus and
+   f.query sections (health / stats / flightdump), the Prometheus and
    table metric exports, and the satellite fixes that rode along (sticky
    absolute placement, json_string / hist_quantile edge cases).
 
@@ -580,7 +580,7 @@ let test_stats_tick_samples_from_dispatch () =
   check Alcotest.bool "dispatch drove the sampler" true
     (Metrics.sample_count ctx.Ctx.sampler > before)
 
-(* -------- the swmcmd verbs -------- *)
+(* -------- the f.query sections -------- *)
 
 let reply_of server wm sender line =
   Swmcmd.send server sender ~screen:0 line;
@@ -595,7 +595,7 @@ let test_f_health () =
   ignore (Wm.step wm);
   let sender = Server.connect server ~name:"swmcmd" in
   Server.health_tick server;
-  let health = parse_ok "f.health" (reply_of server wm sender "f.health") in
+  let health = parse_ok "f.query(health)" (reply_of server wm sender "f.query(health)") in
   check
     (Alcotest.option Alcotest.string)
     "status ok" (Some "ok")
@@ -631,7 +631,7 @@ let test_f_health () =
   _ctx.Ctx.watchdog_threshold_ns <- 1;
   Swmcmd.send server sender ~screen:0 "f.refresh";
   ignore (Wm.step wm);
-  let degraded = parse_ok "f.health" (reply_of server wm sender "f.health") in
+  let degraded = parse_ok "f.query(health)" (reply_of server wm sender "f.query(health)") in
   check
     (Alcotest.option Alcotest.string)
     "status degraded after a stall" (Some "degraded")
@@ -644,8 +644,8 @@ let test_f_stats () =
   ignore (Wm.step wm);
   let sender = Server.connect server ~name:"swmcmd" in
   (* Two queries so the sampler has a window to derive rates over. *)
-  ignore (reply_of server wm sender "f.panTo(100,100)\nf.stats");
-  let stats = parse_ok "f.stats" (reply_of server wm sender "f.stats") in
+  ignore (reply_of server wm sender "f.panTo(100,100)\nf.query(stats)");
+  let stats = parse_ok "f.query(stats)" (reply_of server wm sender "f.query(stats)") in
   let sampler = member_exn "stats" "sampler" stats in
   check Alcotest.bool "at least two samples" true
     (match Json.to_int (member_exn "sampler" "samples" sampler) with
@@ -680,7 +680,7 @@ let test_f_stats () =
         (match Json.to_int (member_exn "series" "value" v) with
         | Some n -> n > 0
         | None -> false)
-  | None -> Alcotest.fail "f.stats: wm.events_dispatched missing"
+  | None -> Alcotest.fail "f.query(stats): wm.events_dispatched missing"
 
 let test_f_flightdump () =
   let path = tmp_path "flightdump.json" in
@@ -692,8 +692,8 @@ let test_f_flightdump () =
   Swmcmd.send server sender ~screen:0 "f.panTo(50,50)";
   ignore (Wm.step wm);
   let reply =
-    parse_ok "f.flightdump"
-      (reply_of server wm sender (Printf.sprintf "f.flightdump(%s)" path))
+    parse_ok "f.query(flightdump)"
+      (reply_of server wm sender (Printf.sprintf "f.query(flightdump,%s)" path))
   in
   check
     (Alcotest.option Alcotest.string)
@@ -710,7 +710,7 @@ let test_f_flightdump () =
   | _ -> Alcotest.fail "flight dump: no snapshot");
   Sys.remove path;
   (* Argument-free invocation is an error reply, not a crash. *)
-  let err = parse_ok "f.flightdump()" (reply_of server wm sender "f.flightdump") in
+  let err = parse_ok "f.query(flightdump)" (reply_of server wm sender "f.query(flightdump)") in
   check Alcotest.bool "missing argument is reported" true
     (Json.member "error" err <> None)
 
@@ -718,14 +718,14 @@ let test_f_metrics_formats () =
   let server, wm, _ctx = fixture () in
   let sender = Server.connect server ~name:"swmcmd" in
   (* JSON (bare) still works and parses. *)
-  let json = parse_ok "f.metrics" (reply_of server wm sender "f.metrics") in
+  let json = parse_ok "f.query(metrics)" (reply_of server wm sender "f.query(metrics)") in
   (match member_exn "metrics" "counters" json with
   | Json.Obj (_ :: _) -> ()
-  | _ -> Alcotest.fail "f.metrics: counters empty");
+  | _ -> Alcotest.fail "f.query(metrics): counters empty");
   (* Prometheus passes the format validator. *)
-  validate_prometheus (reply_of server wm sender "f.metrics(prometheus)");
+  validate_prometheus (reply_of server wm sender "f.query(metrics,prometheus)");
   (* Table mode mentions its section headers. *)
-  let table = reply_of server wm sender "f.metrics(table)" in
+  let table = reply_of server wm sender "f.query(metrics,table)" in
   let contains needle hay =
     let rec find i =
       i + String.length needle <= String.length hay
@@ -735,7 +735,7 @@ let test_f_metrics_formats () =
   in
   check Alcotest.bool "table has a counters section" true (contains "counters:" table);
   check Alcotest.bool "bad format is an error reply" true
-    (contains "error" (reply_of server wm sender "f.metrics(yaml)"))
+    (contains "error" (reply_of server wm sender "f.query(metrics,yaml)"))
 
 (* -------- the lifecycle ledger over swmcmd -------- *)
 
@@ -744,7 +744,7 @@ let test_f_health_ledger () =
   let _app = Stock.xterm server () in
   ignore (Wm.step wm);
   let sender = Server.connect server ~name:"swmcmd" in
-  let health = parse_ok "f.health" (reply_of server wm sender "f.health") in
+  let health = parse_ok "f.query(health)" (reply_of server wm sender "f.query(health)") in
   let ledger = member_exn "health" "ledger" health in
   let n key =
     match Json.to_int (member_exn "ledger" key ledger) with
@@ -757,18 +757,18 @@ let test_f_health_ledger () =
     | _ -> false);
   check Alcotest.bool "events entered the ledger" true (n "enqueued" > 0);
   check Alcotest.bool "deliveries accounted" true (n "delivered" > 0);
-  check Alcotest.int "fate accounting balances in f.health" 0 (n "balance")
+  check Alcotest.int "fate accounting balances in f.query(health)" 0 (n "balance")
 
 let test_f_fate () =
   let server, wm, _ctx = fixture () in
   let _app = Stock.xterm server () in
   ignore (Wm.step wm);
   let sender = Server.connect server ~name:"swmcmd" in
-  let reply = parse_ok "f.fate" (reply_of server wm sender "f.fate") in
+  let reply = parse_ok "f.query(fate)" (reply_of server wm sender "f.query(fate)") in
   let fates =
     match Json.to_list (member_exn "fate" "fates" reply) with
     | Some l -> l
-    | None -> Alcotest.fail "f.fate: fates is not a list"
+    | None -> Alcotest.fail "f.query(fate): fates is not a list"
   in
   check Alcotest.bool "fate records present" true (List.length fates > 0);
   List.iter
@@ -784,10 +784,10 @@ let test_f_fate () =
   check Alcotest.bool "records oldest-first" true (List.sort compare seqs = seqs);
   (match Json.to_int (member_exn "fate" "balance" (member_exn "fate" "ledger" reply)) with
   | Some b -> check Alcotest.int "embedded ledger balances" 0 b
-  | None -> Alcotest.fail "f.fate: ledger.balance missing");
+  | None -> Alcotest.fail "f.query(fate): ledger.balance missing");
   (* The conn filter narrows the records; a nonsense conn yields none. *)
   let none =
-    parse_ok "f.fate(ghost)" (reply_of server wm sender "f.fate(no-such-conn)")
+    parse_ok "f.query(fate,ghost)" (reply_of server wm sender "f.query(fate,no-such-conn)")
   in
   check
     (Alcotest.option (Alcotest.list Alcotest.unit))
@@ -806,8 +806,8 @@ let test_f_waterfall () =
   Swmcmd.send server sender ~screen:0 "f.panTo(100,100)";
   ignore (Wm.step wm);
   let reply =
-    parse_ok "f.waterfall"
-      (reply_of server wm sender (Printf.sprintf "f.waterfall(%s)" path))
+    parse_ok "f.query(waterfall)"
+      (reply_of server wm sender (Printf.sprintf "f.query(waterfall,%s)" path))
   in
   check
     (Alcotest.option Alcotest.string)
@@ -854,11 +854,11 @@ let test_f_waterfall () =
   check Alcotest.bool "event.e2e_ns{PropertyNotify} observed" true
     (Metrics.hist_count (Metrics.labeled_histogram e2e "PropertyNotify") > 0);
   Sys.remove path;
-  let err = parse_ok "f.waterfall()" (reply_of server wm sender "f.waterfall") in
+  let err = parse_ok "f.query(waterfall)" (reply_of server wm sender "f.query(waterfall)") in
   check Alcotest.bool "missing argument is reported" true
     (Json.member "error" err <> None)
 
-(* More dispatches than the 64-slot waterfall ring: f.waterfall writes
+(* More dispatches than the 64-slot waterfall ring: the waterfall section writes
    exactly the newest 64, oldest first. *)
 let test_f_waterfall_wraps () =
   let path = tmp_path "waterfall-wrap.json" in
@@ -868,7 +868,7 @@ let test_f_waterfall_wraps () =
     Swmcmd.send server sender ~screen:0 "f.refresh";
     ignore (Wm.step wm)
   done;
-  ignore (reply_of server wm sender (Printf.sprintf "f.waterfall(%s)" path));
+  ignore (reply_of server wm sender (Printf.sprintf "f.query(waterfall,%s)" path));
   let wf =
     parse_ok "waterfall" (In_channel.with_open_text path In_channel.input_all)
   in
@@ -889,6 +889,59 @@ let test_f_waterfall_wraps () =
     (Json.to_int (member_exn "waterfall" "events" wf));
   check Alcotest.(list int) "oldest first: seqs ascend"
     (List.sort_uniq compare seqs) seqs
+
+(* The MANUAL's "why was this slow, where did this event go" walkthrough,
+   end to end against a live WM: every answer is one f.query over swmcmd,
+   and the waterfall's seqs are the ones the fate records name. *)
+let test_query_walkthrough () =
+  let server, wm, _ctx = fixture () in
+  let app = Stock.xterm server () in
+  ignore (Wm.step wm);
+  let sender = Server.connect server ~name:"swmcmd" in
+  let query q = parse_ok q (reply_of server wm sender ("f.query(" ^ q ^ ")")) in
+  let ints key l =
+    List.filter_map (fun e -> Json.to_int (member_exn "record" key e)) l
+  in
+  let list_of what key j =
+    Option.value ~default:[] (Json.to_list (member_exn what key j))
+  in
+  ignore (query "profile,start");
+  List.iter
+    (fun line ->
+      Swmcmd.send server sender ~screen:0 line;
+      ignore (Wm.step wm))
+    [ "f.iconify(XTerm)"; "f.deiconify(XTerm)"; "f.raise(XTerm)" ];
+  ignore (query "profile,stop");
+  let health = query "health" in
+  check (Alcotest.option Alcotest.string) "1. health ok" (Some "ok")
+    (Json.to_string (member_exn "health" "status" health));
+  check (Alcotest.option Alcotest.int) "1. ledger balanced" (Some 0)
+    (Json.to_int (member_exn "ledger" "balance" (member_exn "health" "ledger" health)));
+  let win = Xid.to_int (Client_app.window app) in
+  let fates = list_of "fate" "fates" (query (Printf.sprintf "fate,#%d" win)) in
+  check Alcotest.bool "2. the window's events have fates" true (fates <> []);
+  check Alcotest.bool "2. only that window" true
+    (List.for_all (fun w -> w = win) (ints "window" fates));
+  let path = tmp_path "walkthrough-waterfall.json" in
+  ignore (query ("waterfall," ^ path));
+  let waterfall =
+    list_of "waterfall" "waterfall"
+      (parse_ok "waterfall" (In_channel.with_open_text path In_channel.input_all))
+  in
+  Sys.remove path;
+  let fate_seqs = ints "seq" (list_of "fate" "fates" (query "fate")) in
+  check Alcotest.bool "3. waterfall seqs link to fate records" true
+    (List.exists (fun seq -> List.mem seq fate_seqs) (ints "seq" waterfall));
+  let profile = query "profile" in
+  check Alcotest.bool "4. the profile tree holds the dispatches" true
+    (Json.member "wm.dispatch" (member_exn "profile" "tree" profile) <> None);
+  let path = tmp_path "walkthrough.collapsed" in
+  let flame = query ("flame," ^ path) in
+  Sys.remove path;
+  check Alcotest.bool "5. flamegraph written" true
+    (match Json.to_int (member_exn "flame" "frames" flame) with
+    | Some n -> n > 0
+    | None -> false)
 
 (* -------- sticky absolute placement (satellite a) -------- *)
 
@@ -952,6 +1005,8 @@ let suite =
       test_f_waterfall;
     Alcotest.test_case "f.waterfall keeps the newest 64" `Quick
       test_f_waterfall_wraps;
+    Alcotest.test_case "f.query walkthrough: slow and lost events" `Quick
+      test_query_walkthrough;
     Alcotest.test_case "sticky USPosition is root-absolute" `Quick
       test_sticky_usposition_is_root_absolute;
   ]

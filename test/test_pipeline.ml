@@ -177,8 +177,8 @@ let test_read_events_max () =
   for i = 1 to 10 do
     Server.warp_pointer server ~screen:0 (Geom.point i i)
   done;
-  check Alcotest.int "read_events honours max" 3
-    (List.length (Server.read_events conn ~max:3));
+  check Alcotest.int "read_events_stamped honours max" 3
+    (List.length (Server.read_events_stamped conn ~max:3));
   check Alcotest.int "rest stays queued" 7 (Server.pending conn);
   check Alcotest.int "flush drains the rest" 7
     (List.length (Server.flush_batch conn));

@@ -3,7 +3,7 @@
    the span-sink call-tree aggregation (including consistency across
    Tracing ring overwrite — the sink fires at span close, so the tree never
    depends on what the ring still holds), GC/allocation telemetry, the
-   collapsed-stack flamegraph export, and the f.profile / f.flame verbs
+   collapsed-stack flamegraph export, and the profile / flame sections of f.query
    end to end.
 
    The Prometheus output here is pushed through the same format validator
@@ -285,7 +285,7 @@ let test_gc_telemetry () =
   check Alcotest.bool "dispatch wall accumulated" true
     (Profile.dispatch_wall_ns p > 0)
 
-(* -------- f.profile / f.flame end to end -------- *)
+(* -------- f.query(profile) / f.query(flame) end to end -------- *)
 
 let fixture () =
   let server = Server.create () in
@@ -316,13 +316,13 @@ let drive_storm server wm sender =
 let test_f_profile_verbs () =
   let server, wm = fixture () in
   let sender = Server.connect server ~name:"cmd" in
-  let started = roundtrip server wm sender "f.profile(start)" in
+  let started = roundtrip server wm sender "f.query(profile,start)" in
   check Alcotest.bool "start acknowledges" true (contains started "started");
   drive_storm server wm sender;
-  ignore (roundtrip server wm sender "f.profile(stop)");
-  let dump = roundtrip server wm sender "f.profile(dump)" in
+  ignore (roundtrip server wm sender "f.query(profile,stop)");
+  let dump = roundtrip server wm sender "f.query(profile)" in
   match Json.parse dump with
-  | Error msg -> Alcotest.failf "f.profile(dump) does not parse: %s" msg
+  | Error msg -> Alcotest.failf "f.query(profile) does not parse: %s" msg
   | Ok json ->
       let int_field name =
         match Option.bind (Json.member name json) Json.to_int with
@@ -353,23 +353,23 @@ let test_f_profile_verbs () =
       check Alcotest.bool "per-event-kind dispatch attributed" true
         (Metrics.labeled_counter_value m "wm.dispatch.events" "PropertyNotify"
         > 0);
-      let stats = roundtrip server wm sender "f.stats" in
+      let stats = roundtrip server wm sender "f.query(stats)" in
       (match Json.parse stats with
       | Ok sjson ->
-          check Alcotest.bool "f.stats carries the top section" true
+          check Alcotest.bool "f.query(stats) carries the top section" true
             (Json.member "top" sjson <> None)
-      | Error msg -> Alcotest.failf "f.stats does not parse: %s" msg)
+      | Error msg -> Alcotest.failf "f.query(stats) does not parse: %s" msg)
 
 let test_f_flame () =
   let server, wm = fixture () in
   let sender = Server.connect server ~name:"cmd" in
-  ignore (roundtrip server wm sender "f.profile(start)");
+  ignore (roundtrip server wm sender "f.query(profile,start)");
   drive_storm server wm sender;
-  ignore (roundtrip server wm sender "f.profile(stop)");
+  ignore (roundtrip server wm sender "f.query(profile,stop)");
   let path = Filename.temp_file "swm-test" "-flame.txt" in
-  let reply = roundtrip server wm sender (Printf.sprintf "f.flame(%s)" path) in
+  let reply = roundtrip server wm sender (Printf.sprintf "f.query(flame,%s)" path) in
   (match Json.parse reply with
-  | Error msg -> Alcotest.failf "f.flame reply does not parse: %s" msg
+  | Error msg -> Alcotest.failf "f.query(flame) reply does not parse: %s" msg
   | Ok json ->
       check Alcotest.bool "reply names the file" true (contains reply path);
       let frames =
@@ -388,7 +388,7 @@ let test_f_flame () =
         (List.exists (fun l -> contains l "wm.dispatch") lines));
   Sys.remove path;
   (* Bad argument paths stay inside the reply channel. *)
-  let err = roundtrip server wm sender "f.flame" in
+  let err = roundtrip server wm sender "f.query(flame)" in
   check Alcotest.bool "missing path is an in-band error" true
     (contains err "error")
 

@@ -93,7 +93,7 @@ let test_chaos_session_converges () =
         (Replay.outcome_to_string outcome)
 
 let test_f_replay_verb () =
-  (* The same check over the command channel: f.replay(FILE) re-executes
+  (* The same check over the command channel: f.query(replay,FILE) re-executes
      the report in-process and replies with the outcome on SWM_RESULT. *)
   let file = Filename.temp_file "swm_replay" ".json" in
   let oc = open_out file in
@@ -102,11 +102,11 @@ let test_f_replay_verb () =
   let server = Server.create () in
   let wm = Wm.start ~resources server in
   let sender = Server.connect server ~name:"cmd" in
-  Swmcmd.send server sender ~screen:0 (Printf.sprintf "f.replay(%s)" file);
+  Swmcmd.send server sender ~screen:0 (Printf.sprintf "f.query(replay,%s)" file);
   ignore (Wm.step wm);
   Sys.remove file;
   match Swmcmd.read_result server ~screen:0 with
-  | None -> Alcotest.fail "f.replay left no SWM_RESULT reply"
+  | None -> Alcotest.fail "f.query(replay) left no SWM_RESULT reply"
   | Some reply ->
       let contains hay needle =
         let nh = String.length hay and nn = String.length needle in

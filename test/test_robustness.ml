@@ -550,7 +550,7 @@ let prop_active_tick_matches_fold =
                     (Server.create_window server c ~parent:(Server.root server ~screen:0)
                        ~geom:(Geom.rect 0 0 10 10) ()))
         | Flood (i, n) -> on i (fun server c -> Server.flood_conn server c ~burst:n)
-        | Read (i, n) -> on i (fun _ c -> ignore (Server.read_events c ~max:n))
+        | Read (i, n) -> on i (fun _ c -> ignore (Server.read_events_stamped c ~max:n))
         | Stall (i, flag) -> on i (fun _ c -> Server.set_stalled c flag)
         | Rejected i -> on i (fun _ c -> Server.note_rejected c)
         | Xerror i -> on i (fun _ c -> Server.note_conn_xerror c)

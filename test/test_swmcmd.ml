@@ -108,17 +108,65 @@ let test_bad_command_counted () =
         (List.assoc_opt "line" e.ev_attrs)
   | l -> Alcotest.failf "expected 1 swmcmd.error instant, got %d" (List.length l)
 
+let test_bad_command_replies () =
+  (* A failed line replaces the previous reply with an error naming the
+     typo, so the sender cannot mistake a stale reply for a fresh one. *)
+  let server, wm, _ctx = fixture () in
+  let sender = Server.connect server ~name:"swmcmd" in
+  let reply line =
+    Swmcmd.send server sender ~screen:0 line;
+    ignore (Wm.step wm);
+    Option.value (Swmcmd.read_result server ~screen:0) ~default:""
+  in
+  check Alcotest.bool "health replied" true
+    (Astring_contains.contains (reply "f.query(health)") "\"status\"");
+  let err = reply "f.helth" in
+  check Alcotest.bool "error reply" true
+    (String.starts_with ~prefix:"{\"error\":" err);
+  check Alcotest.bool "names the unknown function" true
+    (Astring_contains.contains err "f.helth");
+  check Alcotest.int "counted" 1
+    (Swm_xlib.Metrics.counter_value (Server.metrics server) "swmcmd.errors")
+
 (* -------- introspection: the channel run in reverse -------- *)
+
+let test_query_errors () =
+  (* A missing or unknown section, or an argument the section does not
+     take, is an in-band error; the unknown-section error lists the
+     sections.  None of them is an unknown function. *)
+  let server, wm, _ctx = fixture () in
+  let sender = Server.connect server ~name:"swmcmd" in
+  let reply line =
+    Swmcmd.send server sender ~screen:0 line;
+    ignore (Wm.step wm);
+    Option.value (Swmcmd.read_result server ~screen:0) ~default:""
+  in
+  List.iter
+    (fun line ->
+      let err = reply line in
+      check Alcotest.bool (line ^ " is an error reply") true
+        (String.starts_with ~prefix:"{\"error\":" err);
+      check Alcotest.bool (line ^ " names f.query") true
+        (Astring_contains.contains err "f.query"))
+    [ "f.query"; "f.query(nope)"; "f.query(health,now)"; "f.query(trace,dump)";
+      "f.query(flame)" ];
+  check Alcotest.bool "unknown section lists the sections" true
+    (Astring_contains.contains (reply "f.query(nope)") "metrics, stats, health");
+  check Alcotest.int "not counted as bad lines" 0
+    (Swm_xlib.Metrics.counter_value (Server.metrics server) "swmcmd.errors");
+  (* Sections are case-insensitive, like function names. *)
+  check Alcotest.bool "F.Query(Health) answers" true
+    (Astring_contains.contains (reply "F.Query(Health)") "\"status\"")
 
 let test_metrics_roundtrip () =
   let server, wm, _ctx = fixture () in
   let sender = Server.connect server ~name:"swmcmd" in
   check (Alcotest.option Alcotest.string) "no reply yet" None
     (Swmcmd.read_result server ~screen:0);
-  Swmcmd.send server sender ~screen:0 "f.metrics";
+  Swmcmd.send server sender ~screen:0 "f.query(metrics)";
   ignore (Wm.step wm);
   match Swmcmd.read_result server ~screen:0 with
-  | None -> Alcotest.fail "f.metrics left no SWM_RESULT"
+  | None -> Alcotest.fail "f.query(metrics) left no SWM_RESULT"
   | Some json ->
       check Alcotest.bool "looks like the registry dump" true
         (Astring_contains.contains json "\"counters\"")
@@ -135,13 +183,13 @@ let test_trace_roundtrip () =
     Swmcmd.send server sender ~screen:0 line;
     ignore (Wm.step wm)
   in
-  roundtrip "f.trace(start)";
+  roundtrip "f.query(trace,start)";
   roundtrip "f.panTo(300,200)";
   roundtrip "f.iconify(XTerm)";
-  roundtrip "f.trace(stop)";
-  roundtrip "f.trace(dump)";
+  roundtrip "f.query(trace,stop)";
+  roundtrip "f.query(trace)";
   match Swmcmd.read_result server ~screen:0 with
-  | None -> Alcotest.fail "f.trace(dump) left no SWM_RESULT"
+  | None -> Alcotest.fail "f.query(trace) left no SWM_RESULT"
   | Some json ->
       List.iter
         (fun span ->
@@ -158,11 +206,11 @@ let test_slowlog_roundtrip () =
     Swmcmd.send server sender ~screen:0 line;
     ignore (Wm.step wm)
   in
-  roundtrip "f.trace(start)";
+  roundtrip "f.query(trace,start)";
   roundtrip "f.refresh";
-  roundtrip "f.slowlog";
+  roundtrip "f.query(slowlog)";
   match Swmcmd.read_result server ~screen:0 with
-  | None -> Alcotest.fail "f.slowlog left no SWM_RESULT"
+  | None -> Alcotest.fail "f.query(slowlog) left no SWM_RESULT"
   | Some json ->
       check Alcotest.bool "f.refresh made the zero-threshold slow log" true
         (Astring_contains.contains json "\"name\":\"f.refresh\"")
@@ -178,6 +226,9 @@ let suite =
     Alcotest.test_case "bad commands ignored" `Quick test_bad_command_ignored;
     Alcotest.test_case "bad commands counted and traced" `Quick
       test_bad_command_counted;
+    Alcotest.test_case "bad line replies with an error" `Quick
+      test_bad_command_replies;
+    Alcotest.test_case "f.query errors" `Quick test_query_errors;
     Alcotest.test_case "f.metrics round-trip" `Quick test_metrics_roundtrip;
     Alcotest.test_case "f.trace round-trip" `Quick test_trace_roundtrip;
     Alcotest.test_case "f.slowlog round-trip" `Quick test_slowlog_roundtrip;

@@ -1,6 +1,7 @@
 (* The span tracer: nesting, exception safety, ring overwrite, the slow-op
    log, the Chrome trace-event exporter, and the one property that matters
-   most — turning tracing on must not change what the window manager does. *)
+   most — arming an observer (the tracer, the profiler, the recorder) or
+   disarming the ledger must not change what the window manager does. *)
 
 module Tracing = Swm_xlib.Tracing
 module Metrics = Swm_xlib.Metrics
@@ -328,13 +329,25 @@ let cmd_gen =
         (* the error path must be identical too *)
       ])
 
-let final_state ~traced cmds =
+(* The observers that claim to change no behaviour, each armed (or, for
+   the ledger, which ships armed, disarmed) after start-up. *)
+type observer = Tracer | Profiler | Recorder | Ledger_off
+
+(* The rendered screen, and the requests the session issued after the
+   observer was armed. *)
+let final_state ?observer cmds =
   let server = Server.create () in
   let wm = Wm.start ~resources:[ Templates.open_look ] server in
   let _xterm = Stock.xterm server ~at:(Geom.point 60 80) () in
   let _xclock = Stock.xclock server ~at:(Geom.point 600 60) () in
   ignore (Wm.step wm);
-  if traced then Tracing.start (Server.tracer server);
+  (match observer with
+  | None -> ()
+  | Some Tracer -> Tracing.start (Server.tracer server)
+  | Some Profiler -> Swm_xlib.Profile.start (Server.profiler server)
+  | Some Recorder -> Swm_xlib.Recorder.start (Server.recorder server)
+  | Some Ledger_off -> Server.set_ledger server false);
+  let requests0 = Server.request_count server in
   let sender = Server.connect server ~name:"driver" in
   List.iter
     (fun cmd ->
@@ -342,12 +355,16 @@ let final_state ~traced cmds =
       ignore (Wm.step wm))
     cmds;
   ignore (Wm.step wm);
-  Wm.render_screen wm ~screen:0
+  (Wm.render_screen wm ~screen:0, Server.request_count server - requests0)
 
-let prop_tracing_transparent =
-  QCheck2.Test.make ~name:"tracing on/off reaches identical WM state" ~count:30
+let prop_observers_transparent =
+  QCheck2.Test.make ~name:"observers on/off reach identical WM state" ~count:30
     QCheck2.Gen.(list_size (int_range 1 25) cmd_gen)
-    (fun cmds -> String.equal (final_state ~traced:false cmds) (final_state ~traced:true cmds))
+    (fun cmds ->
+      let plain = final_state cmds in
+      List.for_all
+        (fun observer -> final_state ~observer cmds = plain)
+        [ Tracer; Profiler; Recorder; Ledger_off ])
 
 let suite =
   [
@@ -369,5 +386,5 @@ let suite =
     Alcotest.test_case "hist_quantile estimates" `Quick test_hist_quantile;
     Alcotest.test_case "metrics JSON has quantiles" `Quick
       test_metrics_json_has_quantiles;
-    QCheck_alcotest.to_alcotest prop_tracing_transparent;
+    QCheck_alcotest.to_alcotest prop_observers_transparent;
   ]
