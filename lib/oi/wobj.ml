@@ -3,6 +3,7 @@ module Geom = Swm_xlib.Geom
 module Xid = Swm_xlib.Xid
 module Event = Swm_xlib.Event
 module Region = Swm_xlib.Region
+module Xrdb = Swm_xrdb.Xrdb
 
 type kind = Panel | Button | Text | Menu
 
@@ -24,16 +25,28 @@ type toolkit = {
   screen : int;
   query : names:string list -> classes:string list -> string option;
   registry : t Xid.Tbl.t;
+  records : (kind * string, record) Hashtbl.t;
+      (* the classes made since [records_generation] *)
+  mutable records_generation : int;
+  mutable record_hits : int;
   char_w : int;
   char_h : int;
   pad : int;
+}
+
+(* The attribute answers of one class, (kind, name), shared by its objects:
+   [query]'s answers, [None] included, as of database [generation]. *)
+and record = {
+  mutable generation : int;
+  answers : (string, string option) Hashtbl.t;
 }
 
 and t = {
   tk : toolkit;
   obj_kind : kind;
   obj_name : string;
-  overrides : (string, string) Hashtbl.t;
+  record : record;
+  mutable overrides : (string * string) list;
   mutable obj_label : string;
   mutable obj_parent : t option;
   mutable obj_children : (t * Geom.spec) list;
@@ -50,6 +63,9 @@ let create_toolkit ~server ~conn ~screen ~query =
     screen;
     query;
     registry = Xid.Tbl.create 64;
+    records = Hashtbl.create 16;
+    records_generation = Xrdb.generation ();
+    record_hits = 0;
     char_w = 8;
     char_h = 16;
     pad = 4;
@@ -68,12 +84,31 @@ let find_objects_by_name tk name =
     (fun _ obj acc -> if String.equal obj.obj_name name then obj :: acc else acc)
     tk.registry []
 
+let records tk = Hashtbl.length tk.records
+let record_hits tk = tk.record_hits
+
+(* A database write drops every record from the table; objects made before
+   it keep theirs, and [attr] refills it on its next read. *)
+let class_record tk kind name =
+  let generation = Xrdb.generation () in
+  if tk.records_generation <> generation then begin
+    Hashtbl.reset tk.records;
+    tk.records_generation <- generation
+  end;
+  match Hashtbl.find_opt tk.records (kind, name) with
+  | Some record -> record
+  | None ->
+      let record = { generation; answers = Hashtbl.create 8 } in
+      Hashtbl.add tk.records (kind, name) record;
+      record
+
 let make tk obj_kind ~name =
   {
     tk;
     obj_kind;
     obj_name = name;
-    overrides = Hashtbl.create 4;
+    record = class_record tk obj_kind name;
+    overrides = [];
     obj_label = (match obj_kind with Button | Text -> name | Panel | Menu -> "");
     obj_parent = None;
     obj_children = [];
@@ -123,15 +158,31 @@ let rec find_descendant obj ~name =
 
 let capitalize = String.capitalize_ascii
 
-let set_attr obj key value = Hashtbl.replace obj.overrides key value
+let set_attr obj key value =
+  obj.overrides <- (key, value) :: List.remove_assoc key obj.overrides
 
 let attr obj key =
-  match Hashtbl.find_opt obj.overrides key with
-  | Some v -> Some v
-  | None ->
-      obj.tk.query
-        ~names:[ kind_name obj.obj_kind; obj.obj_name; key ]
-        ~classes:[ kind_class obj.obj_kind; capitalize obj.obj_name; capitalize key ]
+  match List.assoc_opt key obj.overrides with
+  | Some _ as v -> v
+  | None -> (
+      let record = obj.record and generation = Xrdb.generation () in
+      if record.generation <> generation then begin
+        Hashtbl.clear record.answers;
+        record.generation <- generation
+      end;
+      match Hashtbl.find record.answers key with
+      | answer ->
+          obj.tk.record_hits <- obj.tk.record_hits + 1;
+          answer
+      | exception Not_found ->
+          let answer =
+            obj.tk.query
+              ~names:[ kind_name obj.obj_kind; obj.obj_name; key ]
+              ~classes:
+                [ kind_class obj.obj_kind; capitalize obj.obj_name; capitalize key ]
+          in
+          Hashtbl.add record.answers key answer;
+          answer)
 
 let attr_bool obj key ~default =
   Option.value ~default (Option.bind (attr obj key) Swm_xrdb.Xrdb.parse_bool)
@@ -333,11 +384,13 @@ let apply_shape obj =
 let rec realize ?(override_redirect = false) obj ~parent_window ~at =
   let tk = obj.tk in
   (* Buttons may carry a bitmap image attribute instead of text: a stock
-     bitmap renders as character art; unknown names show bracketed. *)
+     bitmap renders as character art; unknown names show bracketed.  Only
+     a default label gives way, the name string itself: a label set before
+     realization stays even when it reads the same as the name. *)
   (match obj.obj_kind with
   | Button | Text -> (
       match attr obj "image" with
-      | Some image when String.equal obj.obj_label obj.obj_name -> (
+      | Some image when obj.obj_label == obj.obj_name -> (
           match Swm_xlib.Bitmap.find image with
           | Some _ -> obj.obj_label <- ""
           | None -> obj.obj_label <- "[" ^ image ^ "]")

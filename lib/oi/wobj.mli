@@ -32,7 +32,10 @@ val create_toolkit :
   toolkit
 (** [query] resolves an attribute path (names/classes *below* whatever
     application- and screen-level prefix the WM established) against the
-    resource database. *)
+    resource database.  It must answer from resource databases only: the
+    toolkit keeps its answers, per object class, until the next write to
+    any database ({!Swm_xrdb.Xrdb.generation}), so an answer that depends
+    on anything else goes stale. *)
 
 val toolkit_server : toolkit -> Swm_xlib.Server.t
 val toolkit_conn : toolkit -> Swm_xlib.Server.conn
@@ -78,7 +81,18 @@ val set_attr : t -> string -> string -> unit
 
 val attr : t -> string -> string option
 (** [attr obj "bindings"] — local overrides first, then the resource
-    database under path [<kind>.<name>.<attr>]. *)
+    database under path [<kind>.<name>.<attr>].  The database answer comes
+    from the attribute record of the object's class, (kind, name), which
+    every object of that class shares; the toolkit's [query] runs only for
+    an attribute the record does not hold yet, or when a database has been
+    written since the record was filled. *)
+
+val records : toolkit -> int
+(** Attribute records the toolkit holds: one per class made since the last
+    database write. *)
+
+val record_hits : toolkit -> int
+(** {!attr} reads answered from a record, without calling [query]. *)
 
 val attr_bool : t -> string -> default:bool -> bool
 

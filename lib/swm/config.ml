@@ -41,9 +41,13 @@ type client_scope = {
    components in swm's syntax (swm.color.screen0.XClock.xclock.decoration),
    so the query carries two client levels — one matchable by class, one by
    instance name.  [shaped] and [sticky] state components are inserted
-   before them when applicable, so decorations can depend on those states. *)
+   before them when applicable, so decorations can depend on those states.
+   An instance no entry mentions asks as [""] instead, which gives the same
+   answer (see [Xrdb.mentions]) under one memo key for every such
+   instance. *)
 let query_client t ~screen scope resource =
   let pn, pc = t.prefixes.(screen) in
+  let instance = if Xrdb.mentions t.db scope.instance then scope.instance else "" in
   let state_names, state_classes =
     List.split
       (List.filter_map
@@ -51,7 +55,7 @@ let query_client t ~screen scope resource =
          [ (scope.shaped, "shaped"); (scope.sticky, "sticky") ])
   in
   let names =
-    pn @ state_names @ [ scope.instance; scope.instance; resource ]
+    pn @ state_names @ [ instance; instance; resource ]
   and classes =
     pc @ state_classes @ [ scope.class_; scope.class_; capitalize resource ]
   in

@@ -41,7 +41,12 @@ val query_client : t -> screen:int -> client_scope -> string -> string option
 (** Specific resource for one client, e.g.
     [query_client t ~screen scope "decoration"].  Falls back to matching
     non-specific entries per ordinary Xrm precedence (a
-    [swm*decoration: foo] entry matches any client). *)
+    [swm*decoration: foo] entry matches any client).
+
+    An instance name that no entry of the database mentions
+    ({!Swm_xrdb.Xrdb.mentions}) is queried as [""]: no component can equal
+    [""], so the answer is the one the real name gets, and every unknown
+    instance of one class shares one memo entry instead of scanning. *)
 
 val query_client_bool :
   t -> screen:int -> client_scope -> string -> default:bool -> bool

@@ -212,11 +212,17 @@ let remove_client ctx client =
 let clients_of_class ctx class_ =
   List.filter (fun c -> String.equal c.class_ class_) (all_clients ctx)
 
+(* f.setBindings texts arrive over swmcmd, so the key space is unbounded:
+   the cache is emptied when full, as the resource memo is. *)
+let binding_cache_capacity = 256
+
 let parsed_bindings ctx src =
   match Hashtbl.find_opt ctx.binding_cache src with
   | Some bs -> bs
   | None ->
       let bs = match Bindings.parse src with Ok bs -> bs | Error _ -> [] in
+      if Hashtbl.length ctx.binding_cache >= binding_cache_capacity then
+        Hashtbl.reset ctx.binding_cache;
       Hashtbl.replace ctx.binding_cache src bs;
       bs
 

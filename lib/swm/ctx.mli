@@ -255,7 +255,11 @@ val all_clients : t -> client list
 (** In unspecified order. *)
 
 val parsed_bindings : t -> string -> Bindings.binding list
-(** Parse-and-cache a bindings resource value; malformed text yields []. *)
+(** Parse-and-cache a bindings resource value; malformed text yields [].
+    The cache ([binding_cache]) is emptied when it holds
+    {!binding_cache_capacity} texts. *)
+
+val binding_cache_capacity : int
 
 val object_bindings : t -> Swm_oi.Wobj.t -> Bindings.binding list
 (** The bindings attribute of an OI object, parsed. *)

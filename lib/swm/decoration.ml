@@ -109,6 +109,11 @@ let build (ctx : Ctx.t) (client : Ctx.client) ~at =
           (match client_panel with
           | Some panel -> Wobj.set_external_size panel (Some (cgeom.w, cgeom.h))
           | None -> ());
+          (* Titled before it is realized, the frame is created at its
+             final size. *)
+          (match Wobj.find_descendant deco ~name:"name" with
+          | Some name_obj -> Wobj.set_label name_obj client.wm_name
+          | None -> ());
           Wobj.realize deco ~parent_window:parent ~at;
           let frame = Wobj.window deco in
           client.deco <- Some deco;
@@ -132,9 +137,6 @@ let build (ctx : Ctx.t) (client : Ctx.client) ~at =
               Server.reparent_window ctx.server ctx.conn client.cwin ~new_parent:frame
                 ~pos:(Geom.point 0 0);
               Server.add_to_save_set ctx.server ctx.conn client.cwin);
-          (match Wobj.find_descendant deco ~name:"name" with
-          | Some name_obj -> Wobj.set_label name_obj client.wm_name
-          | None -> ());
           if Wobj.attr_bool deco "resizeCorners" ~default:false then
             attach_corners ctx client;
           propagate_shape ctx client;

@@ -358,25 +358,31 @@ let waterfall_json (ctx : Ctx.t) =
 (* The time-series payload: the sampler's retained window plus the derived
    rates.  A sample is taken first so the window always extends to the
    moment of the query, even when the event loop has been idle.  The xrdb
-   section gives the resource-DB memo hit rate as 1 - scans/queries. *)
+   section gives the resource-DB memo hit rate as 1 - scans/queries, and the
+   toolkits' attribute records: classes held, and reads they answered
+   without a query. *)
 let stats_json (ctx : Ctx.t) =
   Metrics.sample ctx.sampler;
   let rate = Metrics.rate ctx.sampler in
   let enqueued = rate "events.enqueued" in
   let coalesced = rate "events.coalesced" in
   let db = Config.db ctx.cfg in
+  let sum f =
+    Array.fold_left (fun n (scr : Ctx.screen_state) -> n + f scr.tk) 0 ctx.screens
+  in
   Printf.sprintf
     "{\"sampler\":%s,\"derived\":{\"events_per_sec\":%.3f,\
      \"dispatch_per_sec\":%.3f,\"coalesce_ratio\":%.4f,\
      \"faults_per_sec\":%.3f},\"xrdb\":{\"entries\":%d,\"queries\":%d,\
-     \"scans\":%d,\"memo\":{\"size\":%d,\"capacity\":%d}},\"top\":%s}"
+     \"scans\":%d,\"memo\":{\"size\":%d,\"capacity\":%d},\
+     \"records\":{\"classes\":%d,\"hits\":%d}},\"top\":%s}"
     (Metrics.stats_json ctx.sampler)
     enqueued
     (rate "wm.events_dispatched")
     (if enqueued > 0. then coalesced /. enqueued else 0.)
     (rate "faults.injected")
     (Xrdb.size db) (Xrdb.queries db) (Xrdb.scans db) (Xrdb.memo_size db)
-    Xrdb.memo_capacity
+    Xrdb.memo_capacity (sum Wobj.records) (sum Wobj.record_hits)
     (Metrics.top_json (Server.metrics ctx.server) ())
 
 (* A section that takes no argument. *)

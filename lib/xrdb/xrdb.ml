@@ -7,6 +7,7 @@ module Memo = Hashtbl.Make (String)
 type t = {
   mutable items : (key * string) list;
   memo : string option Memo.t;
+  mutable mentioned : unit Memo.t option;
   key_buf : Buffer.t;
   mutable queries : int;
   mutable scans : int;
@@ -15,14 +16,21 @@ type t = {
    resolves by Xrm precedence.  [memo] holds the answers of earlier scans,
    [None] included, keyed by [memo_key].  It is emptied by every change to
    [items] and when it reaches [memo_capacity]: client instance names and
-   swmcmd-supplied menu and function names make the key space unbounded. *)
+   swmcmd-supplied menu and function names make the key space unbounded.
+   [mentioned] is every [Name] component of [items], dropped by every change
+   and rebuilt by the next [mentions]. *)
 
 let memo_capacity = 512
+
+(* Bumped by every change to any database's entries. *)
+let generation_counter = ref 0
+let generation () = !generation_counter
 
 let create () =
   {
     items = [];
     memo = Memo.create 64;
+    mentioned = None;
     key_buf = Buffer.create 64;
     queries = 0;
     scans = 0;
@@ -94,18 +102,22 @@ let key_to_string key =
     key;
   Buffer.contents buf
 
+(* Every change to [items] goes through here. *)
+let set_items db items =
+  db.items <- items;
+  Memo.clear db.memo;
+  db.mentioned <- None;
+  incr generation_counter
+
 let put_key db key value =
-  db.items <- (key, value) :: List.filter (fun (k, _) -> k <> key) db.items;
-  Memo.clear db.memo
+  set_items db ((key, value) :: List.filter (fun (k, _) -> k <> key) db.items)
 
 let put db spec value =
   match parse_key spec with
   | Ok key -> put_key db key value
   | Error msg -> invalid_arg ("Xrdb.put: " ^ msg)
 
-let remove db key =
-  db.items <- List.filter (fun (k, _) -> k <> key) db.items;
-  Memo.clear db.memo
+let remove db key = set_items db (List.filter (fun (k, _) -> k <> key) db.items)
 
 let merge ~into db = List.iter (fun (k, v) -> put_key into k v) (List.rev db.items)
 let entries db = db.items
@@ -415,6 +427,23 @@ let query db ~names ~classes =
 let queries db = db.queries
 let scans db = db.scans
 let memo_size db = Memo.length db.memo
+
+let mentions db name =
+  let names =
+    match db.mentioned with
+    | Some names -> names
+    | None ->
+        let names = Memo.create 64 in
+        List.iter
+          (fun (key, _) ->
+            List.iter
+              (function _, Name s -> Memo.replace names s () | _, Single_wild -> ())
+              key)
+          db.items;
+        db.mentioned <- Some names;
+        names
+  in
+  Memo.mem names name
 
 let parse_bool v =
   match String.lowercase_ascii (String.trim v) with

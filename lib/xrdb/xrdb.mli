@@ -110,6 +110,21 @@ val scans : t -> int
 val memo_size : t -> int
 (** Answers in the memo now. *)
 
+val generation : unit -> int
+(** One counter for the whole process, bumped by every change to the
+    entries of any database ({!put}, {!put_key}, {!load_string},
+    {!merge}, {!remove}; {!copy} and {!create} change none).  A cache of
+    answers taken at one generation stays valid while [generation ()]
+    returns the same number. *)
+
+val mentions : t -> string -> bool
+(** [mentions db s]: some entry of [db] has a component named [s].  It
+    over-approximates "some entry can match [s] at a given level": the
+    component may sit at any level.  So when it is [false], replacing [s]
+    by [""] in a query's names changes no answer, because no component is
+    empty.  The name set is built on the first call after a change and
+    kept until the next one; a {!copy} builds its own. *)
+
 val parse_bool : string -> bool option
 (** Recognises true/false, yes/no, on/off, 1/0 (case-insensitive, blanks
     trimmed); anything else is [None]. *)

@@ -162,9 +162,9 @@ let test_include_template_by_name () =
   check (Alcotest.option Alcotest.string) "COLOR defined" (Some "yes")
     (Config.query1 ctx.Swm_core.Ctx.cfg ~screen:0 "colorful")
 
-let test_manage_scans () =
-  (* After the first manage the memo answers every resource query of a
-     manage except the client-specific ones, whose instance is new. *)
+(* Resource queries and scans of each of 20 manages, each of a new
+   instance of one class, after a first manage of that class. *)
+let manage_costs () =
   let module Wm = Swm_core.Wm in
   let module Client_app = Swm_clients.Client_app in
   let server = Server.create () in
@@ -181,12 +181,212 @@ let test_manage_scans () =
     ignore (Wm.step wm)
   in
   manage 0;
-  for i = 1 to 20 do
-    let before = Xrdb.scans db in
-    manage i;
-    let scans = Xrdb.scans db - before in
-    if scans > 2 then Alcotest.failf "manage %d ran %d scans" i scans
-  done
+  List.init 20 (fun i ->
+      let queries = Xrdb.queries db and scans = Xrdb.scans db in
+      manage (i + 1);
+      (Xrdb.queries db - queries, Xrdb.scans db - scans))
+
+let test_manage_scans () =
+  (* After the first manage the memo answers every resource query of a
+     manage but at most the two client-specific ones. *)
+  List.iteri
+    (fun i (_, scans) ->
+      if scans > 2 then Alcotest.failf "manage %d ran %d scans" (i + 1) scans)
+    (manage_costs ())
+
+let test_manage_queries () =
+  (* The decoration's attributes come from its class records, and a new
+     instance the database does not mention shares its class's memo
+     entries: a manage asks for its decoration name, its stickiness and
+     two panel definitions, and none of them scans. *)
+  List.iteri
+    (fun i (queries, scans) ->
+      if queries > 4 || scans > 0 then
+        Alcotest.failf "manage %d asked %d queries and ran %d scans" (i + 1) queries
+          scans)
+    (manage_costs ())
+
+(* -------- resolved once against resolved afresh -------- *)
+
+(* Differential property: the toolkit's attribute records and the instance
+   normalisation change no outcome.  A random session of manages (shaped
+   and sticky ones included), retitles, resizes and database writes runs
+   twice: as generated, and with a write that no query can match (an entry
+   under another application name) before every operation.  That write
+   drops every record and empties the memo, so each read of the second run
+   resolves afresh.  Both runs must reach the same window tree, the same
+   attribute answers and the same request count, and those answers must
+   be what a scan of the final database gives. *)
+module Wm = Swm_core.Wm
+module Ctx = Swm_core.Ctx
+module Wobj = Swm_oi.Wobj
+module Client_app = Swm_clients.Client_app
+module Geom = Swm_xlib.Geom
+module Region = Swm_xlib.Region
+
+type session_op =
+  | Manage of int * int * bool  (* instance, class, shaped *)
+  | Retitle of int * int  (* client, title *)
+  | Resize of int * int * int  (* client, width, height *)
+  | Write of int  (* an entry of [session_writes] *)
+
+let session_instances = [| "ed"; "mail"; "clock"; "term"; "calc" |]
+let session_classes = [| "Ed"; "Mail"; "XClock" |]
+let session_titles = [| "x"; "a longer title"; "name"; "" |]
+
+let session_resources =
+  [
+    Swm_core.Templates.open_look;
+    "swm*virtualDesktop: False\nswm*rootPanels:\n\
+     Swm*panel.plain: button name +0+0 panel client +0+1\n\
+     swm*clock*sticky: True\n";
+  ]
+
+(* Decoration redefinitions, attribute edits, and entries naming instances
+   that later manages use. *)
+let session_writes =
+  [|
+    ("swm*panel.openLook", "button pulldown +0+0 button name +C+0 panel client +0+1");
+    ("swm*panel.openLook", "button name +0+0 button nail -0+0 panel client +0+1");
+    ("swm*decoration", "plain");
+    ("swm*decoration", "openLook");
+    ("swm*button.name.width", "120");
+    ("swm*button.name.width", "30");
+    ("swm*button.nail.image", "mail");
+    ("swm*button.name.image", "xlogo32");
+    ("swm*panel.openLook.shape", "True");
+    ("swm*panel.plain.shape", "True");
+    ("swm*button.name.bindings", "<Btn1> : f.lower");
+    ("swm*term.decoration", "plain");
+    ("swm*mail*sticky", "True");
+    ("swm*calc.decoration", "none");
+    ("swm*Ed*decoration", "plain");
+    ("swm*sticky*decoration", "plain");
+    ("swm*shaped*decoration", "plain");
+  |]
+
+let session_attrs = [ "width"; "image"; "shape"; "shapeMask"; "bindings"; "background" ]
+
+let show_session_op = function
+  | Manage (i, c, shaped) ->
+      Printf.sprintf "manage %s/%s%s" session_instances.(i) session_classes.(c)
+        (if shaped then " shaped" else "")
+  | Retitle (k, t) -> Printf.sprintf "retitle %d %S" k session_titles.(t)
+  | Resize (k, w, h) -> Printf.sprintf "resize %d %dx%d" k w h
+  | Write j ->
+      let spec, value = session_writes.(j) in
+      Printf.sprintf "write %s: %s" spec value
+
+let session_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 3,
+          map3
+            (fun i c shaped -> Manage (i, c, shaped))
+            (int_bound (Array.length session_instances - 1))
+            (int_bound (Array.length session_classes - 1))
+            (frequency [ (1, return true); (3, return false) ]) );
+        ( 2,
+          map2 (fun k t -> Retitle (k, t)) (int_bound 7)
+            (int_bound (Array.length session_titles - 1)) );
+        ( 1,
+          map3
+            (fun k w h -> Resize (k, w, h))
+            (int_bound 7) (int_range 40 400) (int_range 40 300) );
+        (3, map (fun j -> Write j) (int_bound (Array.length session_writes - 1)));
+      ])
+
+(* The window tree under [win], children bottom-to-top: geometry, border,
+   map state, label, character art and shape of every window. *)
+let rec window_tree server win =
+  let g = Server.geometry server win in
+  Printf.sprintf "(%d,%d %dx%d b%d %b %S [%s] {%s} %s)" g.x g.y g.w g.h
+    (Server.border_width server win) (Server.is_mapped server win)
+    (Option.value ~default:"-" (Server.label_of server win))
+    (String.concat "/" (Option.value ~default:[] (Server.art_of server win)))
+    (match Server.shape_get server win with
+    | Some region ->
+        String.concat ";"
+          (List.map
+             (fun (r : Geom.rect) -> Printf.sprintf "%d,%d,%d,%d" r.x r.y r.w r.h)
+             (Region.rects region))
+    | None -> "-")
+    (String.concat " " (List.map (window_tree server) (Server.children_of server win)))
+
+(* Each attribute of each object of a tree, as [read] answers it. *)
+let rec object_attrs read obj =
+  List.map (fun a -> Option.value ~default:"-" (read obj a)) session_attrs
+  @ List.concat_map (object_attrs read) (Wobj.children obj)
+
+(* [unmatched] is the write made before every operation, or none. *)
+let run_session ~unmatched ops =
+  let server = Server.create () in
+  let wm = Wm.start ~resources:session_resources server in
+  let ctx = Wm.ctx wm in
+  let db = Config.db ctx.Ctx.cfg in
+  let writes = ref 0 in
+  let before_op () =
+    if unmatched then begin
+      incr writes;
+      Xrdb.put db (Printf.sprintf "otherApp.unmatched%d" !writes) "1"
+    end
+  in
+  let apps = ref [||] in
+  let nth k = !apps.(k mod Array.length !apps) in
+  List.iter
+    (fun op ->
+      before_op ();
+      (match op with
+      | Manage (i, c, shaped) ->
+          let geom = Geom.rect 40 40 200 120 in
+          let app =
+            Client_app.launch server
+              (Client_app.spec ~instance:session_instances.(i)
+                 ~class_:session_classes.(c) ~us_position:true geom)
+          in
+          if shaped then
+            Server.shape_set server (Client_app.conn app) (Client_app.window app)
+              (Region.disc ~cx:100 ~cy:60 ~r:60);
+          apps := Array.append !apps [| app |]
+      | Retitle (k, t) when !apps <> [||] ->
+          Client_app.set_name (nth k) session_titles.(t)
+      | Resize (k, w, h) when !apps <> [||] -> Client_app.resize_self (nth k) (w, h)
+      | Retitle _ | Resize _ -> ()
+      | Write j ->
+          let spec, value = session_writes.(j) in
+          Xrdb.put db spec value);
+      ignore (Wm.step wm))
+    ops;
+  before_op ();
+  let attrs read =
+    Array.to_list !apps
+    |> List.concat_map (fun app ->
+           match Wm.find_client wm (Client_app.window app) with
+           | Some { Ctx.deco = Some deco; _ } -> object_attrs read deco
+           | Some _ | None -> [ "undecorated" ])
+  in
+  (* A copy's memo starts empty, so every answer of [fresh] is a scan. *)
+  let fresh = Config.create (Xrdb.copy db) server in
+  let scanned obj a =
+    let kind = Wobj.kind obj and name = Wobj.name obj in
+    Config.object_query fresh ~screen:0
+      ~names:[ Wobj.kind_name kind; name; a ]
+      ~classes:
+        [ Wobj.kind_class kind; String.capitalize_ascii name; String.capitalize_ascii a ]
+  in
+  ( window_tree server (Server.root server ~screen:0),
+    (attrs Wobj.attr, attrs scanned),
+    Server.request_count server )
+
+let prop_records_match_fresh =
+  QCheck2.Test.make ~name:"records and normalisation match fresh resolution"
+    ~count:150
+    ~print:(fun ops -> String.concat "; " (List.map show_session_op ops))
+    QCheck2.Gen.(list_size (int_range 1 20) session_op_gen)
+    (fun ops ->
+      let ((_, (answers, scanned), _) as cached) = run_session ~unmatched:false ops in
+      answers = scanned && cached = run_session ~unmatched:true ops)
 
 let suite =
   [
@@ -203,4 +403,7 @@ let suite =
     Alcotest.test_case "panel definitions" `Quick test_panel_definition;
     Alcotest.test_case "shipped templates parse" `Quick test_templates_load;
     Alcotest.test_case "a manage scans at most twice" `Quick test_manage_scans;
+    Alcotest.test_case "a known class's manage asks 4 queries, no scans" `Quick
+      test_manage_queries;
+    QCheck_alcotest.to_alcotest prop_records_match_fresh;
   ]

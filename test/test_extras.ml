@@ -139,6 +139,33 @@ let test_dynamic_bindings () =
   check Alcotest.bool "new binding fired" true (client.Ctx.state = Prop.Iconic);
   check Alcotest.bool "old binding gone (not sticky)" false client.Ctx.sticky
 
+(* Each distinct bindings text is parsed once and cached; texts set over
+   swmcmd are unbounded, so the cache must stay within its capacity while
+   the newest binding still runs. *)
+let test_binding_cache_bounded () =
+  let server, wm, ctx = plain_fixture () in
+  let app = Stock.xterm server () in
+  ignore (Wm.step wm);
+  let client = client_of wm app in
+  let nail =
+    Option.get (Wobj.find_descendant (Option.get client.Ctx.deco) ~name:"nail")
+  in
+  let abs = Server.root_geometry server (Wobj.window nail) in
+  Server.warp_pointer server ~screen:0 (Geom.point (abs.x + 2) (abs.y + 2));
+  ignore (Wm.step wm);
+  for i = 1 to 1_000 do
+    run ctx (Printf.sprintf "f.setBindings(nail,<Btn1> : f.exec(cmd%d))" i);
+    Server.press_button server 1;
+    ignore (Wm.step wm);
+    Server.release_button server 1;
+    ignore (Wm.step wm);
+    if Hashtbl.length ctx.Ctx.binding_cache > Ctx.binding_cache_capacity then
+      Alcotest.failf "binding cache holds %d texts after %d, capacity %d"
+        (Hashtbl.length ctx.Ctx.binding_cache) i Ctx.binding_cache_capacity
+  done;
+  check (Alcotest.option Alcotest.string) "the last binding ran" (Some "cmd1000")
+    (List.nth_opt ctx.Ctx.executed 0)
+
 (* -------- extra functions -------- *)
 
 let test_raiselower () =
@@ -539,6 +566,8 @@ let suite =
     Alcotest.test_case "thumb follows f.panTo" `Quick test_thumb_follows_function_pan;
     Alcotest.test_case "f.setLabel dynamic appearance" `Quick test_dynamic_label;
     Alcotest.test_case "f.setBindings dynamic behaviour" `Quick test_dynamic_bindings;
+    Alcotest.test_case "f.setBindings cache stays bounded" `Quick
+      test_binding_cache_bounded;
     Alcotest.test_case "f.raiseLower" `Quick test_raiselower;
     Alcotest.test_case "f.circulateUp cycles" `Quick test_circulate;
     Alcotest.test_case "f.warpTo" `Quick test_warpto;

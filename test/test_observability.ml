@@ -658,8 +658,9 @@ let test_f_stats () =
       | Some v -> check Alcotest.bool (key ^ " finite and non-negative") true (v >= 0.)
       | None -> Alcotest.failf "derived.%s is not a number" key)
     [ "events_per_sec"; "dispatch_per_sec"; "coalesce_ratio"; "faults_per_sec" ];
-  (* The resource-DB section: the WM has queried, and the memo answered
-     some of those queries without a scan. *)
+  (* The resource-DB section: the WM has queried, and the decoration's
+     repeated attribute reads were answered from its class records, with
+     neither a query nor a scan. *)
   let xrdb = member_exn "stats" "xrdb" stats in
   let int_of section key v =
     match Json.to_int (member_exn section key v) with
@@ -667,8 +668,11 @@ let test_f_stats () =
     | None -> Alcotest.failf "%s.%s is not an integer" section key
   in
   check Alcotest.bool "xrdb entries loaded" true (int_of "xrdb" "entries" xrdb > 0);
-  check Alcotest.bool "fewer scans than queries" true
-    (int_of "xrdb" "scans" xrdb < int_of "xrdb" "queries" xrdb);
+  let records = member_exn "xrdb" "records" xrdb in
+  check Alcotest.bool "attribute records held" true
+    (int_of "records" "classes" records > 0);
+  check Alcotest.bool "repeated reads answered from the records" true
+    (int_of "records" "hits" records > 0);
   let memo = member_exn "xrdb" "memo" xrdb in
   check Alcotest.bool "memo within its capacity" true
     (int_of "memo" "size" memo <= int_of "memo" "capacity" memo);
@@ -993,17 +997,17 @@ let suite =
     Alcotest.test_case "sampler windows and rates" `Quick test_sampler_rates;
     Alcotest.test_case "dispatch drives the sampler" `Quick
       test_stats_tick_samples_from_dispatch;
-    Alcotest.test_case "f.health" `Quick test_f_health;
-    Alcotest.test_case "f.stats" `Quick test_f_stats;
-    Alcotest.test_case "f.flightdump" `Quick test_f_flightdump;
-    Alcotest.test_case "f.metrics formats" `Quick test_f_metrics_formats;
+    Alcotest.test_case "f.query(health)" `Quick test_f_health;
+    Alcotest.test_case "f.query(stats)" `Quick test_f_stats;
+    Alcotest.test_case "f.query(flightdump)" `Quick test_f_flightdump;
+    Alcotest.test_case "f.query(metrics) formats" `Quick test_f_metrics_formats;
     Alcotest.test_case "p999 in json and table exports" `Quick test_p999_emitted;
-    Alcotest.test_case "f.health embeds a balanced ledger" `Quick
+    Alcotest.test_case "f.query(health) has a balanced ledger" `Quick
       test_f_health_ledger;
-    Alcotest.test_case "f.fate lists fates with lineage" `Quick test_f_fate;
-    Alcotest.test_case "f.waterfall links events to effects" `Quick
+    Alcotest.test_case "f.query(fate) lists fates with lineage" `Quick test_f_fate;
+    Alcotest.test_case "f.query(waterfall) links events to effects" `Quick
       test_f_waterfall;
-    Alcotest.test_case "f.waterfall keeps the newest 64" `Quick
+    Alcotest.test_case "f.query(waterfall) keeps the newest 64" `Quick
       test_f_waterfall_wraps;
     Alcotest.test_case "f.query walkthrough: slow and lost events" `Quick
       test_query_walkthrough;

@@ -323,7 +323,9 @@ let prop_query_sound =
 
 (* Differential property: through random interleavings of every mutation
    and repeated queries, the memoised [query] answers what the reference
-   [scan] answers, on every database involved, copies included.  The small
+   [scan] answers, on every database involved, copies included.  A name the
+   database does not mention, asked as [""] (as [Config.query_client] asks
+   an unknown instance), gets the answer the real name gets.  The small
    alphabet makes keys repeat and [None] answers common. *)
 type op =
   | Put of int * string * string
@@ -380,7 +382,13 @@ let prop_memo_matches_scan =
       let get i = !dbs.(i mod Array.length !dbs) in
       let agrees db names =
         let classes = List.map String.capitalize_ascii names in
-        Xrdb.query db ~names ~classes = Xrdb.scan db ~names ~classes
+        let reference = Xrdb.scan db ~names ~classes in
+        let blank n = List.map (fun m -> if m = n then "" else m) names in
+        Xrdb.query db ~names ~classes = reference
+        && List.for_all
+             (fun n ->
+               Xrdb.mentions db n || Xrdb.query db ~names:(blank n) ~classes = reference)
+             names
       in
       let key spec = Result.get_ok (Xrdb.parse_key spec) in
       let step = function
