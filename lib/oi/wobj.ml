@@ -29,6 +29,7 @@ type toolkit = {
       (* the classes made since [records_generation] *)
   mutable records_generation : int;
   mutable record_hits : int;
+  mutable layouts : int; (* panels with children laid out *)
   char_w : int;
   char_h : int;
   pad : int;
@@ -66,6 +67,7 @@ let create_toolkit ~server ~conn ~screen ~query =
     records = Hashtbl.create 16;
     records_generation = Xrdb.generation ();
     record_hits = 0;
+    layouts = 0;
     char_w = 8;
     char_h = 16;
     pad = 4;
@@ -86,6 +88,7 @@ let find_objects_by_name tk name =
 
 let records tk = Hashtbl.length tk.records
 let record_hits tk = tk.record_hits
+let layouts tk = tk.layouts
 
 (* A database write drops every record from the table; objects made before
    it keep theirs, and [attr] refills it on its next read. *)
@@ -210,128 +213,140 @@ let explicit_rows children =
       match spec.yoff with Some (Geom.From_start r) -> max acc r | _ -> acc)
     0 children
 
-let rec natural_size obj =
-  match obj.external_size with
-  | Some size -> size
-  | None -> (
-      match obj.obj_kind with
-      | Button | Text ->
-          let tk = obj.tk in
-          let text_w = String.length obj.obj_label * tk.char_w in
-          let w =
-            match attr obj "width" with
-            | Some v -> ( match int_of_string_opt v with Some n -> n | None -> text_w)
-            | None -> text_w
-          in
-          (w + (2 * tk.pad), tk.char_h + (2 * tk.pad))
-      | Panel | Menu ->
-          let rects = layout_children obj in
-          let bounds =
-            List.fold_left
-              (fun acc (_, r) ->
-                match acc with
-                | None -> Some r
-                | Some b -> Some (Geom.union_bounds b r))
-              None rects
-          in
-          (match bounds with
-          | None -> (2 * obj.tk.pad, 2 * obj.tk.pad)
-          | Some b -> (b.x + b.w + obj.tk.pad, b.y + b.h + obj.tk.pad)))
+(* An object laid out: its natural size, and its children's rectangles
+   (panel-interior coordinates of each child's border corner) in creation
+   order, each with the child's own layout.  One [lay_out] lays out every
+   panel of the tree once. *)
+type layout = { size : int * int; placed : (t * Geom.rect * layout) list }
 
-(* Compute child rectangles (panel-interior coordinates, of each child's
-   border corner).  Two passes: first natural sizes and row structure, then
-   positions (left-packed, right-packed and centred columns). *)
-and layout_children obj =
+let rec lay_out obj =
   let tk = obj.tk in
-  let children = obj.obj_children in
-  if children = [] then []
-  else begin
-    let max_row = explicit_rows children in
-    let sized =
-      List.map
-        (fun (child, (spec : Geom.spec)) ->
-          let nw, nh = natural_size child in
-          let w = Option.value spec.width ~default:nw in
-          let h = Option.value spec.height ~default:nh in
-          (child, spec, w + (2 * border_width), h + (2 * border_width)))
-        children
-    in
-    let row_members r =
-      List.filter (fun (_, spec, _, _) -> row_of_spec spec ~max_row = r) sized
-    in
-    let rows = List.init (max_row + 1) row_members in
-    let row_height members =
-      List.fold_left (fun acc (_, _, _, h) -> max acc h) 0 members
-    in
-    (* Width needed by a row when packed with gaps. *)
-    let row_width members =
-      match members with
-      | [] -> 0
-      | _ ->
-          List.fold_left (fun acc (_, _, w, _) -> acc + w + col_gap) (-col_gap) members
-    in
-    let panel_w =
-      List.fold_left (fun acc members -> max acc (row_width members)) 0 rows
-      + (2 * tk.pad)
-    in
-    (* Menus stack items full-width. *)
-    let panel_w =
-      if obj.obj_kind = Menu then
-        List.fold_left (fun acc (_, _, w, _) -> max acc (w + (2 * tk.pad))) panel_w sized
-      else panel_w
-    in
-    let results = ref [] in
-    let y = ref tk.pad in
-    List.iter
-      (fun members ->
-        let h = row_height members in
-        let col_key (_, (spec : Geom.spec), _, _) =
-          match spec.xoff with
-          | Some (Geom.From_start c) -> c
-          | Some (Geom.From_end c) -> c
-          | Some Geom.Centered | None -> 0
-        in
-        let lefts =
-          List.filter
-            (fun (_, (s : Geom.spec), _, _) ->
-              match s.xoff with Some (Geom.From_start _) | None -> true | _ -> false)
-            members
-          |> List.sort (fun a b -> compare (col_key a) (col_key b))
-        in
-        let rights =
-          List.filter
-            (fun (_, (s : Geom.spec), _, _) ->
-              match s.xoff with Some (Geom.From_end _) -> true | _ -> false)
-            members
-          |> List.sort (fun a b -> compare (col_key a) (col_key b))
-        in
-        let centers =
-          List.filter
-            (fun (_, (s : Geom.spec), _, _) ->
-              match s.xoff with Some Geom.Centered -> true | _ -> false)
-            members
-        in
-        let x = ref tk.pad in
-        List.iter
-          (fun (child, _, w, ch) ->
-            results := (child, Geom.rect !x !y w ch) :: !results;
-            x := !x + w + col_gap)
-          lefts;
-        let rx = ref (panel_w - tk.pad) in
-        List.iter
-          (fun (child, _, w, ch) ->
-            rx := !rx - w;
-            results := (child, Geom.rect !rx !y w ch) :: !results;
-            rx := !rx - col_gap)
-          rights;
-        List.iter
-          (fun (child, _, w, ch) ->
-            results := (child, Geom.rect ((panel_w - w) / 2) !y w ch) :: !results)
-          centers;
-        if members <> [] then y := !y + h + row_gap)
-      rows;
-    List.rev !results
-  end
+  let placed =
+    match obj.obj_children with
+    | [] -> []
+    | children ->
+        tk.layouts <- tk.layouts + 1;
+        arrange obj
+          (List.map
+             (fun (child, (spec : Geom.spec)) ->
+               let laid = lay_out child in
+               let nw, nh = laid.size in
+               let w = Option.value spec.width ~default:nw in
+               let h = Option.value spec.height ~default:nh in
+               ((child, laid), spec, w + (2 * border_width), h + (2 * border_width)))
+             children)
+  in
+  let size =
+    match obj.external_size with
+    | Some size -> size
+    | None -> (
+        match obj.obj_kind with
+        | Button | Text ->
+            let text_w = String.length obj.obj_label * tk.char_w in
+            let w =
+              match attr obj "width" with
+              | Some v -> ( match int_of_string_opt v with Some n -> n | None -> text_w)
+              | None -> text_w
+            in
+            (w + (2 * tk.pad), tk.char_h + (2 * tk.pad))
+        | Panel | Menu -> (
+            let bounds =
+              List.fold_left
+                (fun acc (_, r, _) ->
+                  match acc with
+                  | None -> Some r
+                  | Some b -> Some (Geom.union_bounds b r))
+                None placed
+            in
+            match bounds with
+            | None -> (2 * tk.pad, 2 * tk.pad)
+            | Some b -> (b.x + b.w + tk.pad, b.y + b.h + tk.pad)))
+  in
+  { size; placed }
+
+(* Place sized children (sizes include borders) in rows: left-packed,
+   right-packed and centred columns.  The positions depend on the children
+   only, not on the panel's own final size. *)
+and arrange obj sized =
+  let tk = obj.tk in
+  let max_row = explicit_rows obj.obj_children in
+  let row_members r =
+    List.filter (fun (_, spec, _, _) -> row_of_spec spec ~max_row = r) sized
+  in
+  let rows = List.init (max_row + 1) row_members in
+  let row_height members =
+    List.fold_left (fun acc (_, _, _, h) -> max acc h) 0 members
+  in
+  (* Width needed by a row when packed with gaps. *)
+  let row_width members =
+    match members with
+    | [] -> 0
+    | _ ->
+        List.fold_left (fun acc (_, _, w, _) -> acc + w + col_gap) (-col_gap) members
+  in
+  let panel_w =
+    List.fold_left (fun acc members -> max acc (row_width members)) 0 rows
+    + (2 * tk.pad)
+  in
+  (* Menus stack items full-width. *)
+  let panel_w =
+    if obj.obj_kind = Menu then
+      List.fold_left (fun acc (_, _, w, _) -> max acc (w + (2 * tk.pad))) panel_w sized
+    else panel_w
+  in
+  let results = ref [] in
+  let y = ref tk.pad in
+  let place ((child, laid), _, _, _) rect = results := (child, rect, laid) :: !results in
+  List.iter
+    (fun members ->
+      let h = row_height members in
+      let col_key (_, (spec : Geom.spec), _, _) =
+        match spec.xoff with
+        | Some (Geom.From_start c) -> c
+        | Some (Geom.From_end c) -> c
+        | Some Geom.Centered | None -> 0
+      in
+      let lefts =
+        List.filter
+          (fun (_, (s : Geom.spec), _, _) ->
+            match s.xoff with Some (Geom.From_start _) | None -> true | _ -> false)
+          members
+        |> List.sort (fun a b -> compare (col_key a) (col_key b))
+      in
+      let rights =
+        List.filter
+          (fun (_, (s : Geom.spec), _, _) ->
+            match s.xoff with Some (Geom.From_end _) -> true | _ -> false)
+          members
+        |> List.sort (fun a b -> compare (col_key a) (col_key b))
+      in
+      let centers =
+        List.filter
+          (fun (_, (s : Geom.spec), _, _) ->
+            match s.xoff with Some Geom.Centered -> true | _ -> false)
+          members
+      in
+      let x = ref tk.pad in
+      List.iter
+        (fun ((_, _, w, ch) as m) ->
+          place m (Geom.rect !x !y w ch);
+          x := !x + w + col_gap)
+        lefts;
+      let rx = ref (panel_w - tk.pad) in
+      List.iter
+        (fun ((_, _, w, ch) as m) ->
+          rx := !rx - w;
+          place m (Geom.rect !rx !y w ch);
+          rx := !rx - col_gap)
+        rights;
+      List.iter
+        (fun ((_, _, w, ch) as m) -> place m (Geom.rect ((panel_w - w) / 2) !y w ch))
+        centers;
+      if members <> [] then y := !y + h + row_gap)
+    rows;
+  List.rev !results
+
+let natural_size obj = (lay_out obj).size
 
 (* -------- realization -------- *)
 
@@ -381,12 +396,11 @@ let apply_shape obj =
           Server.shape_set obj.tk.server obj.tk.conn obj.win region
   end
 
-let rec realize ?(override_redirect = false) obj ~parent_window ~at =
-  let tk = obj.tk in
-  (* Buttons may carry a bitmap image attribute instead of text: a stock
-     bitmap renders as character art; unknown names show bracketed.  Only
-     a default label gives way, the name string itself: a label set before
-     realization stays even when it reads the same as the name. *)
+(* Buttons may carry a bitmap image attribute instead of text: a stock
+   bitmap renders as character art; unknown names show bracketed.  Only a
+   default label gives way, the name string itself: a label set before
+   realization stays even when it reads the same as the name. *)
+let rec resolve_images obj =
   (match obj.obj_kind with
   | Button | Text -> (
       match attr obj "image" with
@@ -396,11 +410,21 @@ let rec realize ?(override_redirect = false) obj ~parent_window ~at =
           | None -> obj.obj_label <- "[" ^ image ^ "]")
       | Some _ | None -> ())
   | Panel | Menu -> ());
-  let nw, nh = natural_size obj in
-  let geom = Geom.rect at.Geom.px at.Geom.py nw nh in
+  List.iter (fun (child, _) -> resolve_images child) obj.obj_children
+
+(* A placed rectangle includes the child's border. *)
+let interior (rect : Geom.rect) =
+  Geom.rect rect.x rect.y (rect.w - (2 * border_width)) (rect.h - (2 * border_width))
+
+(* Create [obj]'s window at its final geometry, selecting its events in the
+   same request, then its children's; one MapSubwindows maps the children
+   and the shape is applied once, over final geometry. *)
+let rec create obj ~parent_window ~geom ~override_redirect laid =
+  let tk = obj.tk in
   obj.win <-
     Server.create_window tk.server tk.conn ~parent:parent_window ~geom
-      ~border:border_width ~override_redirect ?background:(background_char obj)
+      ~border:border_width ~override_redirect ~event_mask:select_masks
+      ?background:(background_char obj)
       ?label:
         (match obj.obj_kind with
         | Button | Text -> Some obj.obj_label
@@ -414,46 +438,51 @@ let rec realize ?(override_redirect = false) obj ~parent_window ~at =
       | None -> ())
   | _ -> ());
   Xid.Tbl.replace tk.registry obj.win obj;
-  Server.select_input tk.server tk.conn obj.win select_masks;
-  let placed = layout_children obj in
   List.iter
-    (fun (child, rect) ->
-      realize child ~parent_window:obj.win ~at:(Geom.point rect.Geom.x rect.Geom.y);
-      Server.map_window tk.server tk.conn child.win)
-    placed;
+    (fun (child, rect, child_laid) ->
+      create child ~parent_window:obj.win ~geom:(interior rect) ~override_redirect:false
+        child_laid)
+    laid.placed;
+  if laid.placed <> [] then Server.map_subwindows tk.server tk.conn obj.win;
   apply_shape obj
 
-let rec unrealize obj =
-  List.iter (fun (child, _) -> unrealize child) obj.obj_children;
-  if is_realized obj then begin
-    Xid.Tbl.remove obj.tk.registry obj.win;
-    if Server.window_exists obj.tk.server obj.win then
-      Server.destroy_window obj.tk.server obj.win;
-    obj.win <- Xid.none
-  end
+let realize ?(override_redirect = false) obj ~parent_window ~at =
+  resolve_images obj;
+  let laid = lay_out obj in
+  let w, h = laid.size in
+  create obj ~parent_window ~geom:(Geom.rect at.Geom.px at.Geom.py w h) ~override_redirect
+    laid
 
-(* Lay out a realized subtree whose own size has already been decided (by
-   the parent's layout, or by [relayout] for the root). *)
-let rec relayout_tree obj =
+(* Destroying the root window destroys its inferiors, so the rest of the
+   subtree is only dropped from the registry. *)
+let unrealize obj =
+  let rec forget obj =
+    List.iter (fun (child, _) -> forget child) obj.obj_children;
+    if is_realized obj then begin
+      Xid.Tbl.remove obj.tk.registry obj.win;
+      obj.win <- Xid.none
+    end
+  in
+  if is_realized obj && Server.window_exists obj.tk.server obj.win then
+    Server.destroy_window obj.tk.server obj.win;
+  forget obj
+
+(* Impose a layout on a realized subtree whose own size has already been
+   decided (by the parent's layout, or by [relayout] for the root). *)
+let rec rearrange obj laid =
   if is_realized obj then begin
     let tk = obj.tk in
-    let placed = layout_children obj in
     List.iter
-      (fun (child, rect) ->
+      (fun (child, rect, child_laid) ->
         if is_realized child then begin
-          (* [layout_children] rects include the child's border. *)
-          let interior =
-            Geom.rect rect.Geom.x rect.Geom.y
-              (rect.Geom.w - (2 * border_width))
-              (rect.Geom.h - (2 * border_width))
-          in
-          if not (Geom.rect_equal interior child.geom) then begin
-            Server.move_resize tk.server tk.conn child.win interior;
-            child.geom <- interior
+          let geom = interior rect in
+          if not (Geom.rect_equal geom child.geom) then begin
+            Server.move_resize tk.server tk.conn child.win geom;
+            child.geom <- geom
           end;
-          relayout_tree child
+          rearrange child child_laid
         end)
-      placed;
+      laid.placed;
     apply_shape obj
   end
 
@@ -462,13 +491,14 @@ let rec relayout_tree obj =
    stale and must not be sent back. *)
 let relayout obj =
   if is_realized obj then begin
-    let nw, nh = natural_size obj in
+    let laid = lay_out obj in
+    let nw, nh = laid.size in
     if nw <> obj.geom.w || nh <> obj.geom.h then begin
       Server.configure_window obj.tk.server obj.tk.conn obj.win
         { Event.no_changes with cw = Some nw; ch = Some nh };
       obj.geom <- { obj.geom with Geom.w = nw; h = nh }
     end;
-    relayout_tree obj
+    rearrange obj laid
   end
 
 let set_label obj text =
@@ -492,9 +522,16 @@ let unmap obj =
 let set_handler obj h = obj.handler <- h
 let handler obj = obj.handler
 
-(* The recursive [realize] creates children at their natural sizes; a final
-   [relayout] imposes the laid-out sizes (specs may override widths, and
-   centred/right columns depend on the finished panel width). *)
-let realize ?override_redirect obj ~parent_window ~at =
-  realize ?override_redirect obj ~parent_window ~at;
-  relayout obj
+module Private = struct
+  let layout_children obj =
+    List.map (fun (child, rect, _) -> (child, rect)) (lay_out obj).placed
+
+  let bind obj win =
+    if is_realized obj then Xid.Tbl.remove obj.tk.registry obj.win;
+    obj.win <- win;
+    if is_realized obj then Xid.Tbl.replace obj.tk.registry win obj
+
+  let set_geometry obj geom = obj.geom <- geom
+  let set_text obj text = obj.obj_label <- text
+  let apply_shape = apply_shape
+end

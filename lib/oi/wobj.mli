@@ -94,6 +94,11 @@ val records : toolkit -> int
 val record_hits : toolkit -> int
 (** {!attr} reads answered from a record, without calling [query]. *)
 
+val layouts : toolkit -> int
+(** Layout passes: panels with children whose rows the toolkit has laid
+    out.  {!realize} and {!relayout} lay out each such panel of the tree
+    once. *)
+
 val attr_bool : t -> string -> default:bool -> bool
 
 val set_label : t -> string -> unit
@@ -116,15 +121,28 @@ val realize :
   parent_window:Swm_xlib.Xid.t ->
   at:Swm_xlib.Geom.point ->
   unit
-(** Create the X windows for the object tree, lay children out, apply shape
-    attributes, and register every window for dispatch.
+(** Create the X windows for the object tree, as an X toolkit realizes a
+    widget tree, and register every window for dispatch.  Image labels are
+    resolved over the whole tree first; then each panel is laid out once
+    and every window is created at its final geometry (the root's origin
+    at [at]), its event selection made inside the CreateWindow.  One
+    MapSubwindows per panel with children maps them; the root stays
+    unmapped.  Each shape attribute is applied once.  The cost is one
+    request per window, one per panel with children and one per shape.
+    Windows are created depth first, a panel's children in row order, so
+    ids and stacking are those of one create per object in that order.
     [override_redirect] (top-level window only) bypasses the window
     manager — used for menus. *)
 
 val unrealize : t -> unit
+(** Destroy the tree's windows with one DestroyWindow on the object's own
+    window, if it still exists (X destroys the inferiors with it), and
+    drop every object of the tree from the registry. *)
+
 val relayout : t -> unit
 (** Recompute the layout of a realized tree (e.g. after a label change or a
-    client resize) and reconfigure the windows. *)
+    client resize) and reconfigure the windows whose geometry changed.
+    Each panel is laid out once. *)
 
 val geometry : t -> Swm_xlib.Geom.rect
 (** Parent-window-relative geometry of the realized object. *)
@@ -139,3 +157,26 @@ val set_handler : t -> (t -> Swm_xlib.Event.t -> unit) option -> unit
     object's window. *)
 
 val handler : t -> (t -> Swm_xlib.Event.t -> unit) option
+
+(** {1 Reference hooks}
+
+    The per-window realization {!realize} replaced is kept in the test
+    suite ([test/reference/]) as the reference the realization properties
+    compare against.  It runs over this toolkit and needs these views of an
+    object's private state.  Nothing else calls them. *)
+
+module Private : sig
+  val layout_children : t -> (t * Swm_xlib.Geom.rect) list
+  (** The children's rectangles, each including the child's border, in
+      creation order. *)
+
+  val bind : t -> Swm_xlib.Xid.t -> unit
+  (** Set the object's window and register it for dispatch;
+      {!Swm_xlib.Xid.none} unregisters it. *)
+
+  val set_geometry : t -> Swm_xlib.Geom.rect -> unit
+  val set_text : t -> string -> unit
+  (** The label, with no request and no relayout. *)
+
+  val apply_shape : t -> unit
+end

@@ -16,39 +16,39 @@ let decoration_name (ctx : Ctx.t) (client : Ctx.client) =
 let corner_size = 6
 
 (* OpenLook-style resize corners: four small windows pinned to the frame's
-   corners, outside the OI layout (they overlay it). *)
+   corners, outside the OI layout (they overlay it).  Their win-gravity
+   keeps them there when the frame is resized, with no request.  They are
+   the frame's only unmapped children, so one MapSubwindows maps them,
+   except when the client itself waits unmapped in the frame (a decoration
+   without a [client] panel): then each corner is mapped on its own. *)
 let attach_corners (ctx : Ctx.t) (client : Ctx.client) =
   let geom = Server.geometry ctx.server client.frame in
-  let positions =
-    [
-      (0, 0);
-      (geom.w - corner_size, 0);
-      (0, geom.h - corner_size);
-      (geom.w - corner_size, geom.h - corner_size);
-    ]
-  in
-  List.iter
-    (fun (x, y) ->
-      let corner =
-        Server.create_window ctx.server ctx.conn ~parent:client.frame
-          ~geom:(Geom.rect x y corner_size corner_size) ~background:'+' ()
-      in
-      Server.select_input ctx.server ctx.conn corner
-        [ Event.Button_press_mask; Event.Button_release_mask ];
-      Server.map_window ctx.server ctx.conn corner;
-      Xid.Tbl.replace ctx.corners corner client;
-      client.corners <- corner :: client.corners)
-    positions
+  let right = geom.w - corner_size and bottom = geom.h - corner_size in
+  client.corners <-
+    List.map
+      (fun (x, y, gravity) ->
+        let corner =
+          Server.create_window ctx.server ctx.conn ~parent:client.frame
+            ~geom:(Geom.rect x y corner_size corner_size)
+            ~event_mask:[ Event.Button_press_mask; Event.Button_release_mask ]
+            ~gravity ~background:'+' ()
+        in
+        Xid.Tbl.replace ctx.corners corner client;
+        corner)
+      [
+        (0, 0, Server.North_west);
+        (right, 0, Server.North_east);
+        (0, bottom, Server.South_west);
+        (right, bottom, Server.South_east);
+      ];
+  match client.client_panel with
+  | Some _ -> Server.map_subwindows ctx.server ctx.conn client.frame
+  | None -> List.iter (Server.map_window ctx.server ctx.conn) client.corners
 
+(* The corners go with the frame's DestroyWindow. *)
 let detach_corners (ctx : Ctx.t) (client : Ctx.client) =
-  let mine = client.corners in
-  client.corners <- [];
-  List.iter
-    (fun corner ->
-      Xid.Tbl.remove ctx.corners corner;
-      if Server.window_exists ctx.server corner then
-        Server.destroy_window ctx.server corner)
-    mine
+  List.iter (Xid.Tbl.remove ctx.corners) client.corners;
+  client.corners <- []
 
 (* Merge with whatever is already selected: the panner's client window, for
    one, carries button masks that must survive being managed. *)

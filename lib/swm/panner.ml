@@ -47,7 +47,11 @@ let create (ctx : Ctx.t) ~screen =
         in
         let win =
           Server.create_window ctx.server ctx.conn ~parent:scr.root
-            ~geom:(Geom.rect pos.px pos.py pw ph) ~background:'.' ()
+            ~geom:(Geom.rect pos.px pos.py pw ph)
+            ~event_mask:
+              [ Event.Button_press_mask; Event.Button_release_mask;
+                Event.Pointer_motion_mask ]
+            ~background:'.' ()
         in
         Server.change_property ctx.server ctx.conn win ~name:Prop.wm_class
           (Prop.Wm_class { instance = "panner"; class_ = "Panner" });
@@ -56,9 +60,6 @@ let create (ctx : Ctx.t) ~screen =
         (* swm placed the panner deliberately: keep that position. *)
         Server.change_property ctx.server ctx.conn win ~name:Prop.wm_normal_hints
           (Prop.Size_hints { Prop.default_size_hints with us_position = true });
-        Server.select_input ctx.server ctx.conn win
-          [ Event.Button_press_mask; Event.Button_release_mask;
-            Event.Pointer_motion_mask ];
         vdesk.panner_client <- win;
         vdesk.panner_scale <- scale;
         Ctx.damage_full ctx ~screen;
@@ -107,9 +108,11 @@ let longest_in_order (perm : int array) =
   keep
 
 let create_mini (ctx : Ctx.t) ~panner r (client : Ctx.client) =
-  let mini = Server.create_window ctx.server ctx.conn ~parent:panner ~geom:r ~background:'m' () in
-  Server.select_input ctx.server ctx.conn mini
-    [ Event.Button_press_mask; Event.Button_release_mask ];
+  let mini =
+    Server.create_window ctx.server ctx.conn ~parent:panner ~geom:r
+      ~event_mask:[ Event.Button_press_mask; Event.Button_release_mask ]
+      ~background:'m' ()
+  in
   Server.map_window ctx.server ctx.conn mini;
   Xid.Tbl.replace ctx.panner_minis mini client;
   client.mini <- mini

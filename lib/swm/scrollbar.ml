@@ -13,10 +13,10 @@ let make_bar (ctx : Ctx.t) ~screen ~geom =
   let scr = Ctx.screen ctx screen in
   let bar =
     Server.create_window ctx.server ctx.conn ~parent:scr.root ~geom
-      ~override_redirect:true ~background:'-' ()
+      ~override_redirect:true
+      ~event_mask:[ Event.Button_press_mask; Event.Button_release_mask ]
+      ~background:'-' ()
   in
-  Server.select_input ctx.server ctx.conn bar
-    [ Event.Button_press_mask; Event.Button_release_mask ];
   let thumb =
     Server.create_window ctx.server ctx.conn ~parent:bar
       ~geom:(Geom.rect 0 0 10 10) ~background:'=' ()

@@ -15,15 +15,13 @@ let create (ctx : Ctx.t) ~screen ~size ?(desktops = 1) () =
   let scr = Ctx.screen ctx screen in
   let vwins =
     Array.init desktops (fun _ ->
-        let vwin =
-          Server.create_window ctx.server ctx.conn ~parent:scr.root
-            ~geom:(Geom.rect 0 0 w h) ~override_redirect:true ~background:'.' ()
-        in
         (* The desktop stands in for the root: redirect map/configure of
            whatever ends up parented here (undecorated clients). *)
-        Server.select_input ctx.server ctx.conn vwin
-          [ Swm_xlib.Event.Substructure_redirect; Swm_xlib.Event.Substructure_notify ];
-        vwin)
+        Server.create_window ctx.server ctx.conn ~parent:scr.root
+          ~geom:(Geom.rect 0 0 w h) ~override_redirect:true
+          ~event_mask:
+            [ Swm_xlib.Event.Substructure_redirect; Swm_xlib.Event.Substructure_notify ]
+          ~background:'.' ())
   in
   Array.iter (fun vwin -> Server.lower_window ctx.server ctx.conn vwin) vwins;
   Server.map_window ctx.server ctx.conn vwins.(0);

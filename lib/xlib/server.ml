@@ -147,6 +147,10 @@ let entry_meta = function
   | Damage { dwindow; seq; t_in; _ } ->
       (seq, t_in, expose_code, Xid.to_int dwindow)
 
+(* X's win-gravity at the four corners: where a window moves when its
+   parent is resized. *)
+type gravity = North_west | North_east | South_west | South_east
+
 type conn = {
   cid : int;
   cname : string;
@@ -223,6 +227,7 @@ and window = {
   mutable label : string option;
   mutable art : string list option;
   mutable shape : Region.t option; (* window-interior coords *)
+  gravity : gravity; (* where a resize of the parent moves it *)
   props : (Atom.t, Prop.value) Hashtbl.t; (* keyed by interned name *)
   mutable selections : hold list; (* one per selecting connection *)
   mutable saved_by : hold list; (* the save-set entries naming it *)
@@ -268,6 +273,7 @@ let rec nil =
     label = None;
     art = None;
     shape = None;
+    gravity = North_west;
     props = Hashtbl.create 1;
     selections = [];
     saved_by = [];
@@ -522,7 +528,10 @@ let wake conn =
    own traffic is excluded twice over — its connection is journal-exempt
    and its dispatch runs under {!with_journal_suspended} — because a
    replay restarts a fresh WM that re-derives all of it.  Fault effects
-   bypass both exclusions: they are inputs too, just hostile ones. *)
+   bypass both exclusions: they are inputs too, just hostile ones.  Two
+   requests the codec cannot carry journal as frames that replay to the
+   same state: a CreateWindow with an event mask as CreateWindow then
+   SelectInput, and MapSubwindows as one MapWindow per child it maps. *)
 
 let journaling server =
   Recorder.enabled server.s_recorder
@@ -864,8 +873,43 @@ let remove_hold h l = List.filter (fun h' -> h' != h) l
 
 (* -------- window creation / destruction -------- *)
 
+(* Replace [conn]'s selection on [window], under X's rule that one
+   connection at a time may hold SubstructureRedirect on a window. *)
+let select conn window masks =
+  if List.mem Event.Substructure_redirect masks then begin
+    match redirect_holder window with
+    | Some holder when holder != conn ->
+        raise
+          (Bad_access
+             (Printf.sprintf "SubstructureRedirect on %s already held by %s"
+                (Format.asprintf "%a" Xid.pp window.id)
+                holder.cname))
+    | Some _ | None -> ()
+  end;
+  (* The newest selection goes first, as delivery order always had it. *)
+  match List.find_opt (fun h -> h.h_conn == conn) window.selections with
+  | None ->
+      if masks <> [] then begin
+        let h =
+          { h_conn = conn; h_win = window; h_save = false; masks; h_prev = nil_hold;
+            h_next = nil_hold }
+        in
+        if listed h then link_hold h;
+        window.selections <- h :: window.selections
+      end
+  | Some h when masks = [] ->
+      if listed h then unlink_hold h;
+      window.selections <- remove_hold h window.selections
+  | Some h -> (
+      h.masks <- masks;
+      match window.selections with
+      | first :: _ when first == h -> ()
+      | l -> window.selections <- h :: remove_hold h l)
+
+(* [event_mask] is CreateWindow's CWEventMask: the selection is made inside
+   the one request. *)
 let create_window server conn ~parent ~geom ?(border = 0) ?(override_redirect = false)
-    ?background ?label () =
+    ?(event_mask = []) ?(gravity = North_west) ?background ?label () =
   bump server;
   let parent_win = lookup server parent in
   let id = Xid.Alloc.next server.alloc in
@@ -879,6 +923,7 @@ let create_window server conn ~parent ~geom ?(border = 0) ?(override_redirect = 
       w_override = override_redirect;
       background;
       label;
+      gravity;
       props = Hashtbl.create 8;
       owner = conn;
     }
@@ -888,9 +933,14 @@ let create_window server conn ~parent ~geom ?(border = 0) ?(override_redirect = 
   own conn window;
   (* Journalled after allocation so the frame carries the id the session
      actually used — the replay side remaps it if its own allocator
-     disagrees (it only can on a minimised subset). *)
+     disagrees (it only can on a minimised subset).  The codec's
+     CreateWindow carries no event mask, so a SelectInput frame follows. *)
   journal_frame server conn
     (Wire_codec.Create_window { wid = id; parent; geom; border; override_redirect });
+  if event_mask <> [] then begin
+    journal_frame server conn (Wire_codec.Select_input { window = id; masks = event_mask });
+    select conn window event_mask
+  end;
   id
 
 let window_exists server id = Xid.Tbl.mem server.windows id
@@ -1012,24 +1062,42 @@ let window_at_pointer server =
 
 (* -------- mapping -------- *)
 
-let map_window server conn id =
-  bump server;
-  journal_frame server conn (Wire_codec.Map_window id);
-  let window = lookup server id in
-  if window.parent == nil then ()
-  else begin
-    let parent = window.parent in
+(* MapWindow's effect on one window whose request is already counted. *)
+let map_one server conn window =
+  let parent = window.parent in
+  if parent != nil then
     match redirect_holder parent with
     | Some holder when holder != conn && not window.w_override ->
-        deliver server holder (Event.Map_request { window = id; parent = parent.id })
+        deliver server holder (Event.Map_request { window = window.id; parent = parent.id })
     | Some _ | None ->
         if not window.mapped then begin
           window.mapped <- true;
-          structure_notify server window (Event.Map_notify { window = id });
+          structure_notify server window (Event.Map_notify { window = window.id });
           notify server window Event.Exposure_mask
-            (Event.Expose { window = id; damage = None })
+            (Event.Expose { window = window.id; damage = None })
         end
-  end
+
+let map_window server conn id =
+  bump server;
+  journal_frame server conn (Wire_codec.Map_window id);
+  map_one server conn (lookup server id)
+
+(* X's MapSubwindows: one request maps every unmapped child, top to bottom.
+   The journal gets what replays to the same state: a MapWindow frame per
+   child, in that order. *)
+let map_subwindows server conn id =
+  bump server;
+  let rec each c =
+    if c != nil then begin
+      let next = c.below in
+      if not c.mapped then begin
+        journal_frame server conn (Wire_codec.Map_window c.id);
+        map_one server conn c
+      end;
+      each next
+    end
+  in
+  each (lookup server id).top
 
 let unmap_window server conn id =
   bump server;
@@ -1065,6 +1133,20 @@ let apply_stacking server window = function
       | Event.Above, Some s -> link_below parent window s.above
       | Event.Below, Some s -> link_below parent window s)
 
+(* Win-gravity: when a window's size changes by (dw, dh), each child moves
+   as its gravity says.  X also sends each moved child a GravityNotify;
+   that is not modelled. *)
+let gravitate window ~dw ~dh =
+  let rec each c =
+    if c != nil then begin
+      let dx = match c.gravity with North_east | South_east -> dw | North_west | South_west -> 0
+      and dy = match c.gravity with South_west | South_east -> dh | North_west | North_east -> 0 in
+      if dx <> 0 || dy <> 0 then c.geom <- Geom.translate c.geom ~dx ~dy;
+      each c.above
+    end
+  in
+  each window.bottom
+
 let do_configure server window (changes : Event.config_changes) =
   let geom = window.geom in
   window.geom <-
@@ -1074,6 +1156,8 @@ let do_configure server window (changes : Event.config_changes) =
       w = Option.value changes.cw ~default:geom.w;
       h = Option.value changes.ch ~default:geom.h;
     };
+  let dw = window.geom.w - geom.w and dh = window.geom.h - geom.h in
+  if dw <> 0 || dh <> 0 then gravitate window ~dw ~dh;
   (match changes.cborder with Some b -> window.border <- b | None -> ());
   if window.parent != nil then
     apply_stacking server window (changes.cstack, changes.csibling);
@@ -1328,36 +1412,7 @@ let property_names server id =
 let select_input server conn id masks =
   bump server;
   journal_frame server conn (Wire_codec.Select_input { window = id; masks });
-  let window = lookup server id in
-  if List.mem Event.Substructure_redirect masks then begin
-    match redirect_holder window with
-    | Some holder when holder != conn ->
-        raise
-          (Bad_access
-             (Printf.sprintf "SubstructureRedirect on %s already held by %s"
-                (Format.asprintf "%a" Xid.pp id)
-                holder.cname))
-    | Some _ | None -> ()
-  end;
-  (* The newest selection goes first, as delivery order always had it. *)
-  match List.find_opt (fun h -> h.h_conn == conn) window.selections with
-  | None ->
-      if masks <> [] then begin
-        let h =
-          { h_conn = conn; h_win = window; h_save = false; masks; h_prev = nil_hold;
-            h_next = nil_hold }
-        in
-        if listed h then link_hold h;
-        window.selections <- h :: window.selections
-      end
-  | Some h when masks = [] ->
-      if listed h then unlink_hold h;
-      window.selections <- remove_hold h window.selections
-  | Some h -> (
-      h.masks <- masks;
-      match window.selections with
-      | first :: _ when first == h -> ()
-      | l -> window.selections <- h :: remove_hold h l)
+  select conn (lookup server id) masks
 
 let selected_masks server conn id =
   match List.find_opt (fun h -> h.h_conn == conn) (lookup server id).selections with

@@ -101,6 +101,12 @@ val atoms : t -> Atom.table
 
 (** {1 Windows} *)
 
+(** X's win-gravity at the four corners: where a window moves when its
+    parent's size changes by [(dw, dh)].  An east gravity moves it [dw]
+    across and a south one [dh] down, so it keeps its distance from that
+    corner of the parent; [North_west] leaves it in place. *)
+type gravity = North_west | North_east | South_west | South_east
+
 val create_window :
   t ->
   conn ->
@@ -108,11 +114,28 @@ val create_window :
   geom:Geom.rect ->
   ?border:int ->
   ?override_redirect:bool ->
+  ?event_mask:Event.mask list ->
+  ?gravity:gravity ->
   ?background:char ->
   ?label:string ->
   unit ->
   Xid.t
-(** [background] and [label] are the simulator's stand-ins for window
+(** One CreateWindow request.
+
+    [event_mask] is CreateWindow's CWEventMask: the connection's selection
+    on the new window is made inside this request, as {!select_input} would
+    make it (its {!Bad_access} rule included), without a second request.
+    The replay journal holds a CreateWindow frame followed by a SelectInput
+    frame, because the wire codec's CreateWindow carries no mask.
+
+    [gravity] (default [North_west]) is the window's win-gravity: when a
+    configure changes its parent's size, the window moves with the edge or
+    centre it names, and no request is issued for the move.  X's
+    GravityNotify is not modelled: no event reports the move.  The
+    journal does not carry a gravity; only the WM, whose requests are
+    never journaled, sets one.
+
+    [background] and [label] are the simulator's stand-ins for window
     contents: a fill character and a text string, both used only by
     {!Render}. *)
 
@@ -163,6 +186,13 @@ val root_geometry : t -> Xid.t -> Geom.rect
 val map_window : t -> conn -> Xid.t -> unit
 (** If another client holds SubstructureRedirect on the parent and the window
     is not override-redirect, a [Map_request] is sent to it instead. *)
+
+val map_subwindows : t -> conn -> Xid.t -> unit
+(** X's MapSubwindows, one request: every unmapped child of the window, top
+    to bottom, is mapped as {!map_window} would map it (redirect,
+    MapNotify and Expose alike).  Mapped children are skipped.  The replay
+    journal holds one MapWindow frame per child it touched, in that
+    order. *)
 
 val unmap_window : t -> conn -> Xid.t -> unit
 
@@ -287,7 +317,9 @@ val all_windows : t -> Xid.t list
 val window_count : t -> int
 val request_count : t -> int
 (** Number of protocol requests processed so far — the simulator's
-    stand-in for wire traffic, used by the toolkit-overhead benches. *)
+    stand-in for wire traffic, used by the toolkit-overhead benches.  One
+    per request on the X wire: a {!create_window} with an [event_mask]
+    and a {!map_subwindows} count one each. *)
 
 (** {1 Fault injection}
 

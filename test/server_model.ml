@@ -107,6 +107,10 @@ let map_window m ~cid id =
           structure_notify m id (Event.Map_notify { window = id })
         end
 
+(* MapSubwindows: MapWindow on each unmapped child, top to bottom. *)
+let map_subwindows m ~cid id =
+  List.iter (fun c -> if not (get m c).mapped then map_window m ~cid c) (List.rev (children m id))
+
 let unmap_window m id =
   let w = get m id in
   if w.mapped then begin

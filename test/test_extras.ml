@@ -404,6 +404,83 @@ let test_corner_resize_anchoring () =
   check Alcotest.int "right edge anchored" (fg0.x + fg0.w) (fg.x + fg.w);
   check Alcotest.int "bottom edge anchored" (fg0.y + fg0.h) (fg.y + fg.h)
 
+(* The resize corners ride the frame's corners through every resize by
+   their win-gravity, whether the client asks or a corner is dragged,
+   growing or shrinking, and they cost the resize no request. *)
+let test_corners_follow_frame () =
+  let server, wm, ctx = plain_fixture () in
+  let app = Stock.xterm server ~at:(Geom.point 300 300) () in
+  ignore (Wm.step wm);
+  let client = client_of wm app in
+  let corners () =
+    Xid.Tbl.fold
+      (fun corner c acc -> if c == client then Server.geometry server corner :: acc else acc)
+      ctx.Ctx.corners []
+  in
+  let at_frame_corners what =
+    let fg = Server.geometry server client.Ctx.frame in
+    let placed = corners () in
+    let cw, ch = match placed with g :: _ -> (g.Geom.w, g.Geom.h) | [] -> (0, 0) in
+    check
+      Alcotest.(list (pair int int))
+      (what ^ ": corners at the frame's corners")
+      (List.sort compare [ (0, 0); (fg.w - cw, 0); (0, fg.h - ch); (fg.w - cw, fg.h - ch) ])
+      (List.sort compare (List.map (fun (g : Geom.rect) -> (g.x, g.y)) placed))
+  in
+  at_frame_corners "managed";
+  let client_resize size =
+    Client_app.resize_self app size;
+    let r0 = Server.request_count server in
+    ignore (Wm.step wm);
+    Server.request_count server - r0
+  in
+  let grown = client_resize (500, 400) in
+  at_frame_corners "grown by the client";
+  let shrunk = client_resize (50, 40) in
+  at_frame_corners "shrunk by the client";
+  (* Six requests, as with corners that never moved: the frame, the client
+     panel, the two buttons right of the title, the client and the
+     synthetic ConfigureNotify. *)
+  check Alcotest.int "requests to grow" 6 grown;
+  check Alcotest.int "requests to shrink" 6 shrunk;
+  let drag (dx, dy) =
+    let se =
+      List.fold_left
+        (fun acc corner ->
+          let g = Server.geometry server corner in
+          match acc with
+          | Some best when (Server.geometry server best).x + (Server.geometry server best).y
+                           >= g.x + g.y -> acc
+          | Some _ | None -> Some corner)
+        None
+        (Xid.Tbl.fold (fun corner c acc -> if c == client then corner :: acc else acc)
+           ctx.Ctx.corners [])
+      |> Option.get
+    in
+    let abs = Server.root_geometry server se in
+    Server.warp_pointer server ~screen:0 (Geom.point (abs.x + 2) (abs.y + 2));
+    ignore (Wm.step wm);
+    Server.press_button server 1;
+    ignore (Wm.step wm);
+    Server.warp_pointer server ~screen:0 (Geom.point (abs.x + 2 + dx) (abs.y + 2 + dy));
+    ignore (Wm.step wm);
+    Server.release_button server 1;
+    ignore (Wm.step wm)
+  in
+  let size () =
+    let g = Server.geometry server client.Ctx.frame in
+    (g.w, g.h)
+  in
+  let w0, h0 = size () in
+  drag (240, 80);
+  let w1, h1 = size () in
+  check Alcotest.bool "the drag grew the frame" true (w1 > w0 && h1 > h0);
+  at_frame_corners "grown by a corner drag";
+  drag (-60, -30);
+  let w2, h2 = size () in
+  check Alcotest.bool "the drag shrank the frame" true (w2 < w1 && h2 < h1);
+  at_frame_corners "shrunk by a corner drag"
+
 (* -------- drag-and-drop onto root icons (paper §4.1.3) -------- *)
 
 let test_drop_on_root_icon () =
@@ -578,6 +655,7 @@ let suite =
     Alcotest.test_case "outline (non-opaque) move" `Quick test_outline_move;
     Alcotest.test_case "corner resize anchors opposite edge" `Quick
       test_corner_resize_anchoring;
+    Alcotest.test_case "corners follow the frame" `Quick test_corners_follow_frame;
     Alcotest.test_case "auto-raise via <Enter> binding" `Quick test_autoraise_policy;
     Alcotest.test_case "focus follows pointer" `Quick test_focus_follows_pointer;
     Alcotest.test_case "click to focus" `Quick test_click_to_focus;

@@ -10,6 +10,7 @@ module Server = Swm_xlib.Server
 module Geom = Swm_xlib.Geom
 module Xid = Swm_xlib.Xid
 module Prop = Swm_xlib.Prop
+module Event = Swm_xlib.Event
 module Wm = Swm_core.Wm
 module Ctx = Swm_core.Ctx
 module Vdesk = Swm_core.Vdesk
@@ -22,6 +23,9 @@ module Stock = Swm_clients.Stock
 
 type server_op =
   | Create of int  (* parent index into live windows *)
+  | Create_selecting of int * int  (* parent, gravity: masks and gravity in the create *)
+  | Map_subwindows of int
+  | Resize of int * int * int  (* children move by their gravity *)
   | Destroy of int
   | Map of int
   | Unmap of int
@@ -37,6 +41,10 @@ let op_gen =
     oneof
       [
         map (fun i -> Create i) (int_range 0 50);
+        map (fun (i, g) -> Create_selecting (i, g)) (pair (int_range 0 50) (int_range 0 3));
+        map (fun i -> Map_subwindows i) (int_range 0 50);
+        map (fun ((a, w), h) -> Resize (a, w, h))
+          (pair (pair (int_range 0 50) (int_range 1 400)) (int_range 1 300));
         map (fun i -> Destroy i) (int_range 0 50);
         map (fun i -> Map i) (int_range 0 50);
         map (fun i -> Unmap i) (int_range 0 50);
@@ -66,6 +74,29 @@ let apply_op server conn live op =
         Server.create_window server conn ~parent ~geom:(Geom.rect 5 5 60 40) ()
       in
       w :: live
+  | Create_selecting (i, g) ->
+      let parent = pick i in
+      let gravity =
+        List.nth
+          Server.[ North_west; North_east; South_west; South_east ]
+          g
+      in
+      let w =
+        Server.create_window server conn ~parent ~geom:(Geom.rect 5 5 60 40)
+          ~event_mask:[ Event.Structure_notify; Event.Exposure_mask ] ~gravity ()
+      in
+      w :: live
+  | Map_subwindows i ->
+      Server.map_subwindows server conn (pick i);
+      live
+  | Resize (a, w, h) ->
+      let win = pick a in
+      if Xid.equal win (Server.root server ~screen:0) then live
+      else begin
+        let g = Server.geometry server win in
+        Server.move_resize server conn win { g with Geom.w; h };
+        live
+      end
   | Destroy i ->
       let w = pick i in
       let root = Server.root server ~screen:0 in

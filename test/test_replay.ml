@@ -263,6 +263,78 @@ let test_repro_roundtrip () =
   | outcome ->
       Alcotest.failf "repro file replay: %s" (Replay.outcome_to_string outcome)
 
+(* -------- toolkit requests in the journal -------- *)
+
+(* A non-WM connection realizes a decoration-like tree on its own toolkit,
+   retitles it and unrealizes it with the recorder armed.  At each point,
+   the journal so far replays into a fresh server to the live server's
+   window tree: parents, geometry, stacking, mapped state, shape and the
+   owner's masks.  The toolkit's creates carry their masks and its panels
+   are mapped with MapSubwindows, neither of which the wire codec
+   carries, so the journal must hold what replays to the same state. *)
+let test_toolkit_journal_replays () =
+  let module Wobj = Swm_oi.Wobj in
+  let module Geom = Swm_xlib.Geom in
+  let module Json = Swm_xlib.Json in
+  let server = Server.create () in
+  let recorder = Server.recorder server in
+  Recorder.start recorder;
+  let conn = Server.connect server ~name:"toolkit" in
+  let tk = Wobj.create_toolkit ~server ~conn ~screen:0 ~query:(fun ~names:_ ~classes:_ -> None) in
+  let obj kind name = Wobj.make tk kind ~name in
+  let add parent child spec = Wobj.add_child parent child ~position:(Geom.parse_exn spec) in
+  let deco = obj Wobj.Panel "deco" and inner = obj Wobj.Panel "inner" in
+  let title = obj Wobj.Button "title" in
+  add deco (obj Wobj.Button "menu") "+0+0";
+  add deco title "+C+0";
+  add deco (obj Wobj.Button "pin") "-0+0";
+  add deco inner "+0+1";
+  add inner (obj Wobj.Button "left") "+0+0";
+  add inner (obj Wobj.Text "right") "+1+0";
+  Wobj.set_attr inner "shape" "True";
+  (* The trees under the first screen's root, without window ids. *)
+  let snapshot server =
+    let rec tree id =
+      let g = Server.geometry server id in
+      Json.Obj
+        [
+          ("geom", Json.List (List.map (fun v -> Json.Num (float_of_int v)) [ g.x; g.y; g.w; g.h ]));
+          ("mapped", Json.Bool (Server.is_mapped server id));
+          ("shaped", Json.Bool (Server.is_shaped server id));
+          ( "masks",
+            Json.List
+              (List.map
+                 (fun m -> Json.Str (Format.asprintf "%a" Swm_xlib.Event.pp_mask m))
+                 (Server.selected_masks server (Server.owner_of server id) id)) );
+          ("children", Json.List (List.map tree (Server.children_of server id)));
+        ]
+    in
+    Json.render
+      (Json.List (List.map tree (Server.children_of server (Server.root server ~screen:0))))
+  in
+  let root = Server.root server ~screen:0 in
+  let points = ref [] in
+  let point what =
+    points := (what, Recorder.journal_ops recorder, snapshot server) :: !points
+  in
+  Wobj.realize deco ~parent_window:root ~at:(Geom.point 20 30);
+  check Alcotest.int "the tree's windows" 8 (Server.window_count server);
+  point "realized";
+  Wobj.set_label title "a much longer title";
+  point "retitled";
+  Wobj.unrealize deco;
+  point "unrealized";
+  List.iter
+    (fun (what, ops, snap) ->
+      let report = Replay.make_report ~snap ops in
+      let make server' =
+        { Replay.h_step = ignore; h_snapshot = (fun () -> snapshot server') }
+      in
+      match Replay.run report ~make with
+      | Replay.Converged _ -> ()
+      | outcome -> Alcotest.failf "%s: %s" what (Replay.outcome_to_string outcome))
+    (List.rev !points)
+
 (* -------- the committed corpus -------- *)
 
 (* Tests run from _build/default/test (where the dune glob copies the
@@ -314,5 +386,7 @@ let suite =
     Alcotest.test_case "repro files round-trip" `Quick test_repro_roundtrip;
     Alcotest.test_case "committed repro corpus replays clean" `Quick
       test_corpus_replays;
+    Alcotest.test_case "toolkit requests replay to the same tree" `Quick
+      test_toolkit_journal_replays;
     QCheck_alcotest.to_alcotest prop_random_streams_replay_deterministically;
   ]

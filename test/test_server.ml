@@ -441,18 +441,93 @@ let test_atoms () =
   check Alcotest.bool "missing lookup" true
     (Swm_xlib.Atom.intern_existing atoms "NOPE" = None)
 
+(* -------- requests an X toolkit realizes with -------- *)
+
+let test_create_with_event_mask () =
+  let server, conn, root = fixture () in
+  let r0 = Server.request_count server in
+  let w =
+    Server.create_window server conn ~parent:root ~geom:(rect 1 1 10 10)
+      ~event_mask:[ Event.Exposure_mask; Event.Structure_notify ] ()
+  in
+  check Alcotest.int "one request" 1 (Server.request_count server - r0);
+  check Alcotest.bool "selected in the create" true
+    (Server.selected_masks server conn w = [ Event.Exposure_mask; Event.Structure_notify ]);
+  Server.map_window server conn w;
+  check Alcotest.int "the selection delivers" 2 (List.length (Server.flush_batch conn))
+
+let test_map_subwindows () =
+  let server, conn, root = fixture () in
+  let parent = new_win server conn root in
+  let a = new_win server conn parent in
+  let b = new_win server conn parent in
+  let c = new_win server conn parent in
+  let observer = Server.connect server ~name:"observer" in
+  Server.select_input server observer parent [ Event.Substructure_notify ];
+  Server.map_window server conn b;
+  ignore (Server.flush_batch observer);
+  let r0 = Server.request_count server in
+  Server.map_subwindows server conn parent;
+  check Alcotest.int "one request" 1 (Server.request_count server - r0);
+  let mapped =
+    List.filter_map
+      (function Event.Map_notify { window } -> Some (Xid.to_int window) | _ -> None)
+      (Server.flush_batch observer)
+  in
+  check Alcotest.(list int) "unmapped children, top to bottom" [ Xid.to_int c; Xid.to_int a ] mapped;
+  check Alcotest.bool "all mapped" true (List.for_all (Server.is_mapped server) [ a; b; c ]);
+  check Alcotest.bool "the parent stays unmapped" false (Server.is_mapped server parent);
+  (* Under another client's redirect each child is a MapRequest, in the
+     same order, and stays unmapped. *)
+  let parent2 = new_win server conn root in
+  let d = new_win server conn parent2 in
+  let e = new_win server conn parent2 in
+  let wm = Server.connect server ~name:"wm" in
+  Server.select_input server wm parent2 [ Event.Substructure_redirect ];
+  Server.map_subwindows server conn parent2;
+  let requested =
+    List.filter_map
+      (function Event.Map_request { window; _ } -> Some (Xid.to_int window) | _ -> None)
+      (Server.flush_batch wm)
+  in
+  check Alcotest.(list int) "redirected, top to bottom" [ Xid.to_int e; Xid.to_int d ] requested;
+  check Alcotest.bool "redirected children unmapped" false
+    (Server.is_mapped server d || Server.is_mapped server e)
+
+let test_win_gravity () =
+  let server, conn, root = fixture () in
+  let parent = new_win ~geom:(rect 0 0 100 80) server conn root in
+  let child gravity =
+    Server.create_window server conn ~parent ~geom:(rect 10 20 5 5) ?gravity ()
+  in
+  let gravities = Server.[ None; Some North_east; Some South_west; Some South_east ] in
+  let children = List.map child gravities in
+  let r0 = Server.request_count server in
+  Server.move_resize server conn parent (rect 3 4 120 70);
+  check Alcotest.int "the children move without a request" 1 (Server.request_count server - r0);
+  let at w = let g = Server.geometry server w in (g.x, g.y) in
+  check
+    Alcotest.(list (pair int int))
+    "each child keeps its corner (dw 20, dh -10)"
+    [ (10, 20); (30, 20); (10, 10); (30, 10) ]
+    (List.map at children);
+  Server.move_resize server conn parent (rect 50 50 120 70);
+  check Alcotest.(pair int int) "a move alone moves no child" (30, 10) (at (List.nth children 3))
+
 (* -------- the indexed server against the list model -------- *)
 
 module Model = Server_model
 
 type sop =
   | Create of int * int * bool (* connection slot, parent, override-redirect *)
+  | Create_selecting of int * int * Event.mask list (* masks in the create *)
   | Destroy of int
   | Reparent of int * int
   | Restack of int * int * Event.stack_mode * int * int
       (* connection, window, mode, sibling kind (none, a sibling, any window,
          itself), sibling pick *)
   | Map of int * int
+  | Map_subwindows of int * int
   | Unmap of int * int
   | Select of int * int * Event.mask list
   | Save_add of int * int
@@ -473,7 +548,11 @@ let show_sop = function
         | 1 -> Printf.sprintf "sibling %d" s
         | 2 -> Printf.sprintf "window %d" s
         | _ -> "itself")
+  | Create_selecting (c, p, masks) ->
+      Printf.sprintf "create c%d under w%d selecting [%s]" c p
+        (String.concat "," (List.map show_mask masks))
   | Map (c, w) -> Printf.sprintf "c%d map w%d" c w
+  | Map_subwindows (c, w) -> Printf.sprintf "c%d map subwindows of w%d" c w
   | Unmap (c, w) -> Printf.sprintf "c%d unmap w%d" c w
   | Select (c, w, masks) ->
       Printf.sprintf "c%d select w%d [%s]" c w (String.concat "," (List.map show_mask masks))
@@ -504,7 +583,9 @@ let sop_gen =
           (fun (c, w, above, kind, s) ->
             Restack (c, w, (if above then Event.Above else Event.Below), kind, s))
           (tup5 c w bool (int_range 0 3) w) );
+      (2, map3 (fun c p m -> Create_selecting (c, p, m)) c w masks);
       (3, map2 (fun c w -> Map (c, w)) c w);
+      (2, map2 (fun c w -> Map_subwindows (c, w)) c w);
       (2, map2 (fun c w -> Unmap (c, w)) c w);
       (3, map3 (fun c w m -> Select (c, w, m)) c w masks);
       (2, map2 (fun c w -> Save_add (c, w)) c w);
@@ -553,6 +634,16 @@ let prop_indexed_matches_list_model =
                 in
                 Model.create_window m ~cid ~parent ~override:override_redirect id;
                 None)
+        | Create_selecting (c, p, masks) ->
+            let cid, conn = slots.(c) in
+            Option.bind (pick p (windows ())) (fun parent ->
+                let id =
+                  Server.create_window server conn ~parent ~geom:(Geom.rect 1 1 5 5)
+                    ~event_mask:masks ()
+                in
+                Model.create_window m ~cid ~parent ~override:false id;
+                Model.select_input m ~cid id masks;
+                None)
         | Destroy w ->
             Option.bind (pick w (non_root ())) (fun id ->
                 both (fun () -> Server.destroy_window server id) (fun () -> Model.destroy m id))
@@ -589,6 +680,12 @@ let prop_indexed_matches_list_model =
             let cid, conn = slots.(c) in
             Option.bind (pick w (windows ())) (fun id ->
                 both (fun () -> Server.map_window server conn id) (fun () -> Model.map_window m ~cid id))
+        | Map_subwindows (c, w) ->
+            let cid, conn = slots.(c) in
+            Option.bind (pick w (windows ())) (fun id ->
+                both
+                  (fun () -> Server.map_subwindows server conn id)
+                  (fun () -> Model.map_subwindows m ~cid id))
         | Unmap (c, w) ->
             Option.bind (pick w (windows ())) (fun id ->
                 both
@@ -711,5 +808,8 @@ let suite =
     Alcotest.test_case "multiple screens" `Quick test_multi_screen;
     Alcotest.test_case "send_event" `Quick test_send_event;
     Alcotest.test_case "atom interning" `Quick test_atoms;
+    Alcotest.test_case "create with an event mask" `Quick test_create_with_event_mask;
+    Alcotest.test_case "MapSubwindows" `Quick test_map_subwindows;
+    Alcotest.test_case "win-gravity" `Quick test_win_gravity;
     QCheck_alcotest.to_alcotest prop_indexed_matches_list_model;
   ]
