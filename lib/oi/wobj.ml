@@ -54,6 +54,7 @@ and t = {
   mutable win : Xid.t; (* Xid.none until realized *)
   mutable geom : Geom.rect; (* parent-window relative, valid when realized *)
   mutable external_size : (int * int) option;
+  mutable added_masks : Event.mask list; (* selected beside [select_masks] *)
   mutable handler : (t -> Event.t -> unit) option;
 }
 
@@ -118,6 +119,7 @@ let make tk obj_kind ~name =
     win = Xid.none;
     geom = Geom.rect 0 0 0 0;
     external_size = None;
+    added_masks = [];
     handler = None;
   }
 
@@ -192,6 +194,7 @@ let attr_bool obj key ~default =
 
 let label obj = obj.obj_label
 let set_external_size obj size = obj.external_size <- size
+let add_event_masks obj masks = obj.added_masks <- obj.added_masks @ masks
 
 (* -------- natural size -------- *)
 
@@ -368,6 +371,8 @@ let select_masks =
     Event.Exposure_mask;
   ]
 
+let event_masks obj = obj.added_masks @ select_masks
+
 let apply_shape obj =
   if attr_bool obj "shape" ~default:false && is_realized obj then begin
     match attr obj "shapeMask" with
@@ -423,7 +428,7 @@ let rec create obj ~parent_window ~geom ~override_redirect laid =
   let tk = obj.tk in
   obj.win <-
     Server.create_window tk.server tk.conn ~parent:parent_window ~geom
-      ~border:border_width ~override_redirect ~event_mask:select_masks
+      ~border:border_width ~override_redirect ~event_mask:(event_masks obj)
       ?background:(background_char obj)
       ?label:
         (match obj.obj_kind with
@@ -533,5 +538,6 @@ module Private = struct
 
   let set_geometry obj geom = obj.geom <- geom
   let set_text obj text = obj.obj_label <- text
+  let event_masks = event_masks
   let apply_shape = apply_shape
 end

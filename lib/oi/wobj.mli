@@ -111,6 +111,11 @@ val set_external_size : t -> (int * int) option -> unit
 (** Impose a size from outside the layout (used for the special [client]
     panel, whose size is the client window's). *)
 
+val add_event_masks : t -> Swm_xlib.Event.mask list -> unit
+(** Masks the object's window selects beside the toolkit's own, in the
+    CreateWindow of {!realize}; call before realizing (used for the
+    [client] panel's SubstructureRedirect). *)
+
 val natural_size : t -> int * int
 
 (** {1 Realization and layout} *)
@@ -177,6 +182,10 @@ module Private : sig
   val set_geometry : t -> Swm_xlib.Geom.rect -> unit
   val set_text : t -> string -> unit
   (** The label, with no request and no relayout. *)
+
+  val event_masks : t -> Swm_xlib.Event.mask list
+  (** Every mask the object's window selects: the added ones, then the
+      toolkit's own. *)
 
   val apply_shape : t -> unit
 end

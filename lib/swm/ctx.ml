@@ -77,8 +77,8 @@ and damage = {
 
 (* Degradation tiers: under load the WM sheds its own discretionary work
    before the server sheds events.  Full = everything; Reduced = skip
-   decoration title redraws and panner refreshes; Essential = additionally
-   skip dispatching droppable (Motion/Expose) events entirely. *)
+   panner refreshes; Essential = additionally skip dispatching droppable
+   (Motion/Expose) events entirely. *)
 type tier = Tier_full | Tier_reduced | Tier_essential
 
 let tier_name = function

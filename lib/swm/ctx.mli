@@ -102,7 +102,9 @@ and damage = {
 
 type tier =
   | Tier_full  (** no degradation *)
-  | Tier_reduced  (** skip decoration title redraws and panner refreshes *)
+  | Tier_reduced
+      (** skip panner refreshes; titles are still repainted, since the
+          PropertyNotify that changes one is never shed *)
   | Tier_essential
       (** additionally skip dispatching droppable (Motion/Expose) events *)
 

@@ -107,7 +107,11 @@ let build (ctx : Ctx.t) (client : Ctx.client) ~at =
       | Ok deco ->
           let client_panel = Wobj.find_descendant deco ~name:"client" in
           (match client_panel with
-          | Some panel -> Wobj.set_external_size panel (Some (cgeom.w, cgeom.h))
+          | Some panel ->
+              Wobj.set_external_size panel (Some (cgeom.w, cgeom.h));
+              (* Keep redirecting the client's own configure/map requests
+                 once its parent is the client panel, not the root. *)
+              Wobj.add_event_masks panel [ Event.Substructure_redirect ]
           | None -> ());
           (* Titled before it is realized, the frame is created at its
              final size. *)
@@ -122,14 +126,8 @@ let build (ctx : Ctx.t) (client : Ctx.client) ~at =
           Xid.Tbl.replace ctx.frames frame client;
           (match client_panel with
           | Some panel ->
-              (* Keep redirecting the client's own configure/map requests
-                 now that its parent is the client panel, not the root. *)
-              let panel_win = Wobj.window panel in
-              Server.select_input ctx.server ctx.conn panel_win
-                (Swm_xlib.Event.Substructure_redirect
-                :: Server.selected_masks ctx.server ctx.conn panel_win);
               Server.reparent_window ctx.server ctx.conn client.cwin
-                ~new_parent:panel_win ~pos:(Geom.point 0 0);
+                ~new_parent:(Wobj.window panel) ~pos:(Geom.point 0 0);
               Server.add_to_save_set ctx.server ctx.conn client.cwin
           | None ->
               (* A decoration without a client panel is a configuration
@@ -220,14 +218,6 @@ let move_frame (ctx : Ctx.t) (client : Ctx.client) pos =
   Icccm.send_synthetic_configure ctx client
 
 let update_name (ctx : Ctx.t) (client : Ctx.client) =
-  if ctx.tier <> Ctx.Tier_full then
-    (* Degraded: skip the title repaint; the stale label costs nothing and
-       the next PropertyNotify after recovery repaints it. *)
-    Swm_xlib.Metrics.incr
-      (Swm_xlib.Metrics.counter
-         (Server.metrics ctx.server)
-         "governor.redraws_skipped")
-  else
   Xguard.run ctx ~where:"decoration.name" @@ fun () ->
   client.wm_name <- Icccm.read_name ctx client.cwin;
   match client.deco with

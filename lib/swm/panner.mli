@@ -40,10 +40,10 @@ val refresh : Ctx.t -> screen:int -> unit
     runs.  Skipped (and counted) below the full governor tier. *)
 
 val apply_damage : Ctx.t -> unit
-(** The step reconcile, run once at the end of every [Wm.step] and
-    [Wm.run]: apply each screen's {!Ctx.damage} and clear it.  Afterwards
-    the panner shows exactly what {!refresh} would make it show, so the
-    content rule holds at every step boundary (not after each handler).
+(** The step reconcile, run once at the end of every [Wm.step]: apply
+    each screen's {!Ctx.damage} and clear it.  Afterwards the panner shows
+    exactly what {!refresh} would make it show, so the content rule holds
+    at every step boundary (not after each handler).
     It visits only the damaged clients, each change costing one request:
     - a moved or resized frame places that client's miniature, except
       that a client under an interactive move or resize is placed when

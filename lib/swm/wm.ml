@@ -1006,31 +1006,6 @@ let step (ctx : Ctx.t) =
     Recorder.journal_snapshot recorder (state_snapshot_json ctx);
   !count
 
-let run (ctx : Ctx.t) ~max_events =
-  let recorder = Server.recorder ctx.server in
-  Recorder.record_op recorder "step";
-  let count = ref 0 in
-  let continue = ref true in
-  while !continue && ctx.running && !count < max_events do
-    match
-      Server.read_events_stamped ctx.conn
-        ~max:(min batch_size (max_events - !count))
-    with
-    | [] -> continue := false
-    | events ->
-        (* A whole batch is dequeued at once, so events already read are
-           handled even if a handler clears [running] mid-batch. *)
-        List.iter
-          (fun (event, stamp) ->
-            incr count;
-            handle_event_timed ctx event stamp)
-          events
-  done;
-  Panner.apply_damage ctx;
-  if Recorder.enabled recorder then
-    Recorder.journal_snapshot recorder (state_snapshot_json ctx);
-  !count
-
 (* -------- start / shutdown -------- *)
 
 let start ?(resources = []) ?(host = "localhost") ?(display = ":0") server =

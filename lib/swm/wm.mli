@@ -32,10 +32,6 @@ val step : t -> int
 (** Drain and handle every pending event; returns how many were handled.
     Call repeatedly after synthesising input or client activity. *)
 
-val run : t -> max_events:int -> int
-(** Handle events until the queue is empty, [f.quit]/[f.restart] runs, or
-    [max_events] is reached. *)
-
 val manage : t -> Swm_xlib.Xid.t -> unit
 (** Bring an (unmanaged, non-override-redirect) top-level window under
     management: read its properties, apply a matching session hint if any,

@@ -17,15 +17,6 @@ module Event = Swm_xlib.Event
 
 let border_width = 1
 
-let select_masks =
-  [
-    Event.Button_press_mask;
-    Event.Button_release_mask;
-    Event.Key_press_mask;
-    Event.Enter_leave_mask;
-    Event.Exposure_mask;
-  ]
-
 let background_char obj =
   match attr obj "background" with
   | Some s when s <> "" -> Some s.[0]
@@ -59,7 +50,7 @@ let rec realize_tree ?(override_redirect = false) obj ~parent_window ~at =
       | Some bitmap -> Server.set_art server win (Some bitmap.rows)
       | None -> ())
   | _ -> ());
-  Server.select_input server conn win select_masks;
+  Server.select_input server conn win (Private.event_masks obj);
   List.iter
     (fun (child, (rect : Geom.rect)) ->
       realize_tree child ~parent_window:win ~at:(Geom.point rect.x rect.y);

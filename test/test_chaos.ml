@@ -13,7 +13,9 @@
 
 module Server = Swm_xlib.Server
 module Fault = Swm_xlib.Fault
+module Json = Swm_xlib.Json
 module Metrics = Swm_xlib.Metrics
+module Recorder = Swm_xlib.Recorder
 module Replay = Swm_xlib.Replay
 module Xid = Swm_xlib.Xid
 module Wm = Swm_core.Wm
@@ -34,14 +36,46 @@ let resources =
 let client_side f =
   try f () with Server.Bad_window _ | Server.Bad_access _ -> ()
 
+(* With SWM_FLIGHT_DIR set (the CI replay-corpus job), every storm runs
+   with the flight recorder armed and dumps its crash reports there. *)
+let flight_dir =
+  match Sys.getenv_opt "SWM_FLIGHT_DIR" with
+  | Some dir when dir <> "" -> Some dir
+  | Some _ | None -> None
+
+(* A crash report must stand alone: it parses and carries its reason, the
+   recorded tail, the metrics registry (counters included) and the slow
+   log.  Returns the fault entries of the recorded tail. *)
+let validate_dump path =
+  let fail fmt = Alcotest.failf ("%s: " ^^ fmt) path in
+  match Json.parse (In_channel.with_open_text path In_channel.input_all) with
+  | Error msg -> fail "does not parse: %s" msg
+  | Ok dump -> (
+      List.iter
+        (fun key -> if Json.member key dump = None then fail "no %s" key)
+        [ "reason"; "recorder"; "metrics"; "slowlog" ];
+      (match Option.bind (Json.member "metrics" dump) (Json.member "counters") with
+      | Some (Json.Obj (_ :: _)) -> ()
+      | _ -> fail "empty metrics registry");
+      match
+        Option.bind (Option.bind (Json.member "recorder" dump) (Json.member "entries"))
+          Json.to_list
+      with
+      | None -> fail "no recorded entries"
+      | Some entries ->
+          List.length
+            (List.filter
+               (fun e -> Option.bind (Json.member "kind" e) Json.to_string = Some "fault")
+               entries))
+
 (* A crashed seed should arrive pre-minimized: the recorder dumped a crash
    report on the way out, so shrink its journal with ddmin to the shortest
    op stream whose replay still crashes, and leave the compact repro next
-   to the dump (the CI chaos job uploads both; a green repro is a
+   to the dump (the CI replay-corpus job uploads both; a green repro is a
    candidate for test/repros/ once the bug is fixed). *)
 let minimize_dump ~seed =
-  match Sys.getenv_opt "SWM_FLIGHT_DIR" with
-  | Some dir when dir <> "" -> (
+  match flight_dir with
+  | Some dir -> (
       let dump =
         Filename.concat dir (Printf.sprintf "crash-seed-%d.json" seed)
       in
@@ -70,7 +104,7 @@ let minimize_dump ~seed =
             output_string oc (Replay.repro_json repro);
             close_out oc
           end)
-  | Some _ | None -> ()
+  | None -> ()
 
 let wm_step ~seed wm =
   try ignore (Wm.step wm)
@@ -93,22 +127,29 @@ let adoptable server =
     (Server.children_of server root)
 
 (* One full chaos cycle: populate, storm under an armed plan, check
-   invariants, restart the WM, check adoption. *)
+   invariants, restart the WM, check adoption.  Returns the faults
+   injected, the survivors adopted and, when the storm left a crash
+   report, the fault entries it recorded. *)
 let run_chaos ~seed ~clients ~rounds plan =
   let server = Server.create () in
   let wm = Wm.start ~resources server in
-  (* With SWM_FLIGHT_DIR set (the CI chaos job), every storm runs with the
-     flight recorder armed: each absorbed X error dumps a per-seed crash
-     report there, which the job uploads as artifacts.  Unset (the default
-     developer run), the recorder stays off — chaos results must not depend
-     on it either way. *)
-  (match Sys.getenv_opt "SWM_FLIGHT_DIR" with
-  | Some dir when dir <> "" ->
+  (* With a flight directory, each absorbed X error dumps a per-seed crash
+     report there, which the job replays and uploads.  Without one (the
+     default developer run), the recorder stays off — chaos results must
+     not depend on it either way. *)
+  let dump =
+    Option.map
+      (fun dir -> Filename.concat dir (Printf.sprintf "crash-seed-%d.json" seed))
+      flight_dir
+  in
+  Option.iter
+    (fun path ->
+      (* A report left by an earlier run is not this one's. *)
+      if Sys.file_exists path then Sys.remove path;
       let recorder = Server.recorder server in
-      Swm_xlib.Recorder.start recorder;
-      Swm_xlib.Recorder.arm_dump recorder
-        ~path:(Filename.concat dir (Printf.sprintf "crash-seed-%d.json" seed))
-  | Some _ | None -> ());
+      Recorder.start recorder;
+      Recorder.arm_dump recorder ~path)
+    dump;
   let ctx = Wm.ctx wm in
   let apps = Workload.launch_n server clients in
   wm_step ~seed wm;
@@ -146,9 +187,7 @@ let run_chaos ~seed ~clients ~rounds plan =
   (* Recording stops here: a journal spanning a WM teardown + restart is
      not replayable by the single fresh WM the replay harness starts, so
      dumps (and the repro corpus built from them) stay storm-scoped. *)
-  (match Sys.getenv_opt "SWM_FLIGHT_DIR" with
-  | Some dir when dir <> "" -> Swm_xlib.Recorder.stop (Server.recorder server)
-  | Some _ | None -> ());
+  Option.iter (fun _ -> Recorder.stop (Server.recorder server)) dump;
   (* Restart: tear the WM down (frames die, save-set clients return to the
      root) and verify a fresh instance re-adopts every survivor.  A hot
      plan can wipe the whole herd, which would make the adoption check
@@ -170,26 +209,41 @@ let run_chaos ~seed ~clients ~rounds plan =
       if Wm.find_client wm2 w = None then
         Alcotest.failf "seed %d: survivor %d not re-adopted" seed (Xid.to_int w))
     survivors;
-  (Fault.injected fault, List.length survivors)
+  ( Fault.injected fault,
+    List.length survivors,
+    match dump with
+    | Some path when Sys.file_exists path -> Some (validate_dump path)
+    | Some _ | None -> None )
 
 let test_chaos_200_seeds () =
-  let total = ref 0 and survivors = ref 0 in
+  let total = ref 0 and survivors = ref 0 and dumps = ref 0 and faults = ref 0 in
   for seed = 1 to 200 do
-    let injected, adopted =
+    let injected, adopted, dump_faults =
       run_chaos ~seed ~clients:6 ~rounds:3 (Fault.storm ~seed ())
     in
     total := !total + injected;
-    survivors := !survivors + adopted
+    survivors := !survivors + adopted;
+    Option.iter
+      (fun n ->
+        incr dumps;
+        faults := !faults + n)
+      dump_faults
   done;
   (* The suite is only meaningful if the plans actually fired AND the
      adoption check actually had clients to re-adopt. *)
   check Alcotest.bool "faults were injected" true (!total > 1000);
-  check Alcotest.bool "adoption checks were not vacuous" true (!survivors > 200)
+  check Alcotest.bool "adoption checks were not vacuous" true (!survivors > 200);
+  (* With the recorder armed, the storms leave crash reports, and the
+     injected faults show in their recorded tails. *)
+  if flight_dir <> None then begin
+    check Alcotest.bool "crash reports written" true (!dumps > 0);
+    check Alcotest.bool "faults recorded in the crash reports" true (!faults > 0)
+  end
 
 let test_chaos_quiet_plan_is_inert () =
   (* The harness itself must not perturb anything: a quiet plan injects
      zero faults, and with no faults every client survives to adoption. *)
-  let injected, survivors = run_chaos ~seed:42 ~clients:6 ~rounds:3 Fault.quiet in
+  let injected, survivors, _ = run_chaos ~seed:42 ~clients:6 ~rounds:3 Fault.quiet in
   check Alcotest.int "no faults under quiet plan" 0 injected;
   check Alcotest.bool "full population survives" true (survivors >= 6)
 
@@ -266,7 +320,7 @@ let plan_gen =
 let prop_no_crash_under_random_plans =
   QCheck2.Test.make ~name:"WM survives random fault plans" ~count:60 plan_gen
     (fun plan ->
-      let _injected, _survivors =
+      let _injected, _survivors, _dump_faults =
         run_chaos ~seed:plan.Fault.seed ~clients:5 ~rounds:2 plan
       in
       true)

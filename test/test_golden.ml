@@ -15,10 +15,16 @@ module Stock = Swm_clients.Stock
 
 let check = Alcotest.check
 
+(* [dune runtest] runs in _build/default/test; a suite run with [dune exec]
+   runs in the repository root. *)
+let figures_dir =
+  if Sys.file_exists "../figures" && Sys.is_directory "../figures" then "../figures"
+  else "figures"
+
 (* The stored file is swm_render's stdout: a blank line, a header line, then
    the canvas. *)
 let golden_body name =
-  let path = Filename.concat "../figures" (name ^ ".txt") in
+  let path = Filename.concat figures_dir (name ^ ".txt") in
   match In_channel.with_open_text path In_channel.input_all with
   | content -> (
       match String.index_opt content '=' with

@@ -826,6 +826,10 @@ let test_f_waterfall () =
     | None -> Alcotest.fail "waterfall: not a list"
   in
   check Alcotest.bool "dispatches retained" true (List.length entries > 0);
+  check Alcotest.bool "dispatches counted" true
+    (Option.value ~default:0 (Json.to_int (member_exn "waterfall" "events" wf)) > 0);
+  check (Alcotest.option Alcotest.int) "exported ledger balances" (Some 0)
+    (Json.to_int (member_exn "ledger" "balance" (member_exn "waterfall" "ledger" wf)));
   let int_of e key =
     match Json.to_int (member_exn "entry" key e) with
     | Some v -> v
@@ -833,6 +837,9 @@ let test_f_waterfall () =
   in
   List.iter
     (fun e ->
+      List.iter
+        (fun key -> ignore (member_exn "waterfall entry" key e))
+        [ "seq"; "event"; "queue_ns"; "dispatch_ns"; "e2e_ns"; "requests"; "functions" ];
       check Alcotest.bool "seq links to an ingress record" true (int_of e "seq" > 0);
       check Alcotest.bool "dispatch_ns non-negative" true (int_of e "dispatch_ns" >= 0);
       (* A stamped event's end-to-end spans its queue wait and dispatch. *)

@@ -716,18 +716,40 @@ let test_degraded_tier_skips_luxury_work () =
   let server = Server.create () in
   let wm = Wm.start ~resources server in
   let ctx = Wm.ctx wm in
+  let _app = Stock.xterm server () in
+  ignore (Wm.step wm);
+  ctx.Ctx.tier <- Ctx.Tier_reduced;
+  Swm_core.Panner.refresh ctx ~screen:0;
+  let m = Server.metrics server in
+  check Alcotest.bool "panner refresh skipped" true
+    (Metrics.counter_value m "governor.refreshes_skipped" > 0);
+  ctx.Ctx.tier <- Ctx.Tier_full
+
+(* A retitle is state, not luxury: its PropertyNotify is never shed, so a
+   title changed while the WM is degraded must read the new name once
+   full service is back. *)
+let test_retitle_while_degraded () =
+  let server = Server.create () in
+  let wm = Wm.start ~resources server in
+  let ctx = Wm.ctx wm in
   let app = Stock.xterm server () in
   ignore (Wm.step wm);
   let client = client_of wm app in
   ctx.Ctx.tier <- Ctx.Tier_reduced;
-  Swm_core.Decoration.update_name ctx client;
-  Swm_core.Panner.refresh ctx ~screen:0;
-  let m = Server.metrics server in
-  check Alcotest.bool "title repaint skipped" true
-    (Metrics.counter_value m "governor.redraws_skipped" > 0);
-  check Alcotest.bool "panner refresh skipped" true
-    (Metrics.counter_value m "governor.refreshes_skipped" > 0);
-  ctx.Ctx.tier <- Ctx.Tier_full
+  Client_app.set_name app "renamed";
+  ignore (Wm.step wm);
+  for _ = 1 to Governor.restore_calm_ticks do
+    Governor.tick ctx
+  done;
+  check Alcotest.string "full service restored" "full" (Ctx.tier_name ctx.Ctx.tier);
+  for _ = 1 to 10 do
+    ignore (Wm.step wm)
+  done;
+  check Alcotest.string "wm_name read" "renamed" client.Ctx.wm_name;
+  let title =
+    Option.get (Swm_oi.Wobj.find_descendant (Option.get client.Ctx.deco) ~name:"name")
+  in
+  check Alcotest.string "title label" "renamed" (Swm_oi.Wobj.label title)
 
 let test_supervisor_recovers_from_exception () =
   let server = Server.create () in
@@ -841,6 +863,8 @@ let suite =
       test_governor_tier_ladder;
     Alcotest.test_case "degraded tier skips luxury work" `Quick
       test_degraded_tier_skips_luxury_work;
+    Alcotest.test_case "a title changed while degraded is repainted" `Quick
+      test_retitle_while_degraded;
     Alcotest.test_case "supervisor recovers from an escaped exception" `Quick
       test_supervisor_recovers_from_exception;
     Alcotest.test_case "watchdog stalls trigger supervised recovery" `Quick
