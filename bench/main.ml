@@ -428,9 +428,8 @@ let idle_fixture ~idle =
    governor tick; the WM's own governor cadence is off, so every tick is
    one of these.  [read] lets every resident read its queue. *)
 let population_fixture residents =
-  let server, wm =
-    fresh_wm ~resources:(quiet_resources @ [ "swm*governorInterval: 1000000000\n" ]) ()
-  in
+  let server, wm = fresh_wm () in
+  (Wm.ctx wm).Ctx.governor_interval <- 1_000_000_000;
   let root = Server.root server ~screen:0 in
   let launch name =
     let app =
@@ -2410,28 +2409,24 @@ let () =
       ("--smoke", Arg.Set smoke, " tiny quota, for CI smoke runs");
       ( "--robustness",
         Arg.Set robustness_only,
-        " run only the robustness family (writes BENCH_robustness.json)" );
+        " run the robustness family (writes BENCH_robustness.json)" );
       ( "--replay",
         Arg.Set replay_only,
-        " run only the replay family (writes BENCH_replay.json)" );
+        " run the replay family (writes BENCH_replay.json)" );
       ( "--profile",
         Arg.Set profile_only,
-        " run only the profiling family (writes BENCH_profile.json)" );
+        " run the profiling family (writes BENCH_profile.json)" );
     ]
     (fun a -> raise (Arg.Bad ("unknown argument: " ^ a)))
     "bench [--smoke] [--robustness] [--replay] [--profile]";
   Format.printf "swm benchmark harness — one experiment per DESIGN.md index entry%s@."
     (if !smoke then " (smoke run)" else "");
-  if !robustness_only then begin
-    run_robustness_family ();
-    finish ()
-  end;
-  if !replay_only then begin
-    run_replay_family ();
-    finish ()
-  end;
-  if !profile_only then begin
-    run_profile_family ();
+  let families =
+    [ (robustness_only, run_robustness_family); (replay_only, run_replay_family);
+      (profile_only, run_profile_family) ]
+  in
+  if List.exists (fun (flag, _) -> !flag) families then begin
+    List.iter (fun (flag, run) -> if !flag then run ()) families;
     finish ()
   end;
   let ((pipeline_results, _, _, _, _, _) as pipeline) = bench_pipeline () in

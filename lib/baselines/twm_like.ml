@@ -83,19 +83,6 @@ let parse_twmrc text =
     lines;
   match !err with Some msg -> Error msg | None -> Ok !config
 
-let config_to_string c =
-  let buf = Buffer.create 128 in
-  Printf.bprintf buf "BorderWidth %d\nTitleHeight %d\nAutoRaise %b\nIconX %d\n"
-    c.border_width c.title_height c.auto_raise c.icon_x;
-  if c.use_icon_manager then Printf.bprintf buf "UseIconManager true\n";
-  if c.no_title <> [] then
-    Printf.bprintf buf "NoTitle { %s }\n" (String.concat " " c.no_title);
-  List.iter
-    (fun (b, context, fname) ->
-      Printf.bprintf buf "Button%d = : %s : %s\n" b context fname)
-    c.bindings;
-  Buffer.contents buf
-
 (* -------- the WM -------- *)
 
 type managed = {

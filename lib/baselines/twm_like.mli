@@ -40,8 +40,6 @@ AutoRaise true
 Button1 = : title : f.raise
     v} *)
 
-val config_to_string : config -> string
-
 val start : ?config:config -> Swm_xlib.Server.t -> t
 (** Claim the redirect on screen 0 and manage existing windows. *)
 

@@ -25,31 +25,6 @@ let snapshot server ~screen =
   List.iter walk (Server.children_of server root);
   Buffer.contents buf
 
-let parse_script text =
-  String.split_on_char '\n' text
-  |> List.filter_map (fun line ->
-         let line = String.trim line in
-         if line = "" then None
-         else
-           (* Split at the trailing " -geometry WxH+X+Y". *)
-           let words = String.split_on_char ' ' line in
-           let rec split_last acc = function
-             | [ "-geometry"; g ] -> Some (List.rev acc, g)
-             | w :: rest -> split_last (w :: acc) rest
-             | [] -> None
-           in
-           match split_last [] words with
-           | Some (cmd_words, g) -> (
-               match Geom.parse g with
-               | Ok spec ->
-                   let r =
-                     Geom.resolve spec ~default:(Geom.rect 0 0 100 100)
-                       ~within:(Geom.rect 0 0 0 0)
-                   in
-                   Some (String.concat " " cmd_words, r)
-               | Error _ -> None)
-           | None -> None)
-
 module Toolkit_sim = struct
   type flavour = Xt | Xview
 

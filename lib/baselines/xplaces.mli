@@ -17,9 +17,6 @@ val snapshot : Swm_xlib.Server.t -> screen:int -> string
 (** The xplaces script for the screen's current top-level client windows
     (windows carrying WM_COMMAND), one [cmd -geometry ...] line each. *)
 
-val parse_script : string -> (string * Swm_xlib.Geom.rect) list
-(** [(base command, geometry)] per line — the restart side. *)
-
 (** How different 1990 toolkits parse a command line's geometry options. *)
 module Toolkit_sim : sig
   type flavour = Xt | Xview

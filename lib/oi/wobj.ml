@@ -55,7 +55,6 @@ and t = {
   mutable geom : Geom.rect; (* parent-window relative, valid when realized *)
   mutable external_size : (int * int) option;
   mutable added_masks : Event.mask list; (* selected beside [select_masks] *)
-  mutable handler : (t -> Event.t -> unit) option;
 }
 
 let create_toolkit ~server ~conn ~screen ~query =
@@ -77,10 +76,7 @@ let create_toolkit ~server ~conn ~screen ~query =
 let toolkit_server tk = tk.server
 let toolkit_conn tk = tk.conn
 let toolkit_screen tk = tk.screen
-let char_cell tk = (tk.char_w, tk.char_h)
 let find_object tk xid = Xid.Tbl.find_opt tk.registry xid
-
-let iter_objects tk f = Xid.Tbl.iter (fun _ obj -> f obj) tk.registry
 
 let find_objects_by_name tk name =
   Xid.Tbl.fold
@@ -120,7 +116,6 @@ let make tk obj_kind ~name =
     geom = Geom.rect 0 0 0 0;
     external_size = None;
     added_masks = [];
-    handler = None;
   }
 
 let name obj = obj.obj_name
@@ -523,9 +518,6 @@ let map obj =
 
 let unmap obj =
   if is_realized obj then Server.unmap_window obj.tk.server obj.tk.conn obj.win
-
-let set_handler obj h = obj.handler <- h
-let handler obj = obj.handler
 
 module Private = struct
   let layout_children obj =

@@ -41,9 +41,6 @@ val toolkit_server : toolkit -> Swm_xlib.Server.t
 val toolkit_conn : toolkit -> Swm_xlib.Server.conn
 val toolkit_screen : toolkit -> int
 
-val char_cell : toolkit -> int * int
-(** Pixel size of one character of the (simulated) font. *)
-
 val find_object : toolkit -> Swm_xlib.Xid.t -> t option
 (** Dispatch: the object owning that X window, if any. *)
 
@@ -51,8 +48,6 @@ val find_objects_by_name : toolkit -> string -> t list
 (** All realized objects with that name (names need not be unique: every
     openLook decoration has a [name] button).  Supports the dynamic
     appearance/bindings functions (paper §4.2). *)
-
-val iter_objects : toolkit -> (t -> unit) -> unit
 
 (** {1 Objects} *)
 
@@ -154,14 +149,6 @@ val geometry : t -> Swm_xlib.Geom.rect
 
 val map : t -> unit
 val unmap : t -> unit
-
-(** {1 Action plumbing} *)
-
-val set_handler : t -> (t -> Swm_xlib.Event.t -> unit) option -> unit
-(** Invoked by the WM's dispatch loop when a device event lands on the
-    object's window. *)
-
-val handler : t -> (t -> Swm_xlib.Event.t -> unit) option
 
 (** {1 Reference hooks}
 

@@ -76,15 +76,11 @@ and damage = {
 }
 
 (* Degradation tiers: under load the WM sheds its own discretionary work
-   before the server sheds events.  Full = everything; Reduced = skip
-   panner refreshes; Essential = additionally skip dispatching droppable
-   (Motion/Expose) events entirely. *)
-type tier = Tier_full | Tier_reduced | Tier_essential
+   before the server sheds events.  Full = everything; Essential = skip
+   panner refreshes and dispatching droppable (Motion/Expose) events. *)
+type tier = Tier_full | Tier_essential
 
-let tier_name = function
-  | Tier_full -> "full"
-  | Tier_reduced -> "reduced"
-  | Tier_essential -> "essential"
+let tier_name = function Tier_full -> "full" | Tier_essential -> "essential"
 
 (* Per-event waterfall: the most recent dispatches with their full
    ingress -> queue -> dispatch -> f.* -> requests story, filled by

@@ -102,11 +102,10 @@ and damage = {
 
 type tier =
   | Tier_full  (** no degradation *)
-  | Tier_reduced
-      (** skip panner refreshes; titles are still repainted, since the
-          PropertyNotify that changes one is never shed *)
   | Tier_essential
-      (** additionally skip dispatching droppable (Motion/Expose) events *)
+      (** skip panner refreshes and the dispatch of droppable
+          (Motion/Expose) events; titles are still repainted, since the
+          PropertyNotify that changes one is never shed *)
 
 val tier_name : tier -> string
 
@@ -172,21 +171,19 @@ type t = {
   mutable autosave_pending : int;  (** events since the last autosave *)
   sampler : Swm_xlib.Metrics.sampler;
       (** time-series snapshots of the key counters, fed every
-          [statsInterval] dispatched events — the data behind
+          [stats_interval] dispatched events — the data behind
           [f.query(stats)] *)
   mutable stats_interval : int;
-      (** dispatched events between sampler snapshots ([statsInterval],
-          default 32) *)
+      (** dispatched events between sampler snapshots (32) *)
   mutable stats_pending : int;  (** events since the last sample *)
   mutable watchdog_threshold_ns : int;
       (** wall-time dispatch latency above which the watchdog counts a
-          stall ([watchdogThresholdMs], default 50ms) *)
+          stall (50ms) *)
   mutable tier : tier;
       (** current degradation tier; stepped by {!Governor.tick}, read by
           the redraw/refresh gates in {!Decoration} and {!Panner} *)
   mutable governor_interval : int;
-      (** dispatched events between governor ticks ([governorInterval],
-          default 32) *)
+      (** dispatched events between governor ticks (32) *)
   mutable governor_pending : int;  (** events since the last governor tick *)
   mutable gov_calm : int;
       (** consecutive calm governor ticks, toward tier de-escalation *)

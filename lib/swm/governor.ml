@@ -6,15 +6,15 @@
    across connections ({!Server.max_queue_ratio}) and the watchdog stall
    delta since the last tick — and steps [ctx.tier]:
 
-       full ----pressure---> reduced ----more pressure---> essential
-       full <---calm ticks-- reduced <---calm ticks------- essential
+       full ----pressure---> essential
+       full <---calm ticks-- essential
 
-   Escalation is immediate (overload will not wait); de-escalation needs
-   [restore_calm_ticks] consecutive calm ticks and walks back one tier at
-   a time, so a load oscillation cannot flap the WM between extremes.
-   Each transition is counted ([governor.transitions]), traced, and
-   recorded (kind ["tier"]).  Restoring to full triggers the panner
-   refreshes that the reduced tiers skipped.
+   Escalation is immediate (overload will not wait); restoration needs
+   [restore_calm_ticks] consecutive calm ticks, so a load oscillation
+   cannot flap the WM between tiers.  Each transition is counted
+   ([governor.transitions]), traced, and recorded (kind ["tier"]).
+   Restoring to full triggers the panner refreshes that the essential
+   tier skipped.
 
    The same cadence drives {!Server.health_tick}, so quarantine decisions
    ride the governor clock instead of needing their own. *)
@@ -24,25 +24,14 @@ module Metrics = Swm_xlib.Metrics
 module Tracing = Swm_xlib.Tracing
 module Recorder = Swm_xlib.Recorder
 
-(* Queue ratios at which the governor escalates. *)
-let reduced_ratio = 0.5
+(* The queue ratio at which the governor escalates. *)
 let essential_ratio = 0.9
 
-(* Watchdog stall deltas (per governor interval) at which it escalates. *)
-let reduced_stalls = 1
+(* The watchdog stall delta (per governor interval) at which it escalates. *)
 let essential_stalls = 2
 
-(* Consecutive calm ticks before stepping one tier back down. *)
+(* Consecutive calm ticks before restoring the full tier. *)
 let restore_calm_ticks = 3
-
-let rank = function
-  | Ctx.Tier_full -> 0
-  | Ctx.Tier_reduced -> 1
-  | Ctx.Tier_essential -> 2
-
-let step_down = function
-  | Ctx.Tier_essential -> Ctx.Tier_reduced
-  | Ctx.Tier_reduced | Ctx.Tier_full -> Ctx.Tier_full
 
 let desired (ctx : Ctx.t) =
   let ratio = Server.max_queue_ratio ctx.server in
@@ -51,8 +40,6 @@ let desired (ctx : Ctx.t) =
   ctx.gov_last_stalls <- stalls;
   if ratio >= essential_ratio || d_stalls >= essential_stalls then
     Ctx.Tier_essential
-  else if ratio >= reduced_ratio || d_stalls >= reduced_stalls then
-    Ctx.Tier_reduced
   else Ctx.Tier_full
 
 let transition (ctx : Ctx.t) ~from tier =
@@ -66,7 +53,7 @@ let transition (ctx : Ctx.t) ~from tier =
     Recorder.record recorder ~kind:"tier" ~attrs
       (Ctx.tier_name from ^ " -> " ^ Ctx.tier_name tier);
   Ctx.log ctx "governor: tier %s -> %s" (Ctx.tier_name from) (Ctx.tier_name tier);
-  (* Back at full service: repaint what the degraded tiers skipped. *)
+  (* Back at full service: repaint what the essential tier skipped. *)
   if tier = Ctx.Tier_full then
     Array.iter
       (fun (scr : Ctx.screen_state) ->
@@ -76,17 +63,16 @@ let transition (ctx : Ctx.t) ~from tier =
 
 let tick (ctx : Ctx.t) =
   let current = ctx.tier in
-  let want = desired ctx in
-  if rank want > rank current then begin
-    ctx.gov_calm <- 0;
-    transition ctx ~from:current want
-  end
-  else if rank want < rank current then begin
-    ctx.gov_calm <- ctx.gov_calm + 1;
-    if ctx.gov_calm >= restore_calm_ticks then begin
+  (match (current, desired ctx) with
+  | Ctx.Tier_full, Ctx.Tier_essential ->
       ctx.gov_calm <- 0;
-      transition ctx ~from:current (step_down current)
-    end
-  end
-  else ctx.gov_calm <- 0;
+      transition ctx ~from:current Ctx.Tier_essential
+  | Ctx.Tier_essential, Ctx.Tier_full ->
+      ctx.gov_calm <- ctx.gov_calm + 1;
+      if ctx.gov_calm >= restore_calm_ticks then begin
+        ctx.gov_calm <- 0;
+        transition ctx ~from:current Ctx.Tier_full
+      end
+  | Ctx.Tier_full, Ctx.Tier_full | Ctx.Tier_essential, Ctx.Tier_essential ->
+      ctx.gov_calm <- 0);
   Server.health_tick ctx.server

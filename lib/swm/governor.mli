@@ -1,18 +1,17 @@
-(** The load governor: steps [Ctx.tier] through degradation modes (full →
-    reduced → essential) from queue pressure ({!Swm_xlib.Server.max_queue_ratio})
-    and watchdog stall deltas, restoring one tier at a time after
-    consecutive calm ticks.  Transitions are counted
-    ([governor.transitions]), traced, and recorded (kind ["tier"]).
-    {!Wm} calls {!tick} every [governorInterval] dispatched events; the
-    same cadence drives {!Swm_xlib.Server.health_tick} (quarantine). *)
+(** The load governor: moves [Ctx.tier] from full to essential on queue
+    pressure ({!Swm_xlib.Server.max_queue_ratio}) or watchdog stall
+    deltas, and back to full after consecutive calm ticks.  Transitions
+    are counted ([governor.transitions]), traced, and recorded (kind
+    ["tier"]).  {!Wm} calls {!tick} every [Ctx.governor_interval]
+    dispatched events; the same cadence drives
+    {!Swm_xlib.Server.health_tick} (quarantine). *)
 
-val reduced_ratio : float
 val essential_ratio : float
-(** Queue depth-to-cap ratios at which escalation to the reduced /
-    essential tier happens. *)
+(** The queue depth-to-cap ratio at which escalation to the essential
+    tier happens. *)
 
 val restore_calm_ticks : int
-(** Consecutive calm ticks before stepping one tier back down. *)
+(** Consecutive calm ticks before the full tier is restored. *)
 
 val desired : Ctx.t -> Ctx.tier
 (** The tier the current pressure signals call for.  Consumes the
@@ -20,5 +19,5 @@ val desired : Ctx.t -> Ctx.tier
 
 val tick : Ctx.t -> unit
 (** One governor tick: re-evaluate the tier (escalate immediately,
-    de-escalate after {!restore_calm_ticks} calm ticks), then run one
+    restore after {!restore_calm_ticks} calm ticks), then run one
     {!Swm_xlib.Server.health_tick}. *)

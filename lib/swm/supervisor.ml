@@ -19,7 +19,6 @@ type t = {
   mutable max_restarts : int;
   mutable backoff_base_ms : int;
   mutable backoff_max_ms : int;
-  mutable stall_limit : int;
   mutable last_stalls : int;
   mutable dead : bool;
   mutable sleep_ms : int -> unit;
@@ -29,13 +28,8 @@ type t = {
   h_backoff : Metrics.histogram;
 }
 
-let int_resource (ctx : Ctx.t) name ~default =
-  match Config.query1 ctx.cfg ~screen:0 name with
-  | Some v -> (
-      match int_of_string_opt (String.trim v) with
-      | Some n when n >= 0 -> n
-      | Some _ | None -> default)
-  | None -> default
+(* New watchdog stalls in one supervised step that trigger a recovery. *)
+let stall_limit = 3
 
 let create ?(resources = []) ?(host = "localhost") ?(display = ":0") server =
   let wm = Wm.start ~resources ~host ~display server in
@@ -48,10 +42,9 @@ let create ?(resources = []) ?(host = "localhost") ?(display = ":0") server =
       display;
       wm;
       restarts = 0;
-      max_restarts = int_resource wm "supervisorMaxRestarts" ~default:3;
-      backoff_base_ms = int_resource wm "supervisorBackoffMs" ~default:50;
-      backoff_max_ms = int_resource wm "supervisorBackoffMaxMs" ~default:2000;
-      stall_limit = int_resource wm "supervisorStallLimit" ~default:3;
+      max_restarts = 3;
+      backoff_base_ms = 50;
+      backoff_max_ms = 2000;
       last_stalls = Metrics.value wm.Ctx.c_watchdog_stalls;
       dead = false;
       sleep_ms = ignore;
@@ -68,7 +61,6 @@ let restarts t = t.restarts
 let gave_up t = t.dead
 let set_sleep t f = t.sleep_ms <- f
 let set_max_restarts t n = t.max_restarts <- max 0 n
-let set_stall_limit t n = t.stall_limit <- max 1 n
 
 let set_backoff t ~base_ms ~max_ms =
   t.backoff_base_ms <- max 0 base_ms;
@@ -149,7 +141,7 @@ let step ?drive t =
         let stalls = Metrics.value t.wm.Ctx.c_watchdog_stalls in
         let delta = stalls - t.last_stalls in
         t.last_stalls <- stalls;
-        if delta >= t.stall_limit then
+        if delta >= stall_limit then
           recover t
             ~reason:
               (Printf.sprintf "watchdog: %d stalls in one supervised step"

@@ -6,9 +6,10 @@
     the SWM_PLACES session property the supervisor re-seeds before tearing
     the old instance down.
 
-    Resources (screen 0): [supervisorMaxRestarts] (default 3),
-    [supervisorBackoffMs] (50), [supervisorBackoffMaxMs] (2000),
-    [supervisorStallLimit] (3 new stalls in one supervised step).
+    It recovers on 3 new watchdog stalls in one supervised step, and
+    gives up after 3 failed restarts; the backoff starts at 50ms and
+    doubles up to 2000ms ({!set_max_restarts} and {!set_backoff} change
+    the last two).
 
     Metrics: [supervisor.recoveries], [supervisor.restarts],
     [supervisor.giveups] (counters) and [supervisor.backoff_ms]
@@ -29,8 +30,7 @@ type t
 val create :
   ?resources:string list -> ?host:string -> ?display:string ->
   Swm_xlib.Server.t -> t
-(** Start the first WM instance (via {!Wm.start}) under supervision and
-    read the supervisor resources from its configuration. *)
+(** Start the first WM instance (via {!Wm.start}) under supervision. *)
 
 val wm : t -> Ctx.t
 (** The currently live WM instance (changes across a recovery). *)
@@ -44,7 +44,6 @@ val set_sleep : t -> (int -> unit) -> unit
     real sleep. *)
 
 val set_max_restarts : t -> int -> unit
-val set_stall_limit : t -> int -> unit
 val set_backoff : t -> base_ms:int -> max_ms:int -> unit
 
 val step : ?drive:(Ctx.t -> int) -> t -> outcome

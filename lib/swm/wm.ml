@@ -301,7 +301,6 @@ let dispatch_object (ctx : Ctx.t) obj event =
     | Some (menu, menu_client) when object_in_menu obj menu -> Some (menu, menu_client)
     | Some _ | None -> None
   in
-  (match Wobj.handler obj with Some h -> h obj event | None -> ());
   let bindings = Ctx.object_bindings ctx obj in
   let funcs = Bindings.lookup bindings event in
   match menu_invocation with
@@ -1143,52 +1142,6 @@ let start ?(resources = []) ?(host = "localhost") ?(display = ":0") server =
   | Some n -> (
       match int_of_string_opt (String.trim n) with
       | Some n when n > 0 -> ctx.autosave_interval <- n
-      | Some _ | None -> ())
-  | None -> ());
-  (match Config.query1 cfg ~screen:0 "statsInterval" with
-  | Some n -> (
-      match int_of_string_opt (String.trim n) with
-      | Some n when n > 0 -> ctx.stats_interval <- n
-      | Some _ | None -> ())
-  | None -> ());
-  (match Config.query1 cfg ~screen:0 "watchdogThresholdMs" with
-  | Some n -> (
-      match int_of_string_opt (String.trim n) with
-      | Some n when n > 0 -> ctx.watchdog_threshold_ns <- n * 1_000_000
-      | Some _ | None -> ())
-  | None -> ());
-  (* Overload-protection resources: the per-connection queue cap, the
-     quarantine thresholds, and the governor cadence. *)
-  (match Config.query1 cfg ~screen:0 "queueCap" with
-  | Some n -> (
-      match int_of_string_opt (String.trim n) with
-      | Some n when n > 0 -> Server.set_queue_cap server n
-      | Some _ | None -> ())
-  | None -> ());
-  (let th = ref (Server.health_thresholds server) in
-   let float_res name set =
-     match Config.query1 cfg ~screen:0 name with
-     | Some v -> (
-         match float_of_string_opt (String.trim v) with
-         | Some f when f > 0.0 -> set f
-         | Some _ | None -> ())
-     | None -> ()
-   in
-   float_res "healthQuarantineScore" (fun f ->
-       th := { !th with Swm_xlib.Health.quarantine_score = f });
-   float_res "healthEvictScore" (fun f ->
-       th := { !th with Swm_xlib.Health.evict_score = f });
-   (match Config.query1 cfg ~screen:0 "healthCalmTicks" with
-   | Some v -> (
-       match int_of_string_opt (String.trim v) with
-       | Some n when n > 0 -> th := { !th with Swm_xlib.Health.calm_ticks = n }
-       | Some _ | None -> ())
-   | None -> ());
-   Server.set_health_thresholds server !th);
-  (match Config.query1 cfg ~screen:0 "governorInterval" with
-  | Some n -> (
-      match int_of_string_opt (String.trim n) with
-      | Some n when n > 0 -> ctx.governor_interval <- n
       | Some _ | None -> ())
   | None -> ());
   (* The flight recorder's state snapshots come from the WM, not the

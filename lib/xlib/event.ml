@@ -102,7 +102,7 @@ let window_of = function
   | Client_message { window; _ } -> window
 
 (* Dense event-kind codes matching the wire event codes in
-   [Wire_codec.encode_event].  0 is reserved (X errors on the real
+   [Wire.encode_event].  0 is reserved (X errors on the real
    protocol); valid codes are 1..last_event, so handler tables are
    [last_event + 1] entries with slot 0 unused. *)
 let code = function

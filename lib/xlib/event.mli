@@ -86,7 +86,7 @@ val window_of : t -> Xid.t
 
 val code : t -> int
 (** Dense per-kind code, identical to the wire event code used by
-    {!Wire_codec.encode_event}.  Ranges over [1 .. last_event]; 0 is
+    {!Wire.encode_event}.  Ranges over [1 .. last_event]; 0 is
     reserved.  Handler tables indexed by [code] need
     [last_event + 1] slots. *)
 

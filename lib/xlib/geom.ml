@@ -24,7 +24,6 @@ let union_bounds a b =
   { x = x0; y = y0; w = x1 - x0; h = y1 - y0 }
 
 let translate r ~dx ~dy = { r with x = r.x + dx; y = r.y + dy }
-let center r = { px = r.x + (r.w / 2); py = r.y + (r.h / 2) }
 
 let clamp_into r ~within =
   let clamp_axis pos size lo extent =

@@ -27,7 +27,6 @@ val intersect : rect -> rect -> rect option
 val union_bounds : rect -> rect -> rect
 
 val translate : rect -> dx:int -> dy:int -> rect
-val center : rect -> point
 
 val clamp_into : rect -> within:rect -> rect
 (** Move (never resize) [rect] so that as much of it as possible lies inside

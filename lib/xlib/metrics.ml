@@ -142,7 +142,6 @@ let labeled_histogram fam label =
       { counts = Array.make buckets 0; hcount = 0; hsum = 0; hmax = 0 })
 
 let counter_family_key fam = fam.cf_key
-let histogram_family_key fam = fam.hf_key
 
 let counter_family_labels fam =
   List.sort String.compare
@@ -482,8 +481,6 @@ let sampler t ?(capacity = 64) names =
     sp_names = Array.of_list names;
     sp_ring = Ring.bounded (max 2 capacity);
   }
-
-let sampler_names sp = Array.to_list sp.sp_names
 
 let sample sp =
   let vals =

@@ -90,7 +90,6 @@ val labeled_counter : counter_family -> string -> counter
 val labeled_histogram : histogram_family -> string -> histogram
 
 val counter_family_key : counter_family -> string
-val histogram_family_key : histogram_family -> string
 
 val counter_family_labels : counter_family -> string list
 (** Label values holding a series, sorted — includes ["other"] once
@@ -179,7 +178,6 @@ type sampler
 val sampler : t -> ?capacity:int -> string list -> sampler
 (** Track the named counters ([capacity] retained samples, default 64). *)
 
-val sampler_names : sampler -> string list
 val sample : sampler -> unit
 (** Record one timestamped snapshot of every tracked counter. *)
 

@@ -63,33 +63,6 @@ type value =
   | Wm_state_value of { state : wm_state; icon : Xid.t }
   | Wm_class of { instance : string; class_ : string }
 
-let pp_value ppf = function
-  | String s -> Format.fprintf ppf "%S" s
-  | String_list l ->
-      Format.fprintf ppf "[%a]"
-        (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-           (fun ppf s -> Format.fprintf ppf "%S" s))
-        l
-  | Cardinal n -> Format.fprintf ppf "%d" n
-  | Cardinal_list l ->
-      Format.fprintf ppf "[%a]"
-        (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-           Format.pp_print_int)
-        l
-  | Window id -> Xid.pp ppf id
-  | Atom_list l ->
-      Format.fprintf ppf "[%a]"
-        (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-           Format.pp_print_string)
-        l
-  | Wm_hints h ->
-      Format.fprintf ppf "wm_hints{state=%a}" pp_wm_state h.initial_state
-  | Size_hints h ->
-      Format.fprintf ppf "size_hints{us_pos=%b;p_pos=%b}" h.us_position h.p_position
-  | Wm_state_value { state; icon } ->
-      Format.fprintf ppf "wm_state{%a;icon=%a}" pp_wm_state state Xid.pp icon
-  | Wm_class { instance; class_ } -> Format.fprintf ppf "class{%s.%s}" class_ instance
-
 let wm_name = "WM_NAME"
 let wm_icon_name = "WM_ICON_NAME"
 let wm_class = "WM_CLASS"
@@ -114,8 +87,8 @@ let swm_result = "SWM_RESULT"
    String subfields travel as hex; the container grammar is a tag
    character followed by comma-separated fields, with "-" for None. *)
 
-let hex = Wire_codec.to_hex
-let unhex s = match Wire_codec.of_hex s with Ok v -> Some v | Error _ -> None
+let hex = Wire.to_hex
+let unhex s = match Wire.of_hex s with Ok v -> Some v | Error _ -> None
 
 let opt f = function None -> "-" | Some v -> f v
 let pair (a, b) = Printf.sprintf "%d:%d" a b

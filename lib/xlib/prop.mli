@@ -50,8 +50,6 @@ type value =
   | Wm_state_value of { state : wm_state; icon : Xid.t }
   | Wm_class of { instance : string; class_ : string }
 
-val pp_value : Format.formatter -> value -> unit
-
 (** {1 Well-known property names} *)
 
 val wm_name : string

@@ -10,10 +10,6 @@ type t = {
   ring : entry Ring.t;
   mutable epoch : int;
   mutable snapshot_source : (unit -> string) option;
-  mutable snapshot_interval : int;
-  mutable since_snapshot : int;
-  mutable last_snapshot : (int * string) option;
-  mutable snapping : bool; (* reentrancy guard around the source *)
   mutable dump_path : string option;
   mutable dumps : int;
   mutable dump_errors : int;
@@ -34,10 +30,6 @@ let create ?(capacity = 512) ?(journal_capacity = 8192) () =
     ring = Ring.bounded capacity;
     epoch = Metrics.now_mono_ns ();
     snapshot_source = None;
-    snapshot_interval = 256;
-    since_snapshot = 0;
-    last_snapshot = None;
-    snapping = false;
     dump_path = None;
     dumps = 0;
     dump_errors = 0;
@@ -51,8 +43,6 @@ let enabled t = t.on
 
 let start t =
   Ring.clear t.ring;
-  t.since_snapshot <- 0;
-  t.last_snapshot <- None;
   Ring.clear t.journal;
   t.j_snap <- None;
   t.epoch <- Metrics.now_mono_ns ();
@@ -61,30 +51,10 @@ let start t =
 let stop t = t.on <- false
 
 let set_snapshot_source t f = t.snapshot_source <- Some f
-let set_snapshot_interval t n = t.snapshot_interval <- max 1 n
-
-let take_snapshot t =
-  match t.snapshot_source with
-  | None -> ()
-  | Some source ->
-      if not t.snapping then begin
-        t.snapping <- true;
-        Fun.protect
-          ~finally:(fun () -> t.snapping <- false)
-          (fun () ->
-            t.last_snapshot <- Some (Metrics.now_mono_ns () - t.epoch, source ()));
-        t.since_snapshot <- 0
-      end
-
-let snapshot_now t = if t.on then take_snapshot t
 
 let record t ~kind ?(attrs = []) what =
-  if t.on && not t.snapping then begin
-    Ring.push t.ring
-      { ts_ns = Metrics.now_mono_ns () - t.epoch; kind; what; attrs };
-    t.since_snapshot <- t.since_snapshot + 1;
-    if t.since_snapshot >= t.snapshot_interval then take_snapshot t
-  end
+  if t.on then
+    Ring.push t.ring { ts_ns = Metrics.now_mono_ns () - t.epoch; kind; what; attrs }
 
 let entries t = Ring.to_list t.ring
 let recorded t = Ring.length t.ring + Ring.evicted t.ring
@@ -106,10 +76,6 @@ let journal_snapshot t json =
     t.j_snap <- Some json
   end
 
-let journal_snap t = t.j_snap
-
-let last_snapshot t = t.last_snapshot
-
 let arm_dump t ~path = t.dump_path <- Some path
 let dump_path t = t.dump_path
 let dumps t = t.dumps
@@ -123,9 +89,6 @@ let entry_json e =
     (Tracing.attrs_json e.attrs)
 
 let dump_json t ~reason ~metrics ~tracer =
-  (* The snapshot in a report should be as fresh as the failure: re-take it
-     when a source is installed (the ring already holds the history). *)
-  if t.on then take_snapshot t;
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf ("\"reason\":" ^ Metrics.json_string reason ^ ",\n");
@@ -143,11 +106,11 @@ let dump_json t ~reason ~metrics ~tracer =
       Buffer.add_string buf (entry_json e))
     (entries t);
   Buffer.add_string buf "\n]},\n";
-  (match t.last_snapshot with
-  | Some (ts, json) ->
-      Buffer.add_string buf
-        (Printf.sprintf "\"snapshot_ts_ns\":%d,\n\"snapshot\":%s,\n" ts json)
-  | None -> Buffer.add_string buf "\"snapshot\":null,\n");
+  (* The snapshot is taken now, as fresh as the failure; the ring already
+     holds the history. *)
+  Buffer.add_string buf
+    (Printf.sprintf "\"snapshot\":%s,\n"
+       (match t.snapshot_source with Some source -> source () | None -> "null"));
   Buffer.add_string buf ("\"metrics\":" ^ Metrics.to_json metrics ^ ",\n");
   (match t.j_meta with
   | Some json -> Buffer.add_string buf ("\"meta\":" ^ json ^ ",\n")

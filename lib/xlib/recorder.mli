@@ -11,10 +11,9 @@
 
     Two extra pieces make a dump self-contained:
 
-    - a {e state snapshot} source (installed by the WM) is invoked every
-      {!set_snapshot_interval} records, so the dump carries a recent
-      compact picture of the window table and viewport, not just the
-      activity tail;
+    - a {e state snapshot} source (installed by the WM) is invoked once
+      per dump, so the dump carries a compact picture of the window table
+      and viewport as they stand, not just the activity tail;
     - {!crash} renders the ring, the snapshot, the full metrics registry
       and the tracing slow-log into one JSON report and writes it with
       tmp+rename atomicity — called from the WM's X-error boundary and
@@ -92,27 +91,13 @@ val journal_snapshot : t -> string -> unit
     asserted against a state a replay can actually reach.  The report
     carries it as ["journal"."snap"]. *)
 
-val journal_snap : t -> string option
-
 (** {1 State snapshots} *)
 
 val set_snapshot_source : t -> (unit -> string) -> unit
 (** Install the provider of compact state snapshots.  It must return a
     self-contained JSON value (the WM summarises its window table,
-    viewport and iconic/sticky sets).  Called synchronously from
-    {!record} every snapshot-interval records and from {!crash}; a
-    provider that itself records is ignored while the snapshot is being
-    taken (no reentrancy). *)
-
-val set_snapshot_interval : t -> int -> unit
-(** Records between periodic snapshots (default 256, minimum 1). *)
-
-val snapshot_now : t -> unit
-(** Take a snapshot immediately (no-op without a source or when
-    disabled). *)
-
-val last_snapshot : t -> (int * string) option
-(** [(ts_ns, json)] of the most recent snapshot, if any. *)
+    viewport and iconic/sticky sets).  Called once by each {!dump_json},
+    armed or not. *)
 
 (** {1 Crash reports} *)
 
@@ -132,9 +117,9 @@ val dumps : t -> int
 
 val dump_json :
   t -> reason:string -> metrics:Metrics.t -> tracer:Tracing.t -> string
-(** The self-contained report: reason, ring entries, last snapshot (a
-    fresh one is taken first when a source is installed),
-    [Metrics.to_json] and the tracing slow-log. *)
+(** The self-contained report: reason, ring entries, a snapshot taken
+    now ([null] without a source), [Metrics.to_json], the replay journal
+    and the tracing slow-log. *)
 
 val crash :
   t -> reason:string -> metrics:Metrics.t -> tracer:Tracing.t -> unit

@@ -285,11 +285,11 @@ let created_wids bytes =
   let rec loop acc pos =
     if pos >= String.length bytes then List.rev acc
     else
-      match Wire_codec.decode_request bytes ~pos with
+      match Wire.decode_request bytes ~pos with
       | Error _ -> List.rev acc
       | Ok (req, next) -> (
           match req with
-          | Wire_codec.Create_window { wid; _ } -> loop (wid :: acc) next
+          | Wire.Create_window { wid; _ } -> loop (wid :: acc) next
           | _ -> loop acc next)
   in
   loop [] 0
@@ -349,7 +349,7 @@ let run report ~make =
       | None -> fail (Printf.sprintf "bad integer %S" s)
     in
     let unhex s =
-      match Wire_codec.of_hex s with Ok b -> b | Error e -> fail e
+      match Wire.of_hex s with Ok b -> b | Error e -> fail e
     in
     let absorb f = try f () with Server.Bad_window _ | Server.Bad_access _ -> () in
     let remap_value (v : Prop.value) : Prop.value =
@@ -397,7 +397,7 @@ let run report ~make =
       | [ "send"; key; dest; hexev ] -> (
           let wc = conn_for key in
           let bytes = unhex hexev in
-          match Wire_codec.decode_event bytes ~pos:0 with
+          match Wire.decode_event bytes ~pos:0 with
           | Error e -> fail e
           | Ok (event, _) ->
               absorb (fun () ->

@@ -545,7 +545,7 @@ let journal_frame server conn req =
   if journaling server && not conn.jexempt then
     Recorder.record_op server.s_recorder
       ("frame " ^ conn_key conn ^ " "
-      ^ Wire_codec.to_hex (Wire_codec.encode_request req))
+      ^ Wire.to_hex (Wire.encode_request req))
 
 let journal_op server op =
   if journaling server then Recorder.record_op server.s_recorder op
@@ -936,9 +936,9 @@ let create_window server conn ~parent ~geom ?(border = 0) ?(override_redirect = 
      disagrees (it only can on a minimised subset).  The codec's
      CreateWindow carries no event mask, so a SelectInput frame follows. *)
   journal_frame server conn
-    (Wire_codec.Create_window { wid = id; parent; geom; border; override_redirect });
+    (Wire.Create_window { wid = id; parent; geom; border; override_redirect });
   if event_mask <> [] then begin
-    journal_frame server conn (Wire_codec.Select_input { window = id; masks = event_mask });
+    journal_frame server conn (Wire.Select_input { window = id; masks = event_mask });
     select conn window event_mask
   end;
   id
@@ -997,7 +997,6 @@ let owner_of server id =
   | Some conn -> conn
   | None -> raise (Bad_access "owner connection closed")
 
-let set_background server id bg = (lookup server id).background <- bg
 let set_label server id label = (lookup server id).label <- label
 let label_of server id = (lookup server id).label
 let set_art server id art = (lookup server id).art <- art
@@ -1079,7 +1078,7 @@ let map_one server conn window =
 
 let map_window server conn id =
   bump server;
-  journal_frame server conn (Wire_codec.Map_window id);
+  journal_frame server conn (Wire.Map_window id);
   map_one server conn (lookup server id)
 
 (* X's MapSubwindows: one request maps every unmapped child, top to bottom.
@@ -1091,7 +1090,7 @@ let map_subwindows server conn id =
     if c != nil then begin
       let next = c.below in
       if not c.mapped then begin
-        journal_frame server conn (Wire_codec.Map_window c.id);
+        journal_frame server conn (Wire.Map_window c.id);
         map_one server conn c
       end;
       each next
@@ -1101,7 +1100,7 @@ let map_subwindows server conn id =
 
 let unmap_window server conn id =
   bump server;
-  journal_frame server conn (Wire_codec.Unmap_window id);
+  journal_frame server conn (Wire.Unmap_window id);
   let window = lookup server id in
   if window.mapped then begin
     window.mapped <- false;
@@ -1167,7 +1166,7 @@ let do_configure server window (changes : Event.config_changes) =
 
 let configure_window server conn id changes =
   bump server;
-  journal_frame server conn (Wire_codec.Configure_window (id, changes));
+  journal_frame server conn (Wire.Configure_window (id, changes));
   let window = lookup server id in
   if window.parent == nil then ()
   else begin
@@ -1193,7 +1192,7 @@ let lower_window server conn id =
 
 let reparent_window server conn id ~new_parent ~pos =
   bump server;
-  journal_frame server conn (Wire_codec.Reparent_window { window = id; parent = new_parent; pos });
+  journal_frame server conn (Wire.Reparent_window { window = id; parent = new_parent; pos });
   let window = lookup server id in
   let target = lookup server new_parent in
   if window.parent == nil then invalid_arg "Server.reparent_window: root window";
@@ -1230,7 +1229,7 @@ let reparent_window server conn id ~new_parent ~pos =
 
 let add_to_save_set server conn id =
   bump server;
-  journal_frame server conn (Wire_codec.Add_to_save_set id);
+  journal_frame server conn (Wire.Add_to_save_set id);
   let window = lookup server id in
   if not (List.exists (fun h -> h.h_conn == conn) window.saved_by) then begin
     let h =
@@ -1243,7 +1242,7 @@ let add_to_save_set server conn id =
 
 let remove_from_save_set server conn id =
   bump server;
-  journal_frame server conn (Wire_codec.Remove_from_save_set id);
+  journal_frame server conn (Wire.Remove_from_save_set id);
   match Xid.Tbl.find_opt server.windows id with
   | None -> ()
   | Some window -> (
@@ -1361,12 +1360,12 @@ let change_property server conn id ~name value =
   in
   (match value with
   | Prop.String s ->
-      journal_frame server conn (Wire_codec.Change_property { window = id; name; value = s })
+      journal_frame server conn (Wire.Change_property { window = id; name; value = s })
   | v ->
       journal_conn_op server conn
         (Printf.sprintf "prop %s %d %s %s" (conn_key conn) (Xid.to_int id)
-           (Wire_codec.to_hex name)
-           (Wire_codec.to_hex (Prop.value_to_text v))));
+           (Wire.to_hex name)
+           (Wire.to_hex (Prop.value_to_text v))));
   Hashtbl.replace window.props atom value;
   notify server window Event.Property_change
     (Event.Property_notify { window = id; name; deleted = false })
@@ -1393,7 +1392,7 @@ let append_string_property server conn id ~name line =
 
 let delete_property server conn id ~name =
   bump server;
-  journal_frame server conn (Wire_codec.Delete_property { window = id; name });
+  journal_frame server conn (Wire.Delete_property { window = id; name });
   let window = lookup server id in
   match Atom.intern_existing server.atom_table name with
   | Some atom when Hashtbl.mem window.props atom ->
@@ -1402,16 +1401,11 @@ let delete_property server conn id ~name =
         (Event.Property_notify { window = id; name; deleted = true })
   | Some _ | None -> ()
 
-let property_names server id =
-  Hashtbl.fold
-    (fun atom _ acc -> Atom.name server.atom_table atom :: acc)
-    (lookup server id).props []
-
 (* -------- event selection and queues -------- *)
 
 let select_input server conn id masks =
   bump server;
-  journal_frame server conn (Wire_codec.Select_input { window = id; masks });
+  journal_frame server conn (Wire.Select_input { window = id; masks });
   select conn (lookup server id) masks
 
 let selected_masks server conn id =
@@ -1507,7 +1501,7 @@ let send_event server conn ~dest event =
   bump server;
   journal_conn_op server conn
     (Printf.sprintf "send %s %d %s" (conn_key conn) (Xid.to_int dest)
-       (Wire_codec.to_hex (Wire_codec.encode_event event)));
+       (Wire.to_hex (Wire.encode_event event)));
   let window = lookup server dest in
   deliver server window.owner event;
   List.iter
@@ -1613,13 +1607,13 @@ let release_button server ?(mods = Keysym.no_mods) button =
 let press_key server ?(mods = Keysym.no_mods) keysym =
   bump server;
   journal_op server
-    (Printf.sprintf "key %s %d" (Wire_codec.to_hex keysym) (mods_bits mods));
+    (Printf.sprintf "key %s %d" (Wire.to_hex keysym) (mods_bits mods));
   deliver_device server Event.Key_press_mask (fun window pos root_pos ->
       Event.Key_press { window; keysym; mods; pos; root_pos })
 
 let grab_pointer server conn id =
   bump server;
-  journal_frame server conn (Wire_codec.Grab_pointer id);
+  journal_frame server conn (Wire.Grab_pointer id);
   ignore (lookup server id);
   match server.grab with
   | Some g when g.gconn != conn -> raise (Bad_access "pointer already grabbed")
@@ -1627,7 +1621,7 @@ let grab_pointer server conn id =
 
 let ungrab_pointer server conn =
   bump server;
-  journal_frame server conn Wire_codec.Ungrab_pointer;
+  journal_frame server conn Wire.Ungrab_pointer;
   match server.grab with
   | Some g when g.gconn == conn -> server.grab <- None
   | Some _ | None -> ()
@@ -1636,7 +1630,7 @@ let pointer_grabbed server = server.grab <> None
 
 let set_input_focus server conn id =
   bump server;
-  journal_frame server conn (Wire_codec.Set_input_focus id);
+  journal_frame server conn (Wire.Set_input_focus id);
   ignore (lookup server id);
   let old = server.focus in
   if not (Xid.equal old id) then begin
@@ -1656,7 +1650,7 @@ let input_focus server = server.focus
 let shape_set server conn id region =
   bump server;
   journal_frame server conn
-    (Wire_codec.Shape_rectangles { window = id; rects = Region.rects region });
+    (Wire.Shape_rectangles { window = id; rects = Region.rects region });
   (lookup server id).shape <- Some region
 
 let shape_clear server conn id =

@@ -166,7 +166,6 @@ val override_redirect : t -> Xid.t -> bool
 val screen_of_window : t -> Xid.t -> int
 val owner_of : t -> Xid.t -> conn
 
-val set_background : t -> Xid.t -> char option -> unit
 val set_label : t -> Xid.t -> string option -> unit
 val label_of : t -> Xid.t -> string option
 val background_of : t -> Xid.t -> char option
@@ -216,7 +215,6 @@ val append_string_property : t -> conn -> Xid.t -> name:string -> string -> unit
 
 val get_property : t -> Xid.t -> name:string -> Prop.value option
 val delete_property : t -> conn -> Xid.t -> name:string -> unit
-val property_names : t -> Xid.t -> string list
 
 (** Properties are stored keyed by interned atom; the [~name] API above
     interns (or probes) per call.  Hot paths intern once and use the

@@ -52,7 +52,6 @@ let create ?(capacity = 4096) ?(slow_capacity = 64) () =
   }
 
 let enabled t = t.on
-let set_enabled t flag = t.on <- flag
 
 let clear t =
   Ring.clear t.ring;
@@ -67,9 +66,7 @@ let start t =
 let stop t = t.on <- false
 
 let set_slow_threshold_ns t ns = t.slow_threshold <- ns
-let slow_threshold_ns t = t.slow_threshold
 let set_sink t sink = t.sink <- sink
-let has_sink t = t.sink <> None
 
 let record_slow t name ts dur attrs =
   let ancestry = List.rev_map (fun f -> f.f_name) t.stack in

@@ -57,7 +57,6 @@ val create : ?capacity:int -> ?slow_capacity:int -> unit -> t
 (** {1 Control} *)
 
 val enabled : t -> bool
-val set_enabled : t -> bool -> unit
 
 val start : t -> unit
 (** Clear all recorded events and the slow log, reset the epoch, and
@@ -71,8 +70,6 @@ val clear : t -> unit
 val set_slow_threshold_ns : t -> int -> unit
 (** Spans at least this long (wall time) are copied into the slow-op
     log with their ancestry.  Default 10 ms. *)
-
-val slow_threshold_ns : t -> int
 
 (** {1 Span sink}
 
@@ -93,7 +90,6 @@ val slow_threshold_ns : t -> int
 type sink = string -> string list -> int -> float -> unit
 
 val set_sink : t -> sink option -> unit
-val has_sink : t -> bool
 
 (** {1 Recording} *)
 

@@ -4,10 +4,11 @@
     frames with an opcode, length and payload, and 32-byte event frames.
     The in-process simulator doesn't need a socket, but the wire layer is
     still implemented — X-style framing, little-endian, length-prefixed —
-    for three reasons: protocol traces can be recorded and replayed
-    byte-identically; the encoding overhead a real WM pays per request can
-    be measured; and round-trip property tests pin down the request/event
-    vocabulary precisely.
+    for three reasons: the replay journal records sessions as frames that
+    replay byte-identically ({!Replay}); the encoding overhead a real WM
+    pays per request can be measured; and round-trip property tests pin
+    down the request/event vocabulary precisely.  Decoded requests reach
+    the server only through {!Wire_conn}.
 
     Requests are encoded as [opcode(1) pad(1) length(2) payload...] with
     the length in 4-byte units including the header, exactly like X.
@@ -16,8 +17,8 @@
 (** The request vocabulary (the subset of X this server implements). *)
 type request =
   | Create_window of {
-      wid : Xid.t;  (** the id the window received when recorded, so traces
-                        can refer to it later (X clients allocate ids) *)
+      wid : Xid.t;  (** the id the client chose for the window, so later
+                        requests can refer to it (X clients allocate ids) *)
       parent : Xid.t;
       geom : Geom.rect;
       border : int;
@@ -76,9 +77,6 @@ val encode_request_into : A.t -> request -> unit
 (** Append one framed request to the arena (single pass: header
     reserved, payload written in place, length patched). *)
 
-val encoded_request_size : request -> int
-(** Exact byte length [encode_request] would produce, without encoding. *)
-
 val decode_request : string -> pos:int -> (request * int, string) result
 (** Decode one request starting at [pos]; returns it and the next
     position. *)
@@ -117,45 +115,14 @@ val decode_batch : string -> pos:int -> (Event.t list * int, string) result
 (** {1 Compression}
 
     The same X-style compression the server queues apply at enqueue time,
-    as pure functions for the wire layer: only the newest kept element is a
-    merge candidate, so ordering across kinds is preserved. *)
+    as a pure function for the wire layer: only the newest kept element is
+    a merge candidate, so ordering across kinds is preserved. *)
 
 val compress_events : Event.t list -> Event.t list
 (** Collapse consecutive MotionNotify on one window to the latest,
     fold redundant ConfigureNotify runs to the final geometry, and merge
     consecutive Expose damage on one window when the union remains a
     rectangle. *)
-
-val compress_requests : request list -> request list
-(** Fold consecutive [Configure_window] requests on the same window into
-    one carrying the final changes, and runs of [Warp_pointer] to the last
-    position — a panning storm compresses to a single configure. *)
-
-(** {1 Traces} *)
-
-module Trace : sig
-  type t
-
-  val create : unit -> t
-  val record : t -> request -> unit
-  val length : t -> int
-  val byte_size : t -> int
-  (** Total encoded size — the wire bytes a real connection would carry. *)
-
-  val to_bytes : t -> string
-  val of_bytes : string -> (t, string) result
-  val requests : t -> request list
-
-  val compress : t -> t
-  (** {!compress_requests} applied to the whole trace; replaying the
-      compressed trace reaches the same final window state. *)
-
-  val replay :
-    t -> Server.t -> Server.conn -> remap:(Xid.t -> Xid.t) -> (int, string) result
-  (** Re-issue the requests against a server, translating ids through
-      [remap] (ids are server-allocated and differ across instances).
-      Returns the number of requests applied; stops at the first error. *)
-end
 
 (** {1 Reference encoders}
 

@@ -233,16 +233,6 @@ let translate_event t (event : Event.t) : Event.t =
   | Event.Expose r -> Event.Expose { r with window = c r.window }
   | Event.Client_message r -> Event.Client_message { r with window = c r.window }
 
-let drain_event_bytes t =
-  let a = t.enc in
-  Wire.A.reset a;
-  List.iter
-    (fun event -> Wire.encode_event_into a (translate_event t event))
-    (Server.flush_batch t.sconn);
-  let bytes = Wire.A.contents a in
-  t.received <- t.received + String.length bytes;
-  bytes
-
 let flush_batch_bytes t =
   Profile.alloc_section t.profiler t.sec_encode @@ fun () ->
   (if Tracing.enabled (Server.tracer t.server) then

@@ -3,7 +3,7 @@
     Real X clients allocate their own resource ids and talk to the server
     through a socket.  [Wire_conn] reproduces that contract on top of the
     in-process server: the client submits encoded request bytes (choosing
-    its own window ids, as X clients do) and drains encoded event bytes;
+    its own window ids, as X clients do) and drains encoded event batches;
     the connection translates between the client's id space and the
     server's, in both directions.
 
@@ -49,16 +49,11 @@ val submit_bytes : t -> string -> (int, submit_error) result
     {!Server.metrics}.  If the server has an armed {!Fault} plan, the byte
     string may first be truncated or corrupted (frame fault site). *)
 
-val drain_event_bytes : t -> string
-(** Encode and remove all pending events, window ids translated back into
-    the client's id space (unknown server windows pass through), one
-    32-byte frame per event. *)
-
 val flush_batch_bytes : t -> string
-(** The batched counterpart of {!drain_event_bytes}: drain everything
-    pending, run {!Wire.compress_events} over it, and return one
-    length-prefixed {!Wire.encode_batch} frame ([""] when nothing is
-    queued). *)
+(** Drain every pending event, translate its window ids back into the
+    client's id space (unknown server windows pass through), run
+    {!Wire.compress_events} over them, and return one length-prefixed
+    {!Wire.encode_batch} frame ([""] when nothing is queued). *)
 
 val bytes_sent : t -> int
 val bytes_received : t -> int

@@ -197,11 +197,6 @@ let load_string db text =
     (logical_lines text);
   match !err with Some msg -> Error msg | None -> Ok !count
 
-let load_file db path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> load_string db text
-  | exception Sys_error msg -> Error msg
-
 (* -------- cpp-style preprocessing -------- *)
 
 exception Cpp_error of string

@@ -50,8 +50,6 @@ val load_string : t -> string -> (int, string) result
     [#] comment lines, backslash-newline continuations, [\n] escapes.
     Returns the number of entries loaded, or the first syntax error. *)
 
-val load_file : t -> string -> (int, string) result
-
 (** {2 Preprocessing}
 
     Real resource files are run through cpp; xrdb defines symbols like

@@ -75,33 +75,6 @@ let test_ring_overwrites_oldest () =
   check Alcotest.int "start resets recorded" 0 (Recorder.recorded r);
   check Alcotest.int "start empties the ring" 0 (List.length (Recorder.entries r))
 
-let test_snapshot_interval () =
-  let r = Recorder.create ~capacity:8 () in
-  let calls = ref 0 in
-  Recorder.set_snapshot_source r (fun () ->
-      incr calls;
-      Printf.sprintf "{\"n\":%d}" !calls);
-  Recorder.set_snapshot_interval r 3;
-  Recorder.start r;
-  check Alcotest.bool "no snapshot before any record" true
-    (Recorder.last_snapshot r = None);
-  for i = 1 to 7 do
-    Recorder.record r ~kind:"event" (Printf.sprintf "e%d" i)
-  done;
-  check Alcotest.int "snapshot every 3 records" 2 !calls;
-  (match Recorder.last_snapshot r with
-  | Some (_, json) -> check Alcotest.string "latest snapshot" "{\"n\":2}" json
-  | None -> Alcotest.fail "expected a snapshot");
-  (* A snapshot source that itself records must not recurse. *)
-  Recorder.set_snapshot_source r (fun () ->
-      Recorder.record r ~kind:"event" "from inside snapshot";
-      "{}");
-  Recorder.snapshot_now r;
-  check Alcotest.bool "no reentrant entries" true
-    (List.for_all
-       (fun (e : Recorder.entry) -> e.what <> "from inside snapshot")
-       (Recorder.entries r))
-
 (* -------- the watchdog -------- *)
 
 let test_watchdog_counts_stalls () =
@@ -195,38 +168,49 @@ let test_chaos_crash_report () =
   (match counters with
   | Json.Obj (_ :: _) -> ()
   | _ -> Alcotest.fail "report: metrics.counters is empty");
-  (* A fresh dump's snapshot agrees with the live window table. *)
-  let fresh =
-    parse_ok "fresh dump"
-      (Recorder.dump_json recorder ~reason:"test"
-         ~metrics:(Server.metrics server)
-         ~tracer:(Server.tracer server))
+  (* A fresh dump's snapshot agrees with the live window table, and so
+     does one taken with the recorder disarmed after a client arrived. *)
+  let check_fresh_dump what =
+    let fresh =
+      parse_ok what
+        (Recorder.dump_json recorder ~reason:"test"
+           ~metrics:(Server.metrics server)
+           ~tracer:(Server.tracer server))
+    in
+    let snapshot = member_exn what "snapshot" fresh in
+    let managed =
+      match Json.to_int (member_exn "snapshot" "managed" snapshot) with
+      | Some n -> n
+      | None -> Alcotest.fail "snapshot: managed is not a number"
+    in
+    let live = Ctx.all_clients ctx in
+    check Alcotest.int (what ^ ": snapshot client count matches the window table")
+      (List.length live) managed;
+    let snapshot_wins =
+      match Json.to_list (member_exn "snapshot" "clients" snapshot) with
+      | Some l ->
+          List.filter_map
+            (fun c -> Json.to_int (member_exn "client" "win" c))
+            l
+      | None -> Alcotest.fail "snapshot: clients is not a list"
+    in
+    let live_wins =
+      List.sort compare
+        (List.map (fun (c : Ctx.client) -> Xid.to_int c.Ctx.cwin) live)
+    in
+    check
+      Alcotest.(list int)
+      (what ^ ": snapshot window ids match the window table") live_wins
+      (List.sort compare snapshot_wins)
   in
-  let snapshot = member_exn "fresh dump" "snapshot" fresh in
-  let managed =
-    match Json.to_int (member_exn "snapshot" "managed" snapshot) with
-    | Some n -> n
-    | None -> Alcotest.fail "snapshot: managed is not a number"
-  in
-  let live = Ctx.all_clients ctx in
-  check Alcotest.int "snapshot client count matches the window table"
-    (List.length live) managed;
-  let snapshot_wins =
-    match Json.to_list (member_exn "snapshot" "clients" snapshot) with
-    | Some l ->
-        List.filter_map
-          (fun c -> Json.to_int (member_exn "client" "win" c))
-          l
-    | None -> Alcotest.fail "snapshot: clients is not a list"
-  in
-  let live_wins =
-    List.sort compare
-      (List.map (fun (c : Ctx.client) -> Xid.to_int c.Ctx.cwin) live)
-  in
-  check
-    Alcotest.(list int)
-    "snapshot window ids match the window table" live_wins
-    (List.sort compare snapshot_wins);
+  check_fresh_dump "fresh dump";
+  Recorder.stop recorder;
+  let before = List.length (Ctx.all_clients ctx) in
+  let _late = Stock.xterm server () in
+  ignore (Wm.step wm);
+  check Alcotest.int "a client arrived while disarmed" (before + 1)
+    (List.length (Ctx.all_clients ctx));
+  check_fresh_dump "disarmed dump";
   Sys.remove path
 
 let test_unhandled_exception_dumps () =
@@ -988,8 +972,6 @@ let suite =
   [
     Alcotest.test_case "recorder ring overwrites oldest" `Quick
       test_ring_overwrites_oldest;
-    Alcotest.test_case "snapshots every interval, no reentrancy" `Quick
-      test_snapshot_interval;
     Alcotest.test_case "watchdog counts stalls" `Quick test_watchdog_counts_stalls;
     Alcotest.test_case "chaos storm produces a parseable crash report" `Quick
       test_chaos_crash_report;

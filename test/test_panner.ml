@@ -189,7 +189,7 @@ let test_stale_miniature_is_inert () =
         match Panner.client_of_miniature ctx w with Some c -> c == client | None -> false)
       (Server.children_of server (panner_client ctx wm).Ctx.cwin)
   in
-  ctx.Ctx.tier <- Ctx.Tier_reduced;
+  ctx.Ctx.tier <- Ctx.Tier_essential;
   Client_app.destroy app;
   ignore (Wm.step wm);
   let xerrors () =
@@ -295,7 +295,7 @@ type op =
   | Retitle of int * int
   | Pan of int * int
   | Desktop of int
-  | Reduced of op  (** the op at [Tier_reduced], then back to [Tier_full] *)
+  | Degraded of op  (** the op at [Tier_essential], then back to [Tier_full] *)
   | Batch of op list  (** several ops before one step: damage coalesces *)
   | Drag of int * int * int  (** f.move, one motion step, release *)
   | SetLabel of int  (** f.setLabel(name,...) with a label of this many chars *)
@@ -313,7 +313,7 @@ let rec show_op = function
   | Retitle (i, n) -> Printf.sprintf "retitle %d with %d chars" i n
   | Pan (x, y) -> Printf.sprintf "f.panto(%d,%d)" x y
   | Desktop d -> Printf.sprintf "f.desktop(%d)" d
-  | Reduced op -> "reduced: " ^ show_op op
+  | Degraded op -> "degraded: " ^ show_op op
   | Batch ops -> "batch [" ^ String.concat ", " (List.map show_op ops) ^ "]"
   | Drag (i, dx, dy) -> Printf.sprintf "drag %d by %d,%d" i dx dy
   | SetLabel n -> Printf.sprintf "f.setLabel(name,<%d chars>)" n
@@ -348,7 +348,7 @@ let op_gen =
   frequency
     [
       (10, base);
-      (1, map (fun op -> Reduced op) base);
+      (1, map (fun op -> Degraded op) base);
       (3, map (fun ops -> Batch ops) (list_size (int_range 2 4) base));
       (1, map3 (fun i dx dy -> Drag (i, dx, dy)) client (int_range (-300) 300)
             (int_range (-300) 300));
@@ -431,8 +431,8 @@ let prop_reconcile_matches_spec =
         | Retitle (i, n) -> with_app i (fun app -> Client_app.set_name app (String.make n 'n'))
         | Pan (x, y) -> exec ctx (Printf.sprintf "f.panto(%d,%d)" x y)
         | Desktop d -> exec ctx (Printf.sprintf "f.desktop(%d)" d)
-        | Reduced op ->
-            ctx.Ctx.tier <- Ctx.Tier_reduced;
+        | Degraded op ->
+            ctx.Ctx.tier <- Ctx.Tier_essential;
             apply op;
             ignore (Wm.step wm);
             for _ = 1 to Governor.restore_calm_ticks do

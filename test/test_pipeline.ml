@@ -186,28 +186,6 @@ let test_read_events_max () =
     (Metrics.hist_count
        (Metrics.histogram (Server.metrics server) "delivery.batch_size"))
 
-let test_trace_compress () =
-  let t = Wire.Trace.create () in
-  let w = Xid.of_int 5 in
-  for i = 1 to 10 do
-    Wire.Trace.record t
-      (Wire.Configure_window (w, { Event.no_changes with cx = Some i; cy = Some i }))
-  done;
-  Wire.Trace.record t (Wire.Map_window w);
-  List.iter (fun p -> Wire.Trace.record t (Wire.Warp_pointer p))
-    [ Geom.point 1 1; Geom.point 2 2; Geom.point 3 3 ];
-  let c = Wire.Trace.compress t in
-  check Alcotest.int "14 requests compress to 3" 3 (Wire.Trace.length c);
-  match Wire.Trace.requests c with
-  | [ Wire.Configure_window (_, changes); Wire.Map_window _; Wire.Warp_pointer p ]
-    ->
-      check Alcotest.(option int) "final x wins" (Some 10) changes.Event.cx;
-      check Alcotest.bool "final warp wins" true (p = Geom.point 3 3)
-  | reqs ->
-      Alcotest.failf "unexpected shape: %a"
-        (Fmt.Dump.list Wire.pp_request)
-        reqs
-
 (* -------- properties -------- *)
 
 let point_gen =
@@ -312,7 +290,6 @@ let suite =
     Alcotest.test_case "expose damage merges via region" `Quick
       test_expose_region_merge;
     Alcotest.test_case "read_events batch limit" `Quick test_read_events_max;
-    Alcotest.test_case "trace compression" `Quick test_trace_compress;
     QCheck_alcotest.to_alcotest prop_motion_stream_equiv;
     QCheck_alcotest.to_alcotest prop_expose_union_exact;
     QCheck_alcotest.to_alcotest prop_batch_roundtrip;

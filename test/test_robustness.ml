@@ -695,21 +695,20 @@ let test_governor_tier_ladder () =
   Governor.tick ctx;
   check Alcotest.string "escalates straight to essential" "essential"
     (Ctx.tier_name ctx.Ctx.tier);
-  (* Drain the flooded queue: pressure gone, but restoration is stepped. *)
+  (* Drain the flooded queue: pressure gone, but restoration waits for
+     calm ticks. *)
   while Server.pending conn > 0 do
     ignore (Server.flush_batch conn)
   done;
-  for _ = 1 to Governor.restore_calm_ticks do
+  for _ = 1 to Governor.restore_calm_ticks - 1 do
     Governor.tick ctx
   done;
-  check Alcotest.string "one tier back after calm ticks" "reduced"
+  check Alcotest.string "still essential before the last calm tick" "essential"
     (Ctx.tier_name ctx.Ctx.tier);
-  for _ = 1 to Governor.restore_calm_ticks do
-    Governor.tick ctx
-  done;
+  Governor.tick ctx;
   check Alcotest.string "full service restored" "full"
     (Ctx.tier_name ctx.Ctx.tier);
-  check Alcotest.int "three transitions counted" 3
+  check Alcotest.int "two transitions counted" 2
     (Metrics.counter_value (Server.metrics server) "governor.transitions")
 
 let test_degraded_tier_skips_luxury_work () =
@@ -718,7 +717,7 @@ let test_degraded_tier_skips_luxury_work () =
   let ctx = Wm.ctx wm in
   let _app = Stock.xterm server () in
   ignore (Wm.step wm);
-  ctx.Ctx.tier <- Ctx.Tier_reduced;
+  ctx.Ctx.tier <- Ctx.Tier_essential;
   Swm_core.Panner.refresh ctx ~screen:0;
   let m = Server.metrics server in
   check Alcotest.bool "panner refresh skipped" true
@@ -735,7 +734,7 @@ let test_retitle_while_degraded () =
   let app = Stock.xterm server () in
   ignore (Wm.step wm);
   let client = client_of wm app in
-  ctx.Ctx.tier <- Ctx.Tier_reduced;
+  ctx.Ctx.tier <- Ctx.Tier_essential;
   Client_app.set_name app "renamed";
   ignore (Wm.step wm);
   for _ = 1 to Governor.restore_calm_ticks do

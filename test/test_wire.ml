@@ -136,71 +136,6 @@ let test_event_roundtrips () =
       Event.Client_message { window = w; name = "WM_PROTOCOLS"; data = "DELETE" };
     ]
 
-(* -------- traces -------- *)
-
-let test_trace_roundtrip_and_replay () =
-  (* Record a small client life against one server... *)
-  let server1 = Server.create () in
-  let conn1 = Server.connect server1 ~name:"traced" in
-  let root1 = Server.root server1 ~screen:0 in
-  let trace = Wire.Trace.create () in
-  let record req = Wire.Trace.record trace req in
-  let w =
-    Server.create_window server1 conn1 ~parent:root1 ~geom:(Geom.rect 30 40 200 100) ()
-  in
-  record
-    (Wire.Create_window
-       { wid = w; parent = root1; geom = Geom.rect 30 40 200 100; border = 0;
-         override_redirect = false });
-  Server.map_window server1 conn1 w;
-  record (Wire.Map_window w);
-  Server.move_resize server1 conn1 w (Geom.rect 60 70 250 150);
-  record
-    (Wire.Configure_window
-       ( w,
-         { Event.no_changes with cx = Some 60; cy = Some 70; cw = Some 250;
-           ch = Some 150 } ));
-  Server.change_property server1 conn1 w ~name:"WM_NAME"
-    (Swm_xlib.Prop.String "traced");
-  record (Wire.Change_property { window = w; name = "WM_NAME"; value = "traced" });
-
-  (* ...serialise to bytes and back... *)
-  let bytes = Wire.Trace.to_bytes trace in
-  check Alcotest.bool "wire bytes exist" true (String.length bytes > 0);
-  check Alcotest.int "byte_size agrees" (String.length bytes)
-    (Wire.Trace.byte_size trace);
-  let trace2 =
-    match Wire.Trace.of_bytes bytes with
-    | Ok t -> t
-    | Error msg -> Alcotest.fail msg
-  in
-  check Alcotest.int "same length" (Wire.Trace.length trace)
-    (Wire.Trace.length trace2);
-
-  (* ...and replay against a fresh server: same visible result. *)
-  let server2 = Server.create () in
-  let conn2 = Server.connect server2 ~name:"replayer" in
-  let root2 = Server.root server2 ~screen:0 in
-  (match
-     Wire.Trace.replay trace2 server2 conn2 ~remap:(fun id ->
-         if Xid.equal id root1 then root2 else id)
-   with
-  | Ok n -> check Alcotest.int "all requests applied" 4 n
-  | Error msg -> Alcotest.fail msg);
-  (* The replayed window matches the original. *)
-  let replayed =
-    List.find
-      (fun c -> not (Xid.equal c root2))
-      (Server.children_of server2 root2 @ Server.all_windows server2)
-  in
-  let g1 = Server.geometry server1 w and g2 = Server.geometry server2 replayed in
-  check Alcotest.bool "geometry reproduced" true (Geom.rect_equal g1 g2);
-  check Alcotest.bool "mapped reproduced" true
-    (Server.is_mapped server2 replayed = Server.is_mapped server1 w);
-  match Server.get_property server2 replayed ~name:"WM_NAME" with
-  | Some (Swm_xlib.Prop.String "traced") -> ()
-  | _ -> Alcotest.fail "property not replayed"
-
 (* -------- a client living entirely on the wire -------- *)
 
 let test_wire_client_under_wm () =
@@ -236,18 +171,16 @@ let test_wire_client_under_wm () =
   let client = Option.get (Swm_core.Wm.find_client wm server_id) in
   check Alcotest.bool "decorated" true (client.Swm_core.Ctx.deco <> None);
   check Alcotest.bool "viewable" true (Server.is_viewable server server_id);
-  (* The client's events arrive as bytes, in its own id space. *)
-  let bytes = Wire_conn.drain_event_bytes wc in
+  (* The client's events arrive as one batch frame, in its own id space. *)
+  let bytes = Wire_conn.flush_batch_bytes wc in
   check Alcotest.bool "received event bytes" true (String.length bytes > 0);
-  check Alcotest.int "32-byte frames" 0 (String.length bytes mod 32);
-  let rec events pos acc =
-    if pos >= String.length bytes then List.rev acc
-    else
-      match Wire.decode_event bytes ~pos with
-      | Ok (e, next) -> events next (e :: acc)
-      | Error msg -> Alcotest.fail msg
+  let decoded =
+    match Wire.decode_batch bytes ~pos:0 with
+    | Ok (events, next) ->
+        check Alcotest.int "one frame" (String.length bytes) next;
+        events
+    | Error msg -> Alcotest.fail msg
   in
-  let decoded = events 0 [] in
   check Alcotest.bool "reparent seen with client id" true
     (List.exists
        (function
@@ -260,6 +193,66 @@ let test_wire_client_under_wm () =
   match Wire_conn.submit wc (Wire.Map_window (Xid.of_int 987654)) with
   | Ok () -> Alcotest.fail "expected unknown-id error"
   | Error _ -> ()
+
+(* -------- what execute translates -------- *)
+
+(* A restack names its sibling by client id; the server must see the
+   sibling's server id, or the window lands on top instead. *)
+let test_restack_below_client_sibling () =
+  let module Wire_conn = Swm_xlib.Wire_conn in
+  let server = Server.create () in
+  let wc = Wire_conn.create server ~name:"stacker" in
+  let root = Wire_conn.root_id wc ~screen:0 in
+  let create () =
+    let wid = Wire_conn.fresh_id wc in
+    (match
+       Wire_conn.submit wc
+         (Wire.Create_window
+            { wid; parent = root; geom = Geom.rect 0 0 50 50; border = 0;
+              override_redirect = false })
+     with
+    | Ok () -> ()
+    | Error msg -> Alcotest.fail msg);
+    wid
+  in
+  let a = create () in
+  let b = create () in
+  let c = create () in
+  let sid w = Option.get (Wire_conn.resolve wc w) in
+  let order () =
+    List.filter
+      (fun w -> List.exists (Xid.equal w) [ sid a; sid b; sid c ])
+      (Server.children_of server (Server.root server ~screen:0))
+  in
+  check Alcotest.(list int) "created bottom to top"
+    (List.map Xid.to_int [ sid a; sid b; sid c ])
+    (List.map Xid.to_int (order ()));
+  (match
+     Wire_conn.submit wc
+       (Wire.Configure_window
+          (c, { Event.no_changes with cstack = Some Event.Below; csibling = Some a }))
+   with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg);
+  check Alcotest.(list int) "c restacked below a"
+    (List.map Xid.to_int [ sid c; sid a; sid b ])
+    (List.map Xid.to_int (order ()))
+
+(* WarpPointer carries no screen: it moves the pointer on the screen the
+   pointer is on. *)
+let test_warp_stays_on_pointer_screen () =
+  let module Wire_conn = Swm_xlib.Wire_conn in
+  let server =
+    Server.create ~screens:[ Server.default_screen; Server.default_screen ] ()
+  in
+  Server.warp_pointer server ~screen:1 (Geom.point 10 10);
+  let wc = Wire_conn.create server ~name:"warper" in
+  (match Wire_conn.submit wc (Wire.Warp_pointer (Geom.point 200 100)) with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg);
+  check Alcotest.int "still on screen 1" 1 (Server.pointer_screen server);
+  check Alcotest.bool "at the warped position" true
+    (Server.pointer_pos server = Geom.point 200 100)
 
 (* -------- partial-batch accounting -------- *)
 
@@ -372,10 +365,12 @@ let suite =
     Alcotest.test_case "stream decoding" `Quick test_stream_decoding;
     Alcotest.test_case "truncated frames rejected" `Quick test_truncated_rejected;
     Alcotest.test_case "event roundtrips" `Quick test_event_roundtrips;
-    Alcotest.test_case "trace record/serialise/replay" `Quick
-      test_trace_roundtrip_and_replay;
     Alcotest.test_case "wire-only client under the WM" `Quick
       test_wire_client_under_wm;
+    Alcotest.test_case "restack below a sibling named by client id" `Quick
+      test_restack_below_client_sibling;
+    Alcotest.test_case "warp stays on the pointer's screen" `Quick
+      test_warp_stays_on_pointer_screen;
     Alcotest.test_case "partial-batch accounting" `Quick
       test_partial_batch_accounting;
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
