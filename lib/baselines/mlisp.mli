@@ -49,4 +49,3 @@ val eval_program : env -> string -> (value, string) result
 val call : env -> value -> value list -> value
 (** Apply a closure or builtin. *)
 
-val truthy : value -> bool

@@ -1,6 +1,6 @@
 module Geom = Swm_xlib.Geom
 
-type item = { item_kind : Wobj.kind; item_name : string; position : Geom.spec }
+type item = Wobj.item = { item_kind : Wobj.kind; item_name : string; position : Geom.spec }
 
 let kind_of_string = function
   | "panel" -> Some Wobj.Panel
@@ -30,7 +30,7 @@ let parse spec =
 
 let build_from_spec tk ~lookup ~kind ~name ~spec =
   let rec go ~visited ~kind ~name ~spec =
-    match parse spec with
+    match Wobj.definition tk spec ~parse with
     | Error msg -> Error (Printf.sprintf "panel %S: %s" name msg)
     | Ok items ->
         let root = Wobj.make tk kind ~name in

@@ -15,7 +15,11 @@ Swm*panel.openLook: \
     [lookup]; a nested panel without a definition (like the special [client]
     panel) becomes an empty panel. *)
 
-type item = { item_kind : Wobj.kind; item_name : string; position : Swm_xlib.Geom.spec }
+type item = Wobj.item = {
+  item_kind : Wobj.kind;
+  item_name : string;
+  position : Swm_xlib.Geom.spec;
+}
 
 val parse : string -> (item list, string) result
 (** Parse the triples of a definition string. *)
@@ -29,7 +33,8 @@ val build :
 (** [build tk ~lookup ~kind ~name] constructs the (unrealized) object tree
     for panel/menu [name], resolving nested definitions through [lookup]
     (typically [fun n -> query "panel.<n>"]).  Cycles are reported as
-    errors rather than looping. *)
+    errors rather than looping.  Each definition text is parsed once per
+    database generation ({!Wobj.definition}). *)
 
 val build_from_spec :
   Wobj.toolkit ->

@@ -19,6 +19,8 @@ let kind_class = function
   | Text -> "Text"
   | Menu -> "Menu"
 
+type item = { item_kind : kind; item_name : string; position : Geom.spec }
+
 type toolkit = {
   server : Server.t;
   conn : Server.conn;
@@ -27,6 +29,8 @@ type toolkit = {
   registry : t Xid.Tbl.t;
   records : (kind * string, record) Hashtbl.t;
       (* the classes made since [records_generation] *)
+  definitions : (string, (item list, string) result) Hashtbl.t;
+      (* panel definitions parsed since [records_generation], by text *)
   mutable records_generation : int;
   mutable record_hits : int;
   mutable layouts : int; (* panels with children laid out *)
@@ -65,6 +69,7 @@ let create_toolkit ~server ~conn ~screen ~query =
     query;
     registry = Xid.Tbl.create 64;
     records = Hashtbl.create 16;
+    definitions = Hashtbl.create 8;
     records_generation = Xrdb.generation ();
     record_hits = 0;
     layouts = 0;
@@ -87,14 +92,29 @@ let records tk = Hashtbl.length tk.records
 let record_hits tk = tk.record_hits
 let layouts tk = tk.layouts
 
-(* A database write drops every record from the table; objects made before
-   it keep theirs, and [attr] refills it on its next read. *)
-let class_record tk kind name =
+(* A database write drops every record and parsed definition from the
+   tables; objects made before it keep their records, and [attr] refills
+   them on its next read. *)
+let sync tk =
   let generation = Xrdb.generation () in
   if tk.records_generation <> generation then begin
     Hashtbl.reset tk.records;
+    Hashtbl.reset tk.definitions;
     tk.records_generation <- generation
   end;
+  generation
+
+let definition tk text ~parse =
+  ignore (sync tk);
+  match Hashtbl.find_opt tk.definitions text with
+  | Some items -> items
+  | None ->
+      let items = parse text in
+      Hashtbl.add tk.definitions text items;
+      items
+
+let class_record tk kind name =
+  let generation = sync tk in
   match Hashtbl.find_opt tk.records (kind, name) with
   | Some record -> record
   | None ->

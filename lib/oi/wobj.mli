@@ -89,6 +89,16 @@ val records : toolkit -> int
 val record_hits : toolkit -> int
 (** {!attr} reads answered from a record, without calling [query]. *)
 
+type item = { item_kind : kind; item_name : string; position : Swm_xlib.Geom.spec }
+(** One [object-type object-name position] triple of a panel definition
+    ({!Panel_spec}). *)
+
+val definition :
+  toolkit -> string -> parse:(string -> (item list, string) result) ->
+  (item list, string) result
+(** [definition tk text ~parse] is [parse text], kept by text beside the
+    attribute records and dropped with them at the next database write. *)
+
 val layouts : toolkit -> int
 (** Layout passes: panels with children whose rows the toolkit has laid
     out.  {!realize} and {!relayout} lay out each such panel of the tree

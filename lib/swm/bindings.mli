@@ -43,5 +43,4 @@ val lookup : binding list -> Swm_xlib.Event.t -> func_call list
 val drop_functions : binding list -> func_call list
 (** The functions of the [<Drop>] binding, if any. *)
 
-val pp_binding : Format.formatter -> binding -> unit
 val to_string : binding list -> string

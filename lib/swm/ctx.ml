@@ -283,5 +283,3 @@ let place ctx win r =
 let log_src = Logs.Src.create "swm" ~doc:"swm window manager"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
-
-let log _ctx fmt = Format.kasprintf (fun s -> Log.debug (fun m -> m "%s" s)) fmt

@@ -266,9 +266,6 @@ val object_bindings : t -> Swm_oi.Wobj.t -> Bindings.binding list
 val client_scope : client -> Config.client_scope
 (** The client's resource-lookup identity (class, instance, shaped, sticky). *)
 
-val frame_geometry : t -> client -> Geom.rect
-(** The frame's geometry relative to its current parent (desktop or root). *)
-
 val place : t -> Xid.t -> Geom.rect -> unit
 (** Move and resize a window to the rectangle, issuing no request when it
     is already there. *)
@@ -297,4 +294,6 @@ val log_src : Logs.src
 (** The [Logs] source ("swm"); set its level to [Debug] to trace manage /
     unmanage / pan / function execution. *)
 
-val log : t -> ('a, Format.formatter, unit, unit) format4 -> 'a
+module Log : Logs.LOG
+(** Messages to {!log_src}.  [Log.debug (fun m -> m fmt ...)] formats
+    nothing unless the source's level is [Debug]. *)

@@ -719,11 +719,11 @@ let rec execute_at ~depth (ctx : Ctx.t) inv (funcs : Bindings.func_call list) =
   | [] -> ()
   | f :: rest -> (
       let name = canon f.fname in
-      Recorder.record
-        (Server.recorder ctx.server)
-        ~kind:"function"
-        ~attrs:(match f.farg with None -> [] | Some a -> [ ("arg", a) ])
-        name;
+      let recorder = Server.recorder ctx.server in
+      if Recorder.enabled recorder then
+        Recorder.record recorder ~kind:"function"
+          ~attrs:(match f.farg with None -> [] | Some a -> [ ("arg", a) ])
+          name;
       let handler = Hashtbl.find_opt functions name in
       (* Per-function attribution, always on: which f.* functions a session
          actually exercises (and how often) — the other half of the
@@ -769,8 +769,8 @@ let rec execute_at ~depth (ctx : Ctx.t) inv (funcs : Bindings.func_call list) =
                    else fun f -> f ())
                   @@ fun () ->
                   Xguard.run ctx ~where:name (fun () ->
-                      Ctx.log ctx "%s on %s (win=%a)" name client.instance Xid.pp
-                        client.cwin;
+                      Ctx.Log.debug (fun m ->
+                          m "%s on %s (win=%a)" name client.instance Xid.pp client.cwin);
                       run ctx client))
                 clients;
               execute_at ~depth ctx inv rest

@@ -52,7 +52,8 @@ let transition (ctx : Ctx.t) ~from tier =
   if Recorder.enabled recorder then
     Recorder.record recorder ~kind:"tier" ~attrs
       (Ctx.tier_name from ^ " -> " ^ Ctx.tier_name tier);
-  Ctx.log ctx "governor: tier %s -> %s" (Ctx.tier_name from) (Ctx.tier_name tier);
+  Ctx.Log.debug (fun m ->
+      m "governor: tier %s -> %s" (Ctx.tier_name from) (Ctx.tier_name tier));
   (* Back at full service: repaint what the essential tier skipped. *)
   if tier = Ctx.Tier_full then
     Array.iter

@@ -6,16 +6,8 @@
     dispatched events; the same cadence drives
     {!Swm_xlib.Server.health_tick} (quarantine). *)
 
-val essential_ratio : float
-(** The queue depth-to-cap ratio at which escalation to the essential
-    tier happens. *)
-
 val restore_calm_ticks : int
 (** Consecutive calm ticks before the full tier is restored. *)
-
-val desired : Ctx.t -> Ctx.tier
-(** The tier the current pressure signals call for.  Consumes the
-    watchdog-stall delta (updates [gov_last_stalls]). *)
 
 val tick : Ctx.t -> unit
 (** One governor tick: re-evaluate the tier (escalate immediately,

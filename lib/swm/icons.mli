@@ -30,7 +30,6 @@ val create_holders : Ctx.t -> screen:int -> unit
     reads [iconHolder.H.classes], [.geometry], [.hideWhenEmpty] and
     [.sizeToFit]. *)
 
-val holder_for : Ctx.t -> Ctx.client -> Ctx.holder option
 val find_holder : Ctx.t -> screen:int -> string -> Ctx.holder option
 
 val scroll_holder : Ctx.t -> Ctx.holder -> int -> unit

@@ -23,11 +23,11 @@ let handle_property_change (ctx : Ctx.t) ~screen =
         (fun line ->
           let line = String.trim line in
           if line <> "" then begin
-            Swm_xlib.Recorder.record
-              (Server.recorder ctx.server)
-              ~kind:"swmcmd"
-              ~attrs:[ ("screen", string_of_int screen) ]
-              line;
+            let recorder = Server.recorder ctx.server in
+            if Swm_xlib.Recorder.enabled recorder then
+              Swm_xlib.Recorder.record recorder ~kind:"swmcmd"
+                ~attrs:[ ("screen", string_of_int screen) ]
+                line;
             (* Per-line guard: one line hitting a freshly-destroyed window
                must not abort the rest of the batch. *)
             match
@@ -45,7 +45,7 @@ let handle_property_change (ctx : Ctx.t) ~screen =
                      (Printf.sprintf "{\"error\":%s}" (Metrics.json_string msg)));
                 let metrics = Server.metrics ctx.server in
                 Metrics.incr (Metrics.counter metrics "swmcmd.errors");
-                Ctx.log ctx "swmcmd: bad line %S: %s" line msg;
+                Ctx.Log.debug (fun m -> m "swmcmd: bad line %S: %s" line msg);
                 let tracer = Server.tracer ctx.server in
                 if Tracing.enabled tracer then
                   Tracing.instant tracer "swmcmd.error"

@@ -77,18 +77,18 @@ let pan_to (ctx : Ctx.t) ~screen pos =
       @@ fun () ->
       let vwin = vdesk.vwins.(vdesk.current) in
       let geom = Server.geometry ctx.server vwin in
-      Ctx.log ctx "pan screen %d to %d,%d" screen x y;
+      Ctx.Log.debug (fun m -> m "pan screen %d to %d,%d" screen x y);
       Metrics.incr (Metrics.counter (Server.metrics ctx.server) "vdesk.pans");
-      Swm_xlib.Recorder.record
-        (Server.recorder ctx.server)
-        ~kind:"pan"
-        ~attrs:
-          [
-            ("screen", string_of_int screen);
-            ("x", string_of_int x);
-            ("y", string_of_int y);
-          ]
-        (Printf.sprintf "pan screen %d to %d,%d" screen x y);
+      let recorder = Server.recorder ctx.server in
+      if Swm_xlib.Recorder.enabled recorder then
+        Swm_xlib.Recorder.record recorder ~kind:"pan"
+          ~attrs:
+            [
+              ("screen", string_of_int screen);
+              ("x", string_of_int x);
+              ("y", string_of_int y);
+            ]
+          (Printf.sprintf "pan screen %d to %d,%d" screen x y);
       Server.move_resize ctx.server ctx.conn vwin { geom with Geom.x = -x; y = -y };
       Ctx.damage_viewport ctx ~screen
 

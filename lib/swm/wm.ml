@@ -89,8 +89,9 @@ let read_session (ctx : Ctx.t) =
           (Metrics.counter (Server.metrics ctx.server) "session.load_errors")
           stats.Session.rejected;
         let first = Option.value stats.Session.first_error ~default:"" in
-        Ctx.log ctx "session: rejected %d SWM_PLACES line(s), kept %d (%s)"
-          stats.Session.rejected stats.Session.loaded first;
+        Ctx.Log.debug (fun m ->
+            m "session: rejected %d SWM_PLACES line(s), kept %d (%s)"
+              stats.Session.rejected stats.Session.loaded first);
         Tracing.note (Server.tracer ctx.server) "session.load_error"
           ~attrs:
             [
@@ -186,10 +187,10 @@ let manage_inner (ctx : Ctx.t) win =
     in
     Ctx.add_client ctx client;
     let at = initial_position ctx ~screen ~sticky win hint in
-    Ctx.log ctx "manage %s.%s win=%a at=%a%s%s" instance class_ Xid.pp win
-      Geom.pp_point at
-      (if sticky then " sticky" else "")
-      (if hint <> None then " (session hint)" else "");
+    Ctx.Log.debug (fun m ->
+        m "manage %s.%s win=%a at=%a%s%s" instance class_ Xid.pp win Geom.pp_point at
+          (if sticky then " sticky" else "")
+          (if hint <> None then " (session hint)" else ""));
     Decoration.build ctx client ~at;
     let initial_state =
       match hint with
@@ -232,8 +233,8 @@ let unmanage (ctx : Ctx.t) (client : Ctx.client) ~destroyed =
           Wobj.unrealize icon;
           client.icon_obj <- None
       | None -> ());
-  Ctx.log ctx "unmanage %s win=%a destroyed=%b" client.instance Xid.pp client.cwin
-    destroyed;
+  Ctx.Log.debug (fun m ->
+      m "unmanage %s win=%a destroyed=%b" client.instance Xid.pp client.cwin destroyed);
   Xguard.run ctx ~where:"unmanage.teardown" (fun () ->
       Decoration.teardown ctx client ~to_root:(not destroyed));
   Ctx.remove_client ctx client;

@@ -56,18 +56,11 @@ val dispatch_table_codes : unit -> int list
 val render_screen : t -> screen:int -> string
 (** Character rendering of a screen, for tests and figures. *)
 
-val state_snapshot_json : t -> string
-(** The compact world-state snapshot the flight recorder embeds in crash
-    reports: managed-client table (window / instance / class / state /
-    sticky, sorted by window id), the iconic and sticky id sets, and each
-    screen's viewport.  Exposed so tests can check a dumped snapshot
-    against the live window table. *)
-
 val replay_harness :
   Swm_xlib.Replay.report -> Swm_xlib.Server.t -> Swm_xlib.Replay.harness
 (** The {!Swm_xlib.Replay} harness for this WM: [start] a fresh instance
     with the report's recorded resources, step it at the journal's [step]
-    markers, snapshot it with {!state_snapshot_json}. *)
+    markers, snapshot it as the flight recorder's state source does. *)
 
 val replay : Swm_xlib.Replay.report -> Swm_xlib.Replay.outcome
 (** Re-execute a parsed crash report or repro file against a fresh

@@ -14,7 +14,7 @@ let absorbed (ctx : Ctx.t) ~where msg =
     (Metrics.labeled_counter
        (Metrics.counter_family metrics ~key:"where" "wm.xerrors.by_where")
        where);
-  Ctx.log ctx "absorbed X error in %s: %s" where msg;
+  Ctx.Log.debug (fun m -> m "absorbed X error in %s: %s" where msg);
   Tracing.note (Server.tracer ctx.server) "wm.xerror"
     ~attrs:[ ("where", where); ("error", msg) ];
   (* An absorbed error is exactly the moment the flight recorder exists

@@ -26,7 +26,4 @@ val xlogo32 : t
 
 val mail : t
 val terminal : t
-val clock_face : t
 val trash : t
-val gray : t
-(** A stipple pattern. *)

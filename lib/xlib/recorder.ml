@@ -77,7 +77,6 @@ let journal_snapshot t json =
   end
 
 let arm_dump t ~path = t.dump_path <- Some path
-let dump_path t = t.dump_path
 let dumps t = t.dumps
 
 (* -------- the crash report -------- *)

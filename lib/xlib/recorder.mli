@@ -47,7 +47,9 @@ val stop : t -> unit
 
 val record : t -> kind:string -> ?attrs:(string * string) list -> string -> unit
 (** Append an entry, overwriting the oldest once the ring is full.  A
-    single flag check when disabled. *)
+    single flag check when disabled; a caller that builds the entry's
+    text or attributes tests {!enabled} first, so that a disabled
+    recorder builds nothing either. *)
 
 val entries : t -> entry list
 (** Oldest first; at most [capacity] of them. *)
@@ -68,14 +70,11 @@ val dropped : t -> int
     drop accounting. *)
 
 val record_op : t -> string -> unit
-(** Append an op (a single flag check when disabled). *)
+(** Append an op (a single flag check when disabled).  {!Server} builds
+    an op only while its journal is on. *)
 
 val journal_ops : t -> string list
 (** Oldest first; at most [journal_capacity] of them. *)
-
-val journal_capacity : t -> int
-val journal_recorded : t -> int
-val journal_dropped : t -> int
 
 val set_meta : t -> string -> unit
 (** Session setup as JSON text — the resources and screen layout a replay
@@ -111,7 +110,6 @@ val arm_dump : t -> path:string -> unit
 (** Crash reports go to [path] (written atomically: [path.tmp] then
     rename).  Until armed, {!crash} only counts. *)
 
-val dump_path : t -> string option
 val dumps : t -> int
 (** Crash reports written so far. *)
 

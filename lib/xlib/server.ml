@@ -228,7 +228,8 @@ and window = {
   mutable art : string list option;
   mutable shape : Region.t option; (* window-interior coords *)
   gravity : gravity; (* where a resize of the parent moves it *)
-  props : (Atom.t, Prop.value) Hashtbl.t; (* keyed by interned name *)
+  mutable props : (Atom.t, Prop.value) Hashtbl.t;
+      (* keyed by interned name; [no_props] until the first write *)
   mutable selections : hold list; (* one per selecting connection *)
   mutable saved_by : hold list; (* the save-set entries naming it *)
   owner : conn;
@@ -254,6 +255,11 @@ and hold = {
 let nil_registry = Metrics.create ()
 let nil_counter = Metrics.counter nil_registry "nil"
 
+(* The property table of every window that has never held a property: most
+   windows never do (a decoration's subwindows and corners), so a table is
+   made at a window's first write.  Nothing is ever added to this one. *)
+let no_props : (Atom.t, Prop.value) Hashtbl.t = Hashtbl.create 1
+
 let rec nil =
   {
     id = Xid.none;
@@ -274,7 +280,7 @@ let rec nil =
     art = None;
     shape = None;
     gravity = North_west;
-    props = Hashtbl.create 1;
+    props = no_props;
     selections = [];
     saved_by = [];
     owner = nil_conn;
@@ -412,7 +418,6 @@ let create ?(screens = [ default_screen ]) () =
             mapped = true;
             w_override = true;
             background = Some '.';
-            props = Hashtbl.create 8;
           }
         in
         Xid.Tbl.replace windows id root;
@@ -539,26 +544,24 @@ let journaling server =
   && (not server.injecting)
   && not server.journal_busy
 
-let conn_key conn = Printf.sprintf "%s#%d" conn.cname conn.cid
-
-let journal_frame server conn req =
-  if journaling server && not conn.jexempt then
-    Recorder.record_op server.s_recorder
-      ("frame " ^ conn_key conn ^ " "
-      ^ Wire.to_hex (Wire.encode_request req))
-
-let journal_op server op =
-  if journaling server then Recorder.record_op server.s_recorder op
-
-let journal_conn_op server conn op =
-  if journaling server && not conn.jexempt then
-    Recorder.record_op server.s_recorder op
+(* [journaling], for a request [conn] issues. *)
+let journaling_conn server conn = journaling server && not conn.jexempt
 
 (* Fault effects must reach the journal even when they fire inside WM
    dispatch (suspended) or under the [injecting] guard. *)
-let journal_fault server op =
-  if Recorder.enabled server.s_recorder && not server.journal_busy then
-    Recorder.record_op server.s_recorder op
+let journaling_faults server =
+  Recorder.enabled server.s_recorder && not server.journal_busy
+
+(* Every call site tests one of the three predicates above before it
+   builds an op, so neither the op text nor the request a frame encodes is
+   made while nothing records it. *)
+let journal server op = Recorder.record_op server.s_recorder op
+
+let conn_key conn = Printf.sprintf "%s#%d" conn.cname conn.cid
+
+let journal_frame server conn req =
+  journal server
+    ("frame " ^ conn_key conn ^ " " ^ Wire.to_hex (Wire.encode_request req))
 
 let set_journal_exempt conn flag =
   conn.jexempt <- flag;
@@ -924,7 +927,6 @@ let create_window server conn ~parent ~geom ?(border = 0) ?(override_redirect = 
       background;
       label;
       gravity;
-      props = Hashtbl.create 8;
       owner = conn;
     }
   in
@@ -935,10 +937,13 @@ let create_window server conn ~parent ~geom ?(border = 0) ?(override_redirect = 
      actually used — the replay side remaps it if its own allocator
      disagrees (it only can on a minimised subset).  The codec's
      CreateWindow carries no event mask, so a SelectInput frame follows. *)
-  journal_frame server conn
-    (Wire.Create_window { wid = id; parent; geom; border; override_redirect });
+  let journaled = journaling_conn server conn in
+  if journaled then
+    journal_frame server conn
+      (Wire.Create_window { wid = id; parent; geom; border; override_redirect });
   if event_mask <> [] then begin
-    journal_frame server conn (Wire.Select_input { window = id; masks = event_mask });
+    if journaled then
+      journal_frame server conn (Wire.Select_input { window = id; masks = event_mask });
     select conn window event_mask
   end;
   id
@@ -970,7 +975,7 @@ let destroy_window server id =
   let window = lookup server id in
   if window.parent == nil then invalid_arg "Server.destroy_window: root window"
   else begin
-    journal_op server (Printf.sprintf "destroy %d" (Xid.to_int id));
+    if journaling server then journal server (Printf.sprintf "destroy %d" (Xid.to_int id));
     destroy_tree server window
   end
 
@@ -1078,7 +1083,7 @@ let map_one server conn window =
 
 let map_window server conn id =
   bump server;
-  journal_frame server conn (Wire.Map_window id);
+  if journaling_conn server conn then journal_frame server conn (Wire.Map_window id);
   map_one server conn (lookup server id)
 
 (* X's MapSubwindows: one request maps every unmapped child, top to bottom.
@@ -1086,11 +1091,12 @@ let map_window server conn id =
    child, in that order. *)
 let map_subwindows server conn id =
   bump server;
+  let journaled = journaling_conn server conn in
   let rec each c =
     if c != nil then begin
       let next = c.below in
       if not c.mapped then begin
-        journal_frame server conn (Wire.Map_window c.id);
+        if journaled then journal_frame server conn (Wire.Map_window c.id);
         map_one server conn c
       end;
       each next
@@ -1100,7 +1106,7 @@ let map_subwindows server conn id =
 
 let unmap_window server conn id =
   bump server;
-  journal_frame server conn (Wire.Unmap_window id);
+  if journaling_conn server conn then journal_frame server conn (Wire.Unmap_window id);
   let window = lookup server id in
   if window.mapped then begin
     window.mapped <- false;
@@ -1166,7 +1172,8 @@ let do_configure server window (changes : Event.config_changes) =
 
 let configure_window server conn id changes =
   bump server;
-  journal_frame server conn (Wire.Configure_window (id, changes));
+  if journaling_conn server conn then
+    journal_frame server conn (Wire.Configure_window (id, changes));
   let window = lookup server id in
   if window.parent == nil then ()
   else begin
@@ -1192,7 +1199,8 @@ let lower_window server conn id =
 
 let reparent_window server conn id ~new_parent ~pos =
   bump server;
-  journal_frame server conn (Wire.Reparent_window { window = id; parent = new_parent; pos });
+  if journaling_conn server conn then
+    journal_frame server conn (Wire.Reparent_window { window = id; parent = new_parent; pos });
   let window = lookup server id in
   let target = lookup server new_parent in
   if window.parent == nil then invalid_arg "Server.reparent_window: root window";
@@ -1229,7 +1237,7 @@ let reparent_window server conn id ~new_parent ~pos =
 
 let add_to_save_set server conn id =
   bump server;
-  journal_frame server conn (Wire.Add_to_save_set id);
+  if journaling_conn server conn then journal_frame server conn (Wire.Add_to_save_set id);
   let window = lookup server id in
   if not (List.exists (fun h -> h.h_conn == conn) window.saved_by) then begin
     let h =
@@ -1242,7 +1250,8 @@ let add_to_save_set server conn id =
 
 let remove_from_save_set server conn id =
   bump server;
-  journal_frame server conn (Wire.Remove_from_save_set id);
+  if journaling_conn server conn then
+    journal_frame server conn (Wire.Remove_from_save_set id);
   match Xid.Tbl.find_opt server.windows id with
   | None -> ()
   | Some window -> (
@@ -1261,7 +1270,7 @@ let rec has_ancestor_owned_by window conn =
    [disconnect_visits] counts those list entries. *)
 let disconnect server conn =
   bump server;
-  journal_conn_op server conn ("kill " ^ conn_key conn);
+  if journaling_conn server conn then journal server ("kill " ^ conn_key conn);
   let was_busy = server.journal_busy in
   server.journal_busy <- true;
   Fun.protect ~finally:(fun () -> server.journal_busy <- was_busy) @@ fun () ->
@@ -1358,14 +1367,17 @@ let change_property server conn id ~name value =
         Prop.String (Fault.garble f s)
     | _ -> value
   in
-  (match value with
-  | Prop.String s ->
-      journal_frame server conn (Wire.Change_property { window = id; name; value = s })
-  | v ->
-      journal_conn_op server conn
-        (Printf.sprintf "prop %s %d %s %s" (conn_key conn) (Xid.to_int id)
-           (Wire.to_hex name)
-           (Wire.to_hex (Prop.value_to_text v))));
+  if journaling_conn server conn then begin
+    match value with
+    | Prop.String s ->
+        journal_frame server conn (Wire.Change_property { window = id; name; value = s })
+    | v ->
+        journal server
+          (Printf.sprintf "prop %s %d %s %s" (conn_key conn) (Xid.to_int id)
+             (Wire.to_hex name)
+             (Wire.to_hex (Prop.value_to_text v)))
+  end;
+  if window.props == no_props then window.props <- Hashtbl.create 8;
   Hashtbl.replace window.props atom value;
   notify server window Event.Property_change
     (Event.Property_notify { window = id; name; deleted = false })
@@ -1392,7 +1404,8 @@ let append_string_property server conn id ~name line =
 
 let delete_property server conn id ~name =
   bump server;
-  journal_frame server conn (Wire.Delete_property { window = id; name });
+  if journaling_conn server conn then
+    journal_frame server conn (Wire.Delete_property { window = id; name });
   let window = lookup server id in
   match Atom.intern_existing server.atom_table name with
   | Some atom when Hashtbl.mem window.props atom ->
@@ -1405,7 +1418,8 @@ let delete_property server conn id ~name =
 
 let select_input server conn id masks =
   bump server;
-  journal_frame server conn (Wire.Select_input { window = id; masks });
+  if journaling_conn server conn then
+    journal_frame server conn (Wire.Select_input { window = id; masks });
   select conn (lookup server id) masks
 
 let selected_masks server conn id =
@@ -1490,18 +1504,20 @@ let flush_batch conn = List.map fst (read_events_stamped conn ~max:max_int)
    selectors; overlapping damage coalesces in their queues. *)
 let damage_window server id rect =
   bump server;
-  journal_op server
-    (Printf.sprintf "damage %d %d %d %d %d" (Xid.to_int id) rect.Geom.x rect.Geom.y
-       rect.Geom.w rect.Geom.h);
+  if journaling server then
+    journal server
+      (Printf.sprintf "damage %d %d %d %d %d" (Xid.to_int id) rect.Geom.x rect.Geom.y
+         rect.Geom.w rect.Geom.h);
   let window = lookup server id in
   notify server window Event.Exposure_mask
     (Event.Expose { window = id; damage = Some rect })
 
 let send_event server conn ~dest event =
   bump server;
-  journal_conn_op server conn
-    (Printf.sprintf "send %s %d %s" (conn_key conn) (Xid.to_int dest)
-       (Wire.to_hex (Wire.encode_event event)));
+  if journaling_conn server conn then
+    journal server
+      (Printf.sprintf "send %s %d %s" (conn_key conn) (Xid.to_int dest)
+         (Wire.to_hex (Wire.encode_event event)));
   let window = lookup server dest in
   deliver server window.owner event;
   List.iter
@@ -1557,8 +1573,8 @@ let ancestor_chain server id =
 
 let warp_pointer server ~screen point =
   bump server;
-  journal_op server
-    (Printf.sprintf "warp %d %d %d" screen point.Geom.px point.Geom.py);
+  if journaling server then
+    journal server (Printf.sprintf "warp %d %d %d" screen point.Geom.px point.Geom.py);
   let before = window_at_pointer server in
   server.pointer_screen <- screen;
   server.pointer <- point;
@@ -1594,26 +1610,28 @@ let warp_pointer server ~screen point =
 
 let press_button server ?(mods = Keysym.no_mods) button =
   bump server;
-  journal_op server (Printf.sprintf "press %d %d" button (mods_bits mods));
+  if journaling server then
+    journal server (Printf.sprintf "press %d %d" button (mods_bits mods));
   deliver_device server Event.Button_press_mask (fun window pos root_pos ->
       Event.Button_press { window; button; mods; pos; root_pos })
 
 let release_button server ?(mods = Keysym.no_mods) button =
   bump server;
-  journal_op server (Printf.sprintf "release %d %d" button (mods_bits mods));
+  if journaling server then
+    journal server (Printf.sprintf "release %d %d" button (mods_bits mods));
   deliver_device server Event.Button_release_mask (fun window pos root_pos ->
       Event.Button_release { window; button; mods; pos; root_pos })
 
 let press_key server ?(mods = Keysym.no_mods) keysym =
   bump server;
-  journal_op server
-    (Printf.sprintf "key %s %d" (Wire.to_hex keysym) (mods_bits mods));
+  if journaling server then
+    journal server (Printf.sprintf "key %s %d" (Wire.to_hex keysym) (mods_bits mods));
   deliver_device server Event.Key_press_mask (fun window pos root_pos ->
       Event.Key_press { window; keysym; mods; pos; root_pos })
 
 let grab_pointer server conn id =
   bump server;
-  journal_frame server conn (Wire.Grab_pointer id);
+  if journaling_conn server conn then journal_frame server conn (Wire.Grab_pointer id);
   ignore (lookup server id);
   match server.grab with
   | Some g when g.gconn != conn -> raise (Bad_access "pointer already grabbed")
@@ -1621,7 +1639,7 @@ let grab_pointer server conn id =
 
 let ungrab_pointer server conn =
   bump server;
-  journal_frame server conn Wire.Ungrab_pointer;
+  if journaling_conn server conn then journal_frame server conn Wire.Ungrab_pointer;
   match server.grab with
   | Some g when g.gconn == conn -> server.grab <- None
   | Some _ | None -> ()
@@ -1630,7 +1648,7 @@ let pointer_grabbed server = server.grab <> None
 
 let set_input_focus server conn id =
   bump server;
-  journal_frame server conn (Wire.Set_input_focus id);
+  if journaling_conn server conn then journal_frame server conn (Wire.Set_input_focus id);
   ignore (lookup server id);
   let old = server.focus in
   if not (Xid.equal old id) then begin
@@ -1649,14 +1667,15 @@ let input_focus server = server.focus
 
 let shape_set server conn id region =
   bump server;
-  journal_frame server conn
-    (Wire.Shape_rectangles { window = id; rects = Region.rects region });
+  if journaling_conn server conn then
+    journal_frame server conn
+      (Wire.Shape_rectangles { window = id; rects = Region.rects region });
   (lookup server id).shape <- Some region
 
 let shape_clear server conn id =
   bump server;
-  journal_conn_op server conn
-    (Printf.sprintf "shapeclear %d" (Xid.to_int id));
+  if journaling_conn server conn then
+    journal server (Printf.sprintf "shapeclear %d" (Xid.to_int id));
   (lookup server id).shape <- None
 
 let shape_get server id = (lookup server id).shape
@@ -1721,7 +1740,8 @@ let run_fault server f (action : Fault.action) =
       | None -> ()
       | Some victim ->
           Fault.fire f action ~attrs:[ ("window", Format.asprintf "%a" Xid.pp victim) ];
-          journal_fault server (Printf.sprintf "destroy %d" (Xid.to_int victim));
+          if journaling_faults server then
+            journal server (Printf.sprintf "destroy %d" (Xid.to_int victim));
           destroy_window server victim)
   | Fault.Kill_connection | Fault.Stall_connection -> (
       let candidates =
@@ -1737,13 +1757,14 @@ let run_fault server f (action : Fault.action) =
       | Some victim ->
           Fault.fire f action ~attrs:[ ("conn", victim.cname) ];
           if action = Fault.Kill_connection then begin
-            journal_fault server ("kill " ^ conn_key victim);
+            if journaling_faults server then journal server ("kill " ^ conn_key victim);
             disconnect server victim
           end
           else begin
-            journal_fault server
-              (Printf.sprintf "stall %s %d" (conn_key victim)
-                 (if victim.stalled then 0 else 1));
+            if journaling_faults server then
+              journal server
+                (Printf.sprintf "stall %s %d" (conn_key victim)
+                   (if victim.stalled then 0 else 1));
             set_stalled victim (not victim.stalled)
           end)
   | Fault.Flood_events -> (
@@ -1761,7 +1782,8 @@ let run_fault server f (action : Fault.action) =
           let burst = Fault.flood_burst f in
           Fault.fire f action
             ~attrs:[ ("conn", victim.cname); ("burst", string_of_int burst) ];
-          journal_fault server (Printf.sprintf "flood %s %d" (conn_key victim) burst);
+          if journaling_faults server then
+            journal server (Printf.sprintf "flood %s %d" (conn_key victim) burst);
           flood_conn server victim ~burst)
   | Fault.Truncate_frame | Fault.Corrupt_frame | Fault.Garble_property ->
       (* Frame faults are applied by Wire_conn, property faults inline in

@@ -370,8 +370,6 @@ val flood_conn : t -> conn -> burst:int -> unit
     journal-exempt connection and fault-protected connections are never
     judged. *)
 
-val default_queue_cap : int
-
 val queue_cap : t -> int
 val set_queue_cap : t -> int -> unit
 (** Set the per-connection queue cap (clamped to >= 1) for existing and

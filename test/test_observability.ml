@@ -1,8 +1,9 @@
 (* Observability suite: the flight recorder (ring semantics, snapshots,
    crash reports), the event-loop watchdog, the time-series sampler and its
    f.query sections (health / stats / flightdump), the Prometheus and
-   table metric exports, and the satellite fixes that rode along (sticky
-   absolute placement, json_string / hist_quantile edge cases).
+   table metric exports, the debug log, and the satellite fixes that rode
+   along (sticky absolute placement, json_string / hist_quantile edge
+   cases).
 
    The crash-report tests parse every dump with {!Swm_xlib.Json} — the
    exporters hand-build their JSON, so "it parses" is a real check, not a
@@ -938,6 +939,71 @@ let test_query_walkthrough () =
     | Some n -> n > 0
     | None -> false)
 
+(* -------- the debug log -------- *)
+
+(* A manage, a pan, an f.raise and an unmanage, with a reporter capturing
+   the "swm" source's messages at [level]. *)
+let logged_session level =
+  let lines = ref [] in
+  let capture =
+    {
+      Logs.report =
+        (fun src _ ~over k msgf ->
+          if Logs.Src.equal src Ctx.log_src then
+            msgf (fun ?header:_ ?tags:_ fmt ->
+                Format.kasprintf
+                  (fun line ->
+                    lines := line :: !lines;
+                    over ();
+                    k ())
+                  fmt)
+          else begin
+            over ();
+            k ()
+          end);
+    }
+  in
+  let reporter = Logs.reporter () and was = Logs.Src.level Ctx.log_src in
+  Logs.set_reporter capture;
+  Logs.Src.set_level Ctx.log_src level;
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter reporter;
+      Logs.Src.set_level Ctx.log_src was)
+    (fun () ->
+      let server = Server.create () in
+      let wm = Wm.start ~resources:[ Templates.open_look ] server in
+      let xterm = Stock.xterm server ~at:(Geom.point 60 80) () in
+      ignore (Wm.step wm);
+      let sender = Server.connect server ~name:"cmd" in
+      let send line =
+        Swmcmd.send server sender ~screen:0 line;
+        ignore (Wm.step wm)
+      in
+      send "f.panTo(200,150)";
+      send "f.raise(XTerm)";
+      Client_app.destroy xterm;
+      ignore (Wm.step wm));
+  List.rev !lines
+
+let test_debug_log () =
+  check
+    Alcotest.(list string)
+    "at Debug"
+    [
+      "manage RootPanel.SwmPanel win=0x3 at=(8,8) sticky";
+      "manage panner.Panner win=0x15 at=(1000,780) sticky";
+      "manage xterm.XTerm win=0x20 at=(60,80)";
+      "pan screen 0 to 200,150";
+      "f.raise on xterm (win=0x20)";
+      "unmanage xterm win=0x20 destroyed=true";
+    ]
+    (logged_session (Some Logs.Debug));
+  check
+    Alcotest.(list string)
+    "at the default level" []
+    (logged_session (Logs.Src.level Ctx.log_src))
+
 (* -------- sticky absolute placement (satellite a) -------- *)
 
 let test_sticky_usposition_is_root_absolute () =
@@ -1002,4 +1068,5 @@ let suite =
       test_query_walkthrough;
     Alcotest.test_case "sticky USPosition is root-absolute" `Quick
       test_sticky_usposition_is_root_absolute;
+    Alcotest.test_case "debug log lines, and none by default" `Quick test_debug_log;
   ]

@@ -214,6 +214,27 @@ let test_cycle_detection () =
         (String.length msg > 0)
   | Ok _ -> Alcotest.fail "expected cycle error"
 
+(* A definition is parsed once per database generation and by its text, so
+   a write that changes it is seen by the next build. *)
+let test_definition_read_anew () =
+  let _server, _conn, tk, db =
+    fixture ~resources:"swm*panel.deco: button a +0+0 button b +1+0\n" ()
+  in
+  let lookup name =
+    Xrdb.query db ~names:[ "swm"; "panel"; name ]
+      ~classes:[ "Swm"; "Panel"; String.capitalize_ascii name ]
+  in
+  let built () =
+    match Panel_spec.build tk ~lookup ~kind:Wobj.Panel ~name:"deco" with
+    | Ok panel -> List.map Wobj.name (Wobj.children panel)
+    | Error msg -> Alcotest.fail msg
+  in
+  let names = Alcotest.(list string) in
+  check names "first build" [ "a"; "b" ] (built ());
+  check names "same definition" [ "a"; "b" ] (built ());
+  Xrdb.put db "swm*panel.deco" "button c +0+0 text d +0+1";
+  check names "after the write" [ "c"; "d" ] (built ())
+
 let test_dispatch_registry () =
   let server, _conn, tk, _db = fixture () in
   let panel = build_openlook tk in
@@ -294,6 +315,8 @@ let suite =
     Alcotest.test_case "set_label triggers relayout" `Quick test_set_label_relayouts;
     Alcotest.test_case "nested panel definitions" `Quick test_nested_panel_lookup;
     Alcotest.test_case "definition cycles rejected" `Quick test_cycle_detection;
+    Alcotest.test_case "a written definition is read anew" `Quick
+      test_definition_read_anew;
     Alcotest.test_case "dispatch registry" `Quick test_dispatch_registry;
     Alcotest.test_case "shape panel to children" `Quick test_shape_to_children;
     Alcotest.test_case "menu post/unpost" `Quick test_menu_post_unpost;

@@ -335,6 +335,73 @@ let test_toolkit_journal_replays () =
       | outcome -> Alcotest.failf "%s: %s" what (Replay.outcome_to_string outcome))
     (List.rev !points)
 
+(* -------- the journal taps -------- *)
+
+(* One request of each kind that journals as a text op rather than a
+   frame, on a bare server: "client#1" owns windows 2 ([dest]) and 3
+   ([doomed]), "victim#2" owns window 4.  [exempt] marks the client's
+   connection journal-exempt; [suspended] issues the requests under
+   {!Server.with_journal_suspended}.  Returns what the journal holds. *)
+let journal_taps ?(exempt = false) ?(suspended = false) ~armed () =
+  let module Geom = Swm_xlib.Geom in
+  let module Prop = Swm_xlib.Prop in
+  let module Event = Swm_xlib.Event in
+  let module Keysym = Swm_xlib.Keysym in
+  let server = Server.create () in
+  let conn = Server.connect server ~name:"client" in
+  let victim = Server.connect server ~name:"victim" in
+  let root = Server.root server ~screen:0 in
+  let window c = Server.create_window server c ~parent:root ~geom:(Geom.rect 10 10 100 80) () in
+  let dest = window conn and doomed = window conn and _ = window victim in
+  let recorder = Server.recorder server in
+  if armed then Recorder.start recorder;
+  Server.set_journal_exempt conn exempt;
+  let requests () =
+    Server.destroy_window server doomed;
+    Server.disconnect server victim;
+    Server.change_property server conn dest ~name:"WM_COUNT" (Prop.Cardinal 7);
+    Server.damage_window server dest (Geom.rect 1 2 30 40);
+    Server.send_event server conn ~dest
+      (Event.Client_message { window = dest; name = "PING"; data = "x" });
+    Server.warp_pointer server ~screen:0 (Geom.point 15 25);
+    Server.press_button server ~mods:(Keysym.mods ~shift:true ()) 1;
+    Server.release_button server 1;
+    Server.press_key server ~mods:(Keysym.mods ~control:true ~meta:true ()) "q";
+    Server.shape_clear server conn dest
+  in
+  if suspended then Server.with_journal_suspended server requests else requests ();
+  Recorder.journal_ops recorder
+
+let test_journal_taps () =
+  let ops = Alcotest.(list string) in
+  check ops "armed: one op per request, in order"
+    [
+      "destroy 3";
+      "kill victim#2";
+      "prop client#1 2 574d5f434f554e54 4337";
+      "damage 2 1 2 30 40";
+      "send client#1 2 100200000050494e470000000000000000007800000000000000000000000000";
+      "warp 0 15 25";
+      "press 1 1";
+      "release 1 0";
+      "key 71 6";
+      "shapeclear 2";
+    ]
+    (journal_taps ~armed:true ());
+  check ops "armed, the client exempt: its property, send and shape ops go"
+    [
+      "destroy 3";
+      "kill victim#2";
+      "damage 2 1 2 30 40";
+      "warp 0 15 25";
+      "press 1 1";
+      "release 1 0";
+      "key 71 6";
+    ]
+    (journal_taps ~exempt:true ~armed:true ());
+  check ops "armed, suspended: nothing" [] (journal_taps ~suspended:true ~armed:true ());
+  check ops "off: nothing" [] (journal_taps ~armed:false ())
+
 (* -------- the committed corpus -------- *)
 
 (* Tests run from _build/default/test (where the dune glob copies the
@@ -388,5 +455,6 @@ let suite =
       test_corpus_replays;
     Alcotest.test_case "toolkit requests replay to the same tree" `Quick
       test_toolkit_journal_replays;
+    Alcotest.test_case "text ops journal only while recorded" `Quick test_journal_taps;
     QCheck_alcotest.to_alcotest prop_random_streams_replay_deterministically;
   ]
