@@ -377,13 +377,15 @@ let background_char obj =
       | Button -> Some ' '
       | Text -> Some ' ')
 
+(* No Exposure_mask: the server keeps each window's label, background and
+   art and renders from them, so nothing here repaints on Expose, and X
+   sends Expose only to a selector. *)
 let select_masks =
   [
     Event.Button_press_mask;
     Event.Button_release_mask;
     Event.Key_press_mask;
     Event.Enter_leave_mask;
-    Event.Exposure_mask;
   ]
 
 let event_masks obj = obj.added_masks @ select_masks

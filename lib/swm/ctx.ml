@@ -156,6 +156,8 @@ type t = {
   mutable fn_trail : string list;
       (* f.* verbs run by the dispatch in flight (newest first); reset by
          Wm per event, appended by Functions.execute_at *)
+  batch_events : Swm_xlib.Event.t array; (* the batch Wm.step dispatches *)
+  batch_stamps : Server.stamp array; (* their stamps, slot for slot *)
   c_events_dispatched : Swm_xlib.Metrics.counter; (* wm.events_dispatched *)
   c_watchdog_stalls : Swm_xlib.Metrics.counter; (* watchdog.stalls *)
   atoms : atoms; (* hot ICCCM/SWM property names, interned once *)

@@ -214,6 +214,11 @@ type t = {
   mutable fn_trail : string list;
       (** f.* verbs run by the dispatch in flight (newest first); reset by
           {!Wm} per event, appended by {!Functions.execute_at} *)
+  batch_events : Swm_xlib.Event.t array;
+      (** the batch {!Wm.step} read with {!Swm_xlib.Server.read_batch} and
+          dispatches, reused from batch to batch *)
+  batch_stamps : Swm_xlib.Server.stamp array;
+      (** the stamps of [batch_events], slot for slot *)
   c_events_dispatched : Swm_xlib.Metrics.counter;
   c_watchdog_stalls : Swm_xlib.Metrics.counter;
   atoms : atoms;  (** hot ICCCM/SWM property names, interned at startup *)

@@ -783,21 +783,6 @@ let stats_tick (ctx : Ctx.t) =
     Metrics.sample ctx.sampler
   end
 
-(* Every event goes through here so dispatch latency lands in the
-   [wm.dispatch_wall_ns] histogram alongside the server's queue counters,
-   and — when tracing is on — as a [wm.dispatch] span that parents
-   everything the handler does (function runs, redraws, pans).
-
-   The handler runs under {!Xguard}: a BadWindow/BadAccess raised by a
-   racing client is absorbed at this boundary (counted in [wm.xerrors]),
-   after which dead clients are swept instead of crashing the WM.
-
-   Around the guard sit the health layer's probes: the flight recorder
-   logs the event, and a dispatch that overruns [watchdog_threshold_ns]
-   counts a [watchdog.stalls] — the "the WM froze for a moment"
-   signal.  An exception that escapes even Xguard dumps a crash
-   report before propagating: the flight recorder's whole purpose is to
-   still have the story when that happens. *)
 (* Per-kind dispatch constants, precomputed once so the hot loop never
    allocates attr lists or concatenates labels. *)
 let span_attrs =
@@ -820,51 +805,38 @@ let governor_tick (ctx : Ctx.t) =
     Server.with_journal_suspended ctx.server (fun () -> Governor.tick ctx)
   end
 
-let handle_event_full (ctx : Ctx.t) event (stamp : Server.stamp) =
-  let metrics = Server.metrics ctx.server in
-  let tracer = Server.tracer ctx.server in
-  let recorder = Server.recorder ctx.server in
-  let code = Event.code event in
-  let kind = Event.name_of_code code in
-  if Recorder.enabled recorder then
-    (* The seq exemplar links this recorder entry (and every request the
-       dispatch issues) back to the triggering event's ingress record. *)
-    Recorder.record recorder ~kind:"event"
-      ~attrs:[ ("seq", string_of_int stamp.Server.seq) ]
-      kind;
-  Metrics.incr ctx.dispatch_counters.(code);
-  (if Tracing.enabled tracer then
-     Tracing.span tracer "wm.dispatch"
-       ~attrs:(("seq", string_of_int stamp.Server.seq) :: span_attrs.(code))
-   else fun f -> f ())
-  @@ fun () ->
-  (* The profiler's GC probe sits inside the wm.dispatch span: the span's
-     duration bounds the probe's wall time from above, which is what makes
-     the flamegraph's root frames cover the measured dispatch wall time. *)
-  Profile.event_section (Server.profiler ctx.server)
-  @@ fun () ->
+(* Every event goes through [handle_event_full] so dispatch latency lands
+   in the [wm.dispatch_wall_ns] histogram alongside the server's queue
+   counters, and — when tracing is on — as a [wm.dispatch] span that
+   parents everything the handler does (function runs, redraws, pans).
+
+   The handler runs under the {!Xguard} discipline: a BadWindow/BadAccess
+   raised by a racing client is absorbed at this boundary (counted in
+   [wm.xerrors]), after which dead clients are swept instead of crashing
+   the WM.
+
+   Around the handler sit the health layer's probes: the flight recorder
+   logs the event, and a dispatch that overruns [watchdog_threshold_ns]
+   counts a [watchdog.stalls] — the "the WM froze for a moment"
+   signal.  Any other exception dumps a crash report before propagating:
+   the flight recorder's whole purpose is to still have the story when
+   that happens. *)
+let dispatch (ctx : Ctx.t) event (stamp : Server.stamp) code =
   let t0 = Metrics.now_mono_ns () in
   let req0 = Server.request_count ctx.server in
   ctx.fn_trail <- [];
-  (match
-     (try
-        Xguard.protect ctx ~where:dispatch_where.(code) (fun () ->
-            (* WM activity during dispatch is derived state, not session
-               input: a replayed WM recomputes it, so it stays out of
-               the journal (the WM's own conn is exempt; this covers
-               conn-less calls like outline warps too). *)
-            Server.with_journal_suspended ctx.server (fun () ->
-                handle_event ctx event))
-      with e ->
-        Recorder.crash recorder
-          ~reason:
-            (Printf.sprintf "unhandled exception dispatching %s: %s" kind
-               (Printexc.to_string e))
-          ~metrics ~tracer;
-        raise e)
-   with
-  | Some () -> ()
-  | None -> sweep_dead ctx);
+  (match handle_event ctx event with
+  | () -> ()
+  | exception ((Server.Bad_window _ | Server.Bad_access _) as e) ->
+      Xguard.absorb ctx ~where:dispatch_where.(code) e;
+      sweep_dead ctx
+  | exception e ->
+      Recorder.crash (Server.recorder ctx.server)
+        ~reason:
+          (Printf.sprintf "unhandled exception dispatching %s: %s"
+             (Event.name_of_code code) (Printexc.to_string e))
+        ~metrics:(Server.metrics ctx.server) ~tracer:(Server.tracer ctx.server);
+      raise e);
   let t1 = Metrics.now_mono_ns () in
   let elapsed = t1 - t0 in
   Metrics.observe ctx.h_dispatch_wall_ns elapsed;
@@ -886,10 +858,10 @@ let handle_event_full (ctx : Ctx.t) event (stamp : Server.stamp) =
       };
   if elapsed >= ctx.watchdog_threshold_ns then begin
     Metrics.incr ctx.c_watchdog_stalls;
-    let attrs =
-      [ ("event", kind); ("dur_ns", string_of_int elapsed) ]
-    in
-    Tracing.note tracer "watchdog.stall" ~attrs;
+    let kind = Event.name_of_code code in
+    let attrs = [ ("event", kind); ("dur_ns", string_of_int elapsed) ] in
+    Tracing.note (Server.tracer ctx.server) "watchdog.stall" ~attrs;
+    let recorder = Server.recorder ctx.server in
     if Recorder.enabled recorder then
       Recorder.record recorder ~kind:"stall" ~attrs kind
   end;
@@ -897,6 +869,34 @@ let handle_event_full (ctx : Ctx.t) event (stamp : Server.stamp) =
   governor_tick ctx;
   stats_tick ctx;
   autosave_tick ctx
+
+(* The profiler's GC probe sits inside the wm.dispatch span: the span's
+   duration bounds the probe's wall time from above, which is what makes
+   the flamegraph's root frames cover the measured dispatch wall time. *)
+let profiled_dispatch (ctx : Ctx.t) event stamp code =
+  let profiler = Server.profiler ctx.server in
+  if Profile.armed profiler then
+    Profile.event_section profiler (fun () -> dispatch ctx event stamp code)
+  else dispatch ctx event stamp code
+
+(* The span and the probe are closures, built only while the tracer or
+   the profiler is on: an event pays for no observer that is off. *)
+let handle_event_full (ctx : Ctx.t) event (stamp : Server.stamp) =
+  let code = Event.code event in
+  let recorder = Server.recorder ctx.server in
+  if Recorder.enabled recorder then
+    (* The seq exemplar links this recorder entry (and every request the
+       dispatch issues) back to the triggering event's ingress record. *)
+    Recorder.record recorder ~kind:"event"
+      ~attrs:[ ("seq", string_of_int stamp.Server.seq) ]
+      (Event.name_of_code code);
+  Metrics.incr ctx.dispatch_counters.(code);
+  let tracer = Server.tracer ctx.server in
+  if Tracing.enabled tracer then
+    Tracing.span tracer "wm.dispatch"
+      ~attrs:(("seq", string_of_int stamp.Server.seq) :: span_attrs.(code))
+      (fun () -> profiled_dispatch ctx event stamp code)
+  else profiled_dispatch ctx event stamp code
 
 let handle_event_timed (ctx : Ctx.t) event (stamp : Server.stamp) =
   if ctx.tier = Ctx.Tier_essential && Event.droppable_code (Event.code event)
@@ -980,6 +980,18 @@ let sampled_series =
    small enough that shutdown is noticed between batches. *)
 let batch_size = 64
 
+(* Each batch is read into the context's two arrays and dispatched from
+   there, all of it popped before the first handler runs. *)
+let rec drain (ctx : Ctx.t) count =
+  if ctx.running || Server.pending ctx.conn > 0 then begin
+    let n = Server.read_batch ctx.conn ctx.batch_events ctx.batch_stamps in
+    for i = 0 to n - 1 do
+      handle_event_timed ctx ctx.batch_events.(i) ctx.batch_stamps.(i)
+    done;
+    if n = 0 then count else drain ctx (count + n)
+  end
+  else count
+
 let step (ctx : Ctx.t) =
   (* Journal markers: [step] says "the WM drained its queue here" (replay
      re-enacts the drain at the same point in the op stream), [snap] pins
@@ -987,24 +999,15 @@ let step (ctx : Ctx.t) =
      mid-flight — which is what {!Replay.run} compares against. *)
   let recorder = Server.recorder ctx.server in
   Recorder.record_op recorder "step";
-  let count = ref 0 in
-  let rec drain () =
-    if ctx.running || Server.pending ctx.conn > 0 then
-      match Server.read_events_stamped ctx.conn ~max:batch_size with
-      | [] -> ()
-      | events ->
-          List.iter
-            (fun (event, stamp) ->
-              incr count;
-              handle_event_timed ctx event stamp)
-            events;
-          drain ()
-  in
-  drain ();
+  (* WM activity during the drain is derived state, not session input: a
+     replayed WM recomputes it, so it stays out of the journal (the WM's
+     own conn is exempt; this covers conn-less calls like outline warps
+     too). *)
+  let count = Server.with_journal_suspended ctx.server (fun () -> drain ctx 0) in
   Panner.apply_damage ctx;
   if Recorder.enabled recorder then
     Recorder.journal_snapshot recorder (state_snapshot_json ctx);
-  !count
+  count
 
 (* -------- start / shutdown -------- *)
 
@@ -1129,6 +1132,8 @@ let start ?(resources = []) ?(host = "localhost") ?(display = ":0") server =
              Metrics.labeled_histogram fam (Event.name_of_code code)));
       wf_ring = Ring.bounded Ctx.waterfall_capacity;
       fn_trail = [];
+      batch_events = Array.make batch_size (Event.Focus_in { window = Xid.none });
+      batch_stamps = Array.init batch_size (fun _ -> { Server.seq = 0; ingress_ns = 0 });
       c_events_dispatched = Metrics.counter metrics "wm.events_dispatched";
       c_watchdog_stalls = Metrics.counter metrics "watchdog.stalls";
       atoms;

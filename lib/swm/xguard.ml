@@ -27,13 +27,16 @@ let absorbed (ctx : Ctx.t) ~where msg =
     ~metrics:(Server.metrics ctx.server)
     ~tracer:(Server.tracer ctx.server)
 
+let absorb (ctx : Ctx.t) ~where = function
+  | Server.Bad_window id -> absorbed ctx ~where (Format.asprintf "BadWindow %a" Xid.pp id)
+  | Server.Bad_access msg -> absorbed ctx ~where ("BadAccess: " ^ msg)
+  | e -> raise e
+
 let protect (ctx : Ctx.t) ~where f =
-  try Some (f ()) with
-  | Server.Bad_window id ->
-      absorbed ctx ~where (Format.asprintf "BadWindow %a" Xid.pp id);
-      None
-  | Server.Bad_access msg ->
-      absorbed ctx ~where ("BadAccess: " ^ msg);
+  match f () with
+  | v -> Some v
+  | exception ((Server.Bad_window _ | Server.Bad_access _) as e) ->
+      absorb ctx ~where e;
       None
 
 let run (ctx : Ctx.t) ~where f =

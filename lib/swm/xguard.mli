@@ -19,6 +19,10 @@ val absorbed : Ctx.t -> where:string -> string -> unit
 (** Record one absorbed error without catching anything (for callers
     doing their own matching). *)
 
+val absorb : Ctx.t -> where:string -> exn -> unit
+(** {!absorbed} for a caught [Bad_window]/[Bad_access], with its error
+    text; any other exception is re-raised. *)
+
 val protect : Ctx.t -> where:string -> (unit -> 'a) -> 'a option
 (** Run the thunk; [None] if a [Bad_window]/[Bad_access] was absorbed. *)
 

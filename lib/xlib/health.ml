@@ -1,10 +1,11 @@
 (* Per-connection health scoring for slow-client quarantine.
 
    Each connection carries a [t].  On every server health tick the caller
-   feeds a [sample] of cumulative per-connection pressure signals (queue
-   depth ratio, events shed from its queue, rejected wire frames, absorbed
-   X errors, stall contributions); [observe] turns the deltas into a decayed
-   score and steps a three-state machine with hysteresis:
+   feeds [observe] the connection's pressure signals: its queue depth ratio
+   and four running totals (events shed from its queue, rejected wire
+   frames, absorbed X errors, stall contributions).  [observe] turns the
+   totals into deltas, folds them into a decayed score and steps a
+   three-state machine with hysteresis:
 
        Healthy --score >= quarantine--> Throttled
        Throttled --score >= evict--> Evicted        (terminal)
@@ -56,14 +57,6 @@ let create () =
     last_stalls = 0;
   }
 
-type sample = {
-  depth_ratio : float;  (* pending / cap, clamped by the caller to >= 0 *)
-  shed : int;           (* cumulative events shed from this connection *)
-  rejected : int;       (* cumulative rejected wire frames *)
-  xerrors : int;        (* cumulative absorbed X errors *)
-  stalls : int;         (* cumulative stall contributions *)
-}
-
 (* Signal weights: queue pressure and shed events dominate (they are the
    direct overload signals); protocol errors and stalls count but a lone
    BadWindow race must not quarantine an otherwise healthy client. *)
@@ -78,17 +71,19 @@ type transition = No_change | Became of state
 (* Far below anything that could quarantine: a score under it is noise. *)
 let rest_floor th = th.quarantine_score /. 1024.
 
-let observe th t (s : sample) =
-  let d_shed = max 0 (s.shed - t.last_shed) in
-  let d_rejected = max 0 (s.rejected - t.last_rejected) in
-  let d_xerrors = max 0 (s.xerrors - t.last_xerrors) in
-  let d_stalls = max 0 (s.stalls - t.last_stalls) in
-  t.last_shed <- s.shed;
-  t.last_rejected <- s.rejected;
-  t.last_xerrors <- s.xerrors;
-  t.last_stalls <- s.stalls;
+(* [depth_ratio] is pending / cap; the four counts are running totals for
+   the connection, passed as arguments so a tick allocates no sample. *)
+let observe th t ~depth_ratio ~shed ~rejected ~xerrors ~stalls =
+  let d_shed = max 0 (shed - t.last_shed) in
+  let d_rejected = max 0 (rejected - t.last_rejected) in
+  let d_xerrors = max 0 (xerrors - t.last_xerrors) in
+  let d_stalls = max 0 (stalls - t.last_stalls) in
+  t.last_shed <- shed;
+  t.last_rejected <- rejected;
+  t.last_xerrors <- xerrors;
+  t.last_stalls <- stalls;
   let pressure =
-    (w_depth *. max 0.0 s.depth_ratio)
+    (w_depth *. max 0.0 depth_ratio)
     +. (w_shed *. float_of_int d_shed)
     +. (w_rejected *. float_of_int d_rejected)
     +. (w_xerrors *. float_of_int d_xerrors)

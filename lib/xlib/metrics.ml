@@ -75,17 +75,22 @@ let histogram t name =
   find_or_create t.histograms name (fun () ->
       { counts = Array.make buckets 0; hcount = 0; hsum = 0; hmax = 0 })
 
+(* A sample's bucket is its bit length, capped at the last bucket.  Both
+   functions are closed and int-typed, so an observation allocates nothing
+   and compares without the polymorphic primitives. *)
+let rec bit_length n v = if v <= 0 then n else bit_length (n + 1) (v lsr 1)
+
 let bucket_of v =
-  let v = max 0 v in
-  let rec go i bound = if v < bound || i = buckets - 1 then i else go (i + 1) (bound * 2) in
-  go 0 1
+  let b = bit_length 0 v in
+  if b >= buckets then buckets - 1 else b
 
 let bucket_upper i = (1 lsl i) - 1
 
 let observe h v =
-  h.counts.(bucket_of v) <- h.counts.(bucket_of v) + 1;
+  let b = bucket_of v in
+  h.counts.(b) <- h.counts.(b) + 1;
   h.hcount <- h.hcount + 1;
-  h.hsum <- h.hsum + max 0 v;
+  if v > 0 then h.hsum <- h.hsum + v;
   if v > h.hmax then h.hmax <- v
 
 let hist_count h = h.hcount

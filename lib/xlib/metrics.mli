@@ -49,6 +49,10 @@ val observe : histogram -> int -> unit
     bucket [ceil (log2 (n + 1))], i.e. bucket upper bounds 0, 1, 3, 7,
     15, ... *)
 
+val bucket_of : int -> int
+(** The bucket {!observe} counts a sample in: the bit length of [n > 0]
+    (0 for [n <= 0]), at most the last bucket (31).  Allocates nothing. *)
+
 val hist_count : histogram -> int
 val hist_sum : histogram -> int
 val hist_max : histogram -> int

@@ -68,7 +68,8 @@ type ledger = {
       (* event.queue_ns{event} indexed by Event.code, cached at create *)
 }
 
-type stamp = { seq : int; ingress_ns : int }
+(* Mutable so {!read_batch} can refill a caller's stamps in place. *)
+type stamp = { mutable seq : int; mutable ingress_ns : int }
 
 let mk_ledger metrics =
   let fam = Metrics.histogram_family metrics ~key:"event" "event.queue_ns" in
@@ -570,7 +571,13 @@ let set_journal_exempt conn flag =
 let with_journal_suspended server f =
   let was = server.journal_suspended in
   server.journal_suspended <- true;
-  Fun.protect ~finally:(fun () -> server.journal_suspended <- was) f
+  match f () with
+  | v ->
+      server.journal_suspended <- was;
+      v
+  | exception e ->
+      server.journal_suspended <- was;
+      raise e
 
 let mods_bits (m : Keysym.modifiers) =
   (if m.shift then 1 else 0)
@@ -734,11 +741,16 @@ let shed_oldest_droppable server conn ~survivor =
   in
   scan 0
 
+(* An Expose with an empty area (only a SendEvent makes one) is queued as
+   it came: a [Damage] entry is never empty, so each one pops as at least
+   one event. *)
 let push_entry conn ~seq ~t_in event =
   (match event with
-  | Event.Expose { window; damage } when conn.coalesce ->
-      let region = Option.map Region.of_rect damage in
-      Ring.push conn.ring (Damage { dwindow = window; region; seq; t_in })
+  | Event.Expose { window; damage = None } when conn.coalesce ->
+      Ring.push conn.ring (Damage { dwindow = window; region = None; seq; t_in })
+  | Event.Expose { window; damage = Some r } when conn.coalesce && r.w > 0 && r.h > 0 ->
+      Ring.push conn.ring
+        (Damage { dwindow = window; region = Some (Region.of_rect r); seq; t_in })
   | _ -> Ring.push conn.ring (Plain { ev = event; seq; t_in }));
   wake conn;
   Metrics.record_max conn.m_depth (queue_depth conn)
@@ -1468,7 +1480,7 @@ let rec next_event_stamped conn =
           delivered_fate conn entry;
           match events_of_entry entry with
           | [] ->
-              (* an empty damage region delivers nothing *)
+              (* unreachable: a Damage entry is never empty *)
               next_event_stamped conn
           | event :: rest ->
               let stamp = stamp_of_entry entry in
@@ -1500,8 +1512,60 @@ let read_events_stamped conn ~max =
 
 let flush_batch conn = List.map fst (read_events_stamped conn ~max:max_int)
 
+(* {!read_events_stamped} writing into the caller's arrays: the same pops,
+   fates, counters and stamps, without the option, pair, stamp and list
+   cells a listed batch allocates per event.  A Damage entry (Expose) still
+   allocates its expansion; the WM, the one reader, selects no Exposure. *)
+let read_one conn events stamps n event seq t_in =
+  Metrics.incr conn.m_delivered;
+  Metrics.incr conn.m_delivered_by;
+  events.(n) <- event;
+  let s = stamps.(n) in
+  s.seq <- seq;
+  s.ingress_ns <- t_in
+
+let rec read_into conn events stamps n =
+  if n >= Array.length events || conn.stalled then n
+  else
+    match conn.overflow with
+    | (event, stamp) :: rest ->
+        conn.overflow <- rest;
+        conn.overflow_len <- conn.overflow_len - 1;
+        read_one conn events stamps n event stamp.seq stamp.ingress_ns;
+        read_into conn events stamps (n + 1)
+    | [] -> (
+        match Ring.pop conn.ring with
+        | None -> n
+        | Some (Plain { ev; seq; t_in }) ->
+            record_fate conn.c_ledger ~cname:conn.cname ~seq ~code:(Event.code ev)
+              ~window:(Xid.to_int (Event.window_of ev)) ~t_in Delivered;
+            read_one conn events stamps n ev seq t_in;
+            read_into conn events stamps (n + 1)
+        | Some (Damage _ as entry) -> (
+            (* the spec's expansion: the first rect now, the rest spilled *)
+            delivered_fate conn entry;
+            match events_of_entry entry with
+            | [] -> read_into conn events stamps n
+            | event :: rest ->
+                let stamp = stamp_of_entry entry in
+                conn.overflow <- List.map (fun e -> (e, stamp)) rest;
+                conn.overflow_len <- List.length rest;
+                read_one conn events stamps n event stamp.seq stamp.ingress_ns;
+                read_into conn events stamps (n + 1)))
+
+let read_batch conn events stamps =
+  let n =
+    if Tracing.enabled conn.c_tracer then
+      Tracing.span conn.c_tracer "server.deliver" ~attrs:[ ("conn", conn.cname) ]
+        (fun () -> read_into conn events stamps 0)
+    else read_into conn events stamps 0
+  in
+  if n > 0 then Metrics.observe conn.m_batch n;
+  n
+
 (* Post damage to a window: delivered as Expose to Exposure_mask
-   selectors; overlapping damage coalesces in their queues. *)
+   selectors; overlapping damage coalesces in their queues.  An empty area
+   exposes nothing, so X sends no event for it. *)
 let damage_window server id rect =
   bump server;
   if journaling server then
@@ -1509,8 +1573,9 @@ let damage_window server id rect =
       (Printf.sprintf "damage %d %d %d %d %d" (Xid.to_int id) rect.Geom.x rect.Geom.y
          rect.Geom.w rect.Geom.h);
   let window = lookup server id in
-  notify server window Event.Exposure_mask
-    (Event.Expose { window = id; damage = Some rect })
+  if rect.Geom.w > 0 && rect.Geom.h > 0 then
+    notify server window Event.Exposure_mask
+      (Event.Expose { window = id; damage = Some rect })
 
 let send_event server conn ~dest event =
   bump server;
@@ -1992,16 +2057,11 @@ let observe server conn transitions =
     (* A stalled client (stopped reading) accrues a stall contribution
        every tick it stays wedged. *)
     if conn.stalled then conn.h_stalls <- conn.h_stalls + 1;
-    let sample =
-      {
-        Health.depth_ratio = queue_ratio conn;
-        shed = conn.h_shed;
-        rejected = conn.h_rejected;
-        xerrors = conn.h_xerrors;
-        stalls = conn.h_stalls;
-      }
-    in
-    match Health.observe server.health_th conn.health sample with
+    match
+      Health.observe server.health_th conn.health ~depth_ratio:(queue_ratio conn)
+        ~shed:conn.h_shed ~rejected:conn.h_rejected ~xerrors:conn.h_xerrors
+        ~stalls:conn.h_stalls
+    with
     | Health.No_change -> ()
     | Health.Became state -> transitions := (conn, state) :: !transitions
   end

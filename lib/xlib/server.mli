@@ -15,8 +15,8 @@
     enqueue time (unless disabled with {!set_coalesce}): consecutive
     MotionNotify on the same window collapse to the latest, redundant
     ConfigureNotify sequences fold to the final geometry, and overlapping
-    Expose damage merges via {!Region.union}.  {!read_events_stamped} and
-    {!flush_batch} drain a whole batch per call — the cheap path heavy
+    Expose damage merges via {!Region.union}.  {!read_batch},
+    {!read_events_stamped} and {!flush_batch} drain a whole batch per call — the cheap path heavy
     clients should prefer over one-at-a-time {!next_event} polling.  A
     {!Metrics} registry ({!metrics}) counts events enqueued / coalesced /
     delivered, the queue high-water mark, and the delivery batch-size
@@ -246,11 +246,12 @@ val next_event : conn -> Event.t option
 (** The next event, one at a time — the drain the twm-like and gwm-like
     baselines use. *)
 
-type stamp = { seq : int; ingress_ns : int }
+type stamp = { mutable seq : int; mutable ingress_ns : int }
 (** An event's ingress identity: the fleet-wide sequence id allocated at
     enqueue and the monotonic enqueue time ([0] while the ledger is
     disarmed).  Every event expanded from one coalesced Damage entry
-    shares that entry's stamp. *)
+    shares that entry's stamp.  Mutable only so {!read_batch} can refill
+    the caller's stamps. *)
 
 val read_events_stamped : conn -> max:int -> (Event.t * stamp) list
 (** Drain up to [max] events in one call, each with its ingress stamp — the
@@ -262,10 +263,19 @@ val read_events_stamped : conn -> max:int -> (Event.t * stamp) list
 val flush_batch : conn -> Event.t list
 (** Drain everything queued, without stamps. *)
 
+val read_batch : conn -> Event.t array -> stamp array -> int
+(** [read_batch conn events stamps] is {!read_events_stamped} with
+    [max = Array.length events], written into the caller's arrays: event
+    [i] goes to [events.(i)] and its stamp is copied into [stamps.(i)]
+    ([stamps] at least as long as [events]).  Returns how many were read.
+    It pops, fates and counts exactly as {!read_events_stamped} does, and
+    allocates nothing per event but an Expose's expansion.  The WM drains
+    its queue with it. *)
+
 val damage_window : t -> Xid.t -> Geom.rect -> unit
 (** Post an Expose with a window-interior damage rectangle to every
     connection selecting [Exposure_mask] there.  Overlapping damage merges
-    in the receivers' queues. *)
+    in the receivers' queues.  A rectangle with no area queues nothing. *)
 
 val send_event : t -> conn -> dest:Xid.t -> Event.t -> unit
 (** Deliver an event directly to the owner of [dest] and to every connection

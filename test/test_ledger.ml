@@ -93,6 +93,31 @@ let test_expose_merge_balances () =
   check Alcotest.int "entry delivered once, not per rect" 1 lc.lc_delivered;
   balance_is_zero "delivered damage" lc
 
+(* X sends no Expose for an empty area: damage with no area queues
+   nothing, so the ledger's deliveries and the delivered-events counter
+   agree. *)
+let test_empty_damage_queues_nothing () =
+  let server = Server.create () in
+  let conn = Server.connect server ~name:"app" in
+  let win =
+    Server.create_window server conn ~parent:(Server.root server ~screen:0)
+      ~geom:(Geom.rect 0 0 200 200) ()
+  in
+  Server.select_input server conn win [ Event.Exposure_mask ];
+  Server.damage_window server win (Geom.rect 0 0 0 10);
+  Server.damage_window server win (Geom.rect 5 5 10 0);
+  check Alcotest.int "no area, nothing queued" 0
+    (Server.ledger_counts server).lc_enqueued;
+  check Alcotest.int "no event read" 0 (List.length (Server.flush_batch conn));
+  Server.damage_window server win (Geom.rect 0 0 10 10);
+  check Alcotest.int "an area is read" 1 (List.length (Server.flush_batch conn));
+  let lc = Server.ledger_counts server in
+  check Alcotest.int "ledger deliveries = events.delivered"
+    (Metrics.counter_value (Server.metrics server) "events.delivered")
+    lc.lc_delivered;
+  check Alcotest.int "one delivery" 1 lc.lc_delivered;
+  balance_is_zero "empty damage" lc
+
 let test_flood_shed_balances () =
   let server = Server.create () in
   Server.set_queue_cap server 64;
@@ -308,11 +333,210 @@ let prop_fate_counts_deterministic =
       let b = run_storm ~seed ~ops in
       a = b)
 
+(* The WM's drain, [read_batch], against its spec, [read_events_stamped]:
+   twin servers take the same random enqueues (motion and configure
+   coalescing, multi-rect and empty damage, synthetic Expose, stalls,
+   queue caps that shed and overrun, coalescing switched off,
+   disconnects), and each read takes the same count from one twin through
+   each path.  Events, stamps, ledger counts and the fate records agree;
+   ingress times come from each twin's own clock, so they are compared
+   within a twin: every record and stamp of one seq carries that seq's
+   ingress time, and later seqs never entered earlier. *)
+type twin_op =
+  | Warp of int * int
+  | Configure of int * int
+  | Damage_at of int * Geom.rect
+  | Send_expose of int * Geom.rect option
+  | Stall of int * bool
+  | Coalesce of int * bool
+  | Cap of int
+  | Close of int
+  | Read of int * int
+
+let show_twin_op = function
+  | Warp (x, y) -> Printf.sprintf "warp %d %d" x y
+  | Configure (c, x) -> Printf.sprintf "configure %d %d" c x
+  | Damage_at (c, r) -> Printf.sprintf "damage %d %d,%d %dx%d" c r.x r.y r.w r.h
+  | Send_expose (c, None) -> Printf.sprintf "send-expose %d whole" c
+  | Send_expose (c, Some r) -> Printf.sprintf "send-expose %d %d,%d %dx%d" c r.x r.y r.w r.h
+  | Stall (c, b) -> Printf.sprintf "stall %d %b" c b
+  | Coalesce (c, b) -> Printf.sprintf "coalesce %d %b" c b
+  | Cap n -> Printf.sprintf "cap %d" n
+  | Close c -> Printf.sprintf "close %d" c
+  | Read (c, n) -> Printf.sprintf "read %d %d" c n
+
+let twin_clients = 3
+
+let twin_op_gen =
+  QCheck2.Gen.(
+    let c = int_range 0 (twin_clients - 1) in
+    (* Small rectangles on a coarse grid, some without area, so damage
+       both merges and stays disjoint. *)
+    let rect =
+      map4
+        (fun x y w h -> Geom.rect (x * 20) (y * 20) (w * 10) (h * 10))
+        (int_range 0 8) (int_range 0 8) (int_range 0 4) (int_range 0 4)
+    in
+    frequency
+      [
+        (4, map2 (fun x y -> Warp (x, y)) (int_range 0 400) (int_range 0 300));
+        (3, map2 (fun c x -> Configure (c, x)) c (int_range 0 200));
+        (4, map2 (fun c r -> Damage_at (c, r)) c rect);
+        (1, map2 (fun c r -> Send_expose (c, r)) c (opt rect));
+        (1, map2 (fun c b -> Stall (c, b)) c bool);
+        (1, map2 (fun c b -> Coalesce (c, b)) c bool);
+        (1, map (fun n -> Cap n) (int_range 1 12));
+        (1, map (fun c -> Close c) c);
+        (4, map2 (fun c n -> Read (c, n)) c (int_range 1 8));
+      ])
+
+(* One twin: [twin_clients] clients, each owning a window that it selects
+   for Exposure and StructureNotify, and each selecting motion on the
+   root.  Quarantine is off, so only the ops close a connection. *)
+let twin () =
+  let server = Server.create () in
+  Server.set_health_thresholds server
+    {
+      Swm_xlib.Health.default_thresholds with
+      quarantine_score = infinity;
+      evict_score = infinity;
+    };
+  let root = Server.root server ~screen:0 in
+  let clients =
+    Array.init twin_clients (fun i ->
+        let conn = Server.connect server ~name:(Printf.sprintf "c%d" i) in
+        let win =
+          Server.create_window server conn ~parent:root
+            ~geom:(Geom.rect (i * 300) 0 200 200) ()
+        in
+        Server.select_input server conn win
+          [ Event.Exposure_mask; Event.Structure_notify ];
+        Server.select_input server conn root [ Event.Pointer_motion_mask ];
+        (conn, win))
+  in
+  (server, clients)
+
+let fate_records server =
+  match Json.parse (Server.fate_json server ()) with
+  | Ok json -> (
+      match Option.bind (Json.member "fates" json) Json.to_list with
+      | Some l ->
+          List.map
+            (fun r ->
+              let int k = Option.value ~default:(-1) (Option.bind (Json.member k r) Json.to_int) in
+              let str k = Option.value ~default:"" (Option.bind (Json.member k r) Json.to_string) in
+              ( (int "seq", str "event", str "fate", str "conn", int "window", int "survivor"),
+                int "t_in_ns" ))
+            l
+      | None -> Alcotest.fail "fate_json: no fates list")
+  | Error msg -> Alcotest.failf "fate_json does not parse: %s" msg
+
+(* Every (seq, ingress) pair a twin showed: one ingress time per seq, and
+   ingress never decreasing as seqs rise. *)
+let ingress_consistent pairs =
+  let sorted = List.sort_uniq compare pairs in
+  let rec ok = function
+    | (s1, t1) :: ((s2, t2) :: _ as rest) -> s1 < s2 && t1 <= t2 && t1 > 0 && ok rest
+    | [ (_, t) ] -> t > 0
+    | [] -> true
+  in
+  ok sorted
+
+let prop_read_batch_matches_spec =
+  QCheck2.Test.make ~name:"read_batch reads what read_events_stamped reads"
+    ~count:200
+    ~print:(fun ops -> String.concat "; " (List.map show_twin_op ops))
+    QCheck2.Gen.(list_size (int_range 1 120) twin_op_gen)
+    (fun ops ->
+      let fast, fast_clients = twin () and spec, spec_clients = twin () in
+      let seen_fast = ref [] and seen_spec = ref [] in
+      let both f =
+        f fast fast_clients;
+        f spec spec_clients
+      in
+      let live server clients c f =
+        let conn, win = clients.(c) in
+        if Server.conn_alive conn then f server conn win
+      in
+      let apply = function
+        | Warp (x, y) ->
+            both (fun server _ -> Server.warp_pointer server ~screen:0 (Geom.point x y));
+            true
+        | Configure (c, x) ->
+            both (fun server clients ->
+                live server clients c (fun server conn win ->
+                    Server.configure_window server conn win
+                      { Event.no_changes with cx = Some x }));
+            true
+        | Damage_at (c, r) ->
+            both (fun server clients ->
+                live server clients c (fun server _ win -> Server.damage_window server win r));
+            true
+        | Send_expose (c, damage) ->
+            both (fun server clients ->
+                let sender, _ = clients.((c + 1) mod twin_clients) in
+                live server clients c (fun server _ win ->
+                    if Server.conn_alive sender then
+                      Server.send_event server sender ~dest:win
+                        (Event.Expose { window = win; damage })));
+            true
+        | Stall (c, b) ->
+            both (fun server clients ->
+                live server clients c (fun _ conn _ -> Server.set_stalled conn b));
+            true
+        | Coalesce (c, b) ->
+            both (fun server clients ->
+                live server clients c (fun _ conn _ -> Server.set_coalesce conn b));
+            true
+        | Cap n ->
+            both (fun server _ -> Server.set_queue_cap server n);
+            true
+        | Close c ->
+            both (fun server clients ->
+                live server clients c (fun server conn _ -> Server.disconnect server conn));
+            true
+        | Read (c, n) ->
+            let events = Array.make n (Event.Focus_in { window = Swm_xlib.Xid.none }) in
+            let stamps = Array.init n (fun _ -> { Server.seq = 0; ingress_ns = 0 }) in
+            let k = Server.read_batch (fst fast_clients.(c)) events stamps in
+            let got_fast =
+              List.init k (fun i -> (events.(i), stamps.(i).seq, stamps.(i).ingress_ns))
+            in
+            let got_spec =
+              List.map
+                (fun (e, (st : Server.stamp)) -> (e, st.seq, st.ingress_ns))
+                (Server.read_events_stamped (fst spec_clients.(c)) ~max:n)
+            in
+            let pairs = List.map (fun (_, seq, t) -> (seq, t)) in
+            seen_fast := pairs got_fast @ !seen_fast;
+            seen_spec := pairs got_spec @ !seen_spec;
+            let untimed = List.map (fun (e, seq, _) -> (e, seq)) in
+            untimed got_fast = untimed got_spec
+      in
+      let pending clients = Array.map (fun (conn, _) -> Server.pending conn) clients in
+      List.for_all
+        (fun op ->
+          apply op
+          && Server.ledger_counts fast = Server.ledger_counts spec
+          && pending fast_clients = pending spec_clients)
+        ops
+      &&
+      let fates_fast = fate_records fast and fates_spec = fate_records spec in
+      List.map fst fates_fast = List.map fst fates_spec
+      && Metrics.counter_value (Server.metrics fast) "events.delivered"
+         = Metrics.counter_value (Server.metrics spec) "events.delivered"
+      && ingress_consistent
+           (!seen_fast @ List.map (fun ((seq, _, _, _, _, _), t) -> (seq, t)) fates_fast)
+      && ingress_consistent
+           (!seen_spec @ List.map (fun ((seq, _, _, _, _, _), t) -> (seq, t)) fates_spec))
+
 let suite =
   [
     Alcotest.test_case "motion coalescing balances" `Quick
       test_motion_coalescing_balances;
     Alcotest.test_case "expose merge balances" `Quick test_expose_merge_balances;
+    Alcotest.test_case "empty damage queues nothing" `Quick
+      test_empty_damage_queues_nothing;
     Alcotest.test_case "flood shed balances" `Quick test_flood_shed_balances;
     Alcotest.test_case "governor skip reclassifies once" `Quick
       test_governor_skip_reclassifies;
@@ -328,4 +552,5 @@ let suite =
       test_fate_window_wraps;
     QCheck_alcotest.to_alcotest prop_fate_accounting_balances;
     QCheck_alcotest.to_alcotest prop_fate_counts_deterministic;
+    QCheck_alcotest.to_alcotest prop_read_batch_matches_spec;
   ]

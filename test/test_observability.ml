@@ -523,6 +523,23 @@ let test_hist_quantile_edges () =
   check Alcotest.bool "q=1 never exceeds the max" true
     (q100 <= float_of_int (Metrics.hist_max spread))
 
+(* [Metrics.bucket_of] finds a sample's bucket by its bit length; the
+   doubling loop it replaced is the reference, at every bucket edge (the
+   histograms have 32 buckets). *)
+let test_bucket_of_matches_doubling () =
+  let doubling v =
+    let v = max 0 v in
+    let rec go i bound = if v < bound || i = 31 then i else go (i + 1) (bound * 2) in
+    go 0 1
+  in
+  let edges =
+    List.concat_map (fun k -> [ (1 lsl k) - 1; 1 lsl k ]) (List.init 62 Fun.id)
+  in
+  List.iter
+    (fun v ->
+      check Alcotest.int (Printf.sprintf "bucket of %d" v) (doubling v) (Metrics.bucket_of v))
+    ([ 0; -1; -2; -1000; min_int; max_int; max_int - 1 ] @ edges)
+
 (* -------- the sampler -------- *)
 
 let test_sampler_rates () =
@@ -1049,6 +1066,8 @@ let suite =
     Alcotest.test_case "json_string escaping round-trips" `Quick
       test_json_string_escaping;
     Alcotest.test_case "hist_quantile edges" `Quick test_hist_quantile_edges;
+    Alcotest.test_case "bucket_of matches the doubling loop" `Quick
+      test_bucket_of_matches_doubling;
     Alcotest.test_case "sampler windows and rates" `Quick test_sampler_rates;
     Alcotest.test_case "dispatch drives the sampler" `Quick
       test_stats_tick_samples_from_dispatch;

@@ -319,8 +319,8 @@ let test_state_bearing_overruns_cap () =
 
 let test_health_state_machine () =
   let th = Swm_xlib.Health.default_thresholds in
-  let sample ~depth ~shed =
-    { Health.depth_ratio = depth; shed; rejected = 0; xerrors = 0; stalls = 0 }
+  let sample ~depth ~shed h =
+    Health.observe th h ~depth_ratio:depth ~shed ~rejected:0 ~xerrors:0 ~stalls:0
   in
   (* Sustained pressure: quarantine, then eviction. *)
   let h = Health.create () in
@@ -328,7 +328,7 @@ let test_health_state_machine () =
   let seen = ref [] in
   for _ = 1 to 6 do
     shed := !shed + 50;
-    match Health.observe th h (sample ~depth:1.0 ~shed:!shed) with
+    match sample ~depth:1.0 ~shed:!shed h with
     | Health.Became s -> seen := s :: !seen
     | Health.No_change -> ()
   done;
@@ -339,12 +339,12 @@ let test_health_state_machine () =
     (List.rev_map Health.state_name !seen);
   (* One burst, then calm: hysteresis recovers the connection. *)
   let h = Health.create () in
-  (match Health.observe th h (sample ~depth:1.0 ~shed:10) with
+  (match sample ~depth:1.0 ~shed:10 h with
   | Health.Became Health.Throttled -> ()
   | _ -> Alcotest.fail "burst should quarantine");
   let recovered = ref false in
   for _ = 1 to 6 do
-    match Health.observe th h (sample ~depth:0.0 ~shed:10) with
+    match sample ~depth:0.0 ~shed:10 h with
     | Health.Became Health.Healthy -> recovered := true
     | _ -> ()
   done;
@@ -385,8 +385,8 @@ let test_calm_counts_only_while_throttled () =
   let th =
     { Health.quarantine_score = 8.0; evict_score = 1000.0; calm_ticks = 3; decay = 0.95 }
   in
-  let sample depth =
-    { Health.depth_ratio = depth; shed = 0; rejected = 0; xerrors = 0; stalls = 0 }
+  let sample depth h =
+    Health.observe th h ~depth_ratio:depth ~shed:0 ~rejected:0 ~xerrors:0 ~stalls:0
   in
   let h = Health.create () in
   (* Pressure 0.45 a tick: the score climbs toward 9 and crosses 8 at tick
@@ -394,7 +394,7 @@ let test_calm_counts_only_while_throttled () =
   let rec throttle tick =
     if tick > 100 then Alcotest.fail "never throttled"
     else
-      match Health.observe th h (sample 0.1125) with
+      match sample 0.1125 h with
       | Health.Became Health.Throttled -> tick
       | _ -> throttle (tick + 1)
   in
@@ -402,7 +402,7 @@ let test_calm_counts_only_while_throttled () =
   check Alcotest.bool "score just over the quarantine line" true
     (Float.abs (h.Health.score -. 8.008) < 0.001);
   let quiet () =
-    ignore (Health.observe th h (sample 0.0));
+    ignore (sample 0.0 h);
     Health.state_name h.Health.state
   in
   let first = quiet () in
@@ -667,16 +667,16 @@ let test_slow_pressure_still_builds_up () =
   let th =
     { Health.quarantine_score = 8.0; evict_score = 24.0; calm_ticks = 3; decay = 1.0 }
   in
-  let sample =
-    { Health.depth_ratio = 0.0005; shed = 0; rejected = 0; xerrors = 0; stalls = 0 }
+  let sample h =
+    Health.observe th h ~depth_ratio:0.0005 ~shed:0 ~rejected:0 ~xerrors:0 ~stalls:0
   in
   let h = Health.create () in
-  ignore (Health.observe th h sample);
+  ignore (sample h);
   check (Alcotest.float 1e-12) "a score under the floor is kept" 0.002 h.Health.score;
   let rec throttle tick =
     if tick > 4100 then Alcotest.fail "never throttled"
     else
-      match Health.observe th h sample with
+      match sample h with
       | Health.Became Health.Throttled -> ()
       | _ -> throttle (tick + 1)
   in

@@ -304,6 +304,43 @@ let test_root_panel_is_client () =
       | None -> Alcotest.fail "root panel not managed")
   | [] -> Alcotest.fail "no root panel"
 
+(* The WM's toolkit windows select no Exposure: the server keeps what
+   each one shows, so nothing in the WM repaints on Expose.  Damaging
+   every window of a decoration queues nothing, while a client that
+   selects Exposure on its own window still gets its damage, merged. *)
+let test_toolkit_windows_get_no_expose () =
+  let server, wm = fixture () in
+  let app = Stock.xterm server ~at:(Geom.point 50 60) () in
+  ignore (Wm.step wm);
+  let client = managed_client wm app in
+  let conn = Client_app.conn app and win = Client_app.window app in
+  Server.select_input server conn win [ Event.Structure_notify; Event.Exposure_mask ];
+  ignore (Server.flush_batch conn);
+  let rec decoration w =
+    if Xid.equal w win then [] else w :: List.concat_map decoration (Server.children_of server w)
+  in
+  let windows = decoration client.Ctx.frame in
+  check Alcotest.bool "an OpenLook decoration has many windows" true (List.length windows > 5);
+  let enqueued () = (Server.ledger_counts server).lc_enqueued in
+  let e0 = enqueued () in
+  List.iter (fun w -> Server.damage_window server w (Geom.rect 0 0 4 4)) windows;
+  check Alcotest.int "no event queued for the decoration" e0 (enqueued ());
+  check Alcotest.int "nothing pending for the WM" 0 (Server.pending (Wm.ctx wm).Ctx.conn);
+  let coalesced () = (Server.ledger_counts server).lc_coalesced in
+  let c0 = coalesced () in
+  Server.damage_window server win (Geom.rect 0 0 10 10);
+  Server.damage_window server win (Geom.rect 5 5 10 10);
+  check Alcotest.int "the client's two damages merged" (c0 + 1) (coalesced ());
+  let damage =
+    List.map
+      (function
+        | Event.Expose { window; damage = Some r } when Xid.equal window win -> r
+        | e -> Alcotest.failf "unexpected %s" (Event.kind_name e))
+      (Server.flush_batch conn)
+  in
+  check Alcotest.int "the client is exposed over the union" 175
+    (Swm_xlib.Region.area (Swm_xlib.Region.of_rects damage))
+
 let suite =
   [
     Alcotest.test_case "MapRequest manages and maps" `Quick test_map_request_manages;
@@ -327,4 +364,6 @@ let suite =
     Alcotest.test_case "shaped decoration for shaped client" `Quick
       test_shaped_client_gets_shaped_decoration;
     Alcotest.test_case "root panels are managed clients" `Quick test_root_panel_is_client;
+    Alcotest.test_case "toolkit windows get no Expose" `Quick
+      test_toolkit_windows_get_no_expose;
   ]
