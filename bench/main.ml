@@ -512,7 +512,7 @@ let population_cycles = 100
 let population_small = 50
 let population_large = 800
 let population_disconnect_budget = 1.0
-let population_words_budget = 3300.0
+let population_words_budget = 2900.0
 
 let population residents =
   let server, wm, cycle, read = population_fixture residents in
@@ -536,20 +536,22 @@ let population residents =
     !words /. float_of_int population_cycles,
     per (Server.tick_visits server - t0) )
 
-(* What an event the WM reads and ignores costs, in minor words per
-   dispatched event: beside [dispatch_clients] managed clients whose
-   queues are read, a sender sends [dispatch_per_round] ClientMessages a
-   round to their frames (the WM owns each frame, so it receives them and
-   its handler does nothing), then the WM steps.  The sending, queueing,
-   reading, dispatch and the WM's own ticks are all counted, the ledger
-   armed as it ships; the events themselves are built before the count. *)
+(* What an event the WM reads and ignores costs, in minor words and
+   clock reads per dispatched event: beside [dispatch_clients] managed
+   clients whose queues are read, a sender sends [dispatch_per_round]
+   ClientMessages a round to their frames (the WM owns each frame, so it
+   receives them and its handler does nothing), then the WM steps.  The
+   sending, queueing, reading, dispatch and the WM's own ticks are all
+   counted, the ledger armed as it ships; the events themselves are built
+   before the count. *)
 let dispatch_clients = 50
 let dispatch_per_round = 8
 let dispatch_warmup = 10
 let dispatch_rounds = 200
-let dispatch_words_budget = 42.2
+let dispatch_words_budget = 18.2
+let dispatch_clock_reads_budget = 2.25
 
-let words_per_ignored_event () =
+let ignored_event_costs () =
   let server, wm = fresh_wm () in
   let apps =
     List.init dispatch_clients (fun i ->
@@ -580,11 +582,13 @@ let words_per_ignored_event () =
     round ()
   done;
   let dispatched () = Metrics.counter_value (Server.metrics server) "wm.events_dispatched" in
-  let e0 = dispatched () and w0 = Gc.minor_words () in
+  let e0 = dispatched () and c0 = Metrics.clock_reads () and w0 = Gc.minor_words () in
   for _ = 1 to dispatch_rounds do
     round ()
   done;
-  (Gc.minor_words () -. w0) /. float_of_int (max 1 (dispatched () - e0))
+  let words = Gc.minor_words () -. w0 and reads = Metrics.clock_reads () - c0 in
+  let events = float_of_int (max 1 (dispatched () - e0)) in
+  (words /. events, float_of_int reads /. events)
 
 (* Connections a health tick examines, over a fixed sequence on a bare
    server so the count repeats exactly: [governor_ticks] rounds, each
@@ -1718,10 +1722,10 @@ let write_robustness_json ~path results
 let obs_warmup = 10
 let obs_rounds = 100
 let recorder_words_budget = 14000.0
-let recorder_off_words_budget = 1165.7
-let recorder_total_words_budget = 9740.2
+let recorder_off_words_budget = 1028.3
+let recorder_total_words_budget = 9602.8
 let recorder_entries_budget = 11.5
-let ledger_words_budget = 280.0
+let ledger_words_budget = 2.0
 let profiler_words_budget = 2322.0
 let profiler_spans_budget = 14.5
 
@@ -1924,8 +1928,10 @@ let write_observability_json ~path results ~pipeline_pan_ns ~slo =
      round dispatches about one event).  What arming adds is armed minus
      off, so it rises whenever the off storm gets cheaper; the storm's own
      words per event, off and armed, are gated beside it, 10% over their
-     measurements.  The difference budgets carry ~2x headroom; entries are
-     an exact count, so their budget is half an entry over it.  The wall-clock
+     measurements.  The recorder's difference budget carries ~2x
+     headroom; the ledger's, over a measured 0 (its fate slots are
+     written in place), 2 words.  Entries are an exact count, so their
+     budget is half an entry over it.  The wall-clock
      armed/off ratios are reported, not gated: on a shared host they
      spread from 0.6 to 4 between runs of the same tree.  A disabled record
      must stay a flag check (budget generous against runner noise). *)
@@ -2207,7 +2213,10 @@ let measure_profile () =
     /. float_of_int encode_timing_rounds
   in
   (* Churn: 100 clients jiggling while the armed WM drains; the profiler's
-     gc.minor_words_per_event histogram is the measurement. *)
+     gc.minor_words_per_event histogram is the measurement.  It measures
+     ConfigureNotify only: these clients select no Exposure, so the Expose
+     storm queues nothing (Expose has its own round,
+     [expose_words_per_event]). *)
   let server = Server.create () in
   let wm = Wm.start ~resources:quiet_resources server in
   let apps = Workload.launch_n server 100 in
@@ -2291,10 +2300,44 @@ let measure_profile () =
     storm_events, storm_major, Profile.events p, Profile.dispatch_wall_ns p,
     Profile.root_total_ns p, Profile.coverage p, stacks )
 
+(* Expose in its own round: 100 managed clients that select Exposure on
+   their windows, as perfbench's storm clients do, each damaged once a
+   round and read at once, then a WM step.  Minor words per event the
+   clients read, from the damage through the read (the WM reads none). *)
+let expose_rounds = 20
+
+let expose_words_per_event () =
+  let server, wm = fresh_wm () in
+  let apps = Workload.launch_n server 100 in
+  ignore (Wm.step wm);
+  List.iter
+    (fun app ->
+      Server.select_input server (Client_app.conn app) (Client_app.window app)
+        [ Event.Structure_notify; Event.Exposure_mask ];
+      ignore (Client_app.process_events app))
+    apps;
+  let round seed =
+    Workload.expose_storm server ~seed ~rounds:1 apps;
+    let read = List.fold_left (fun n app -> n + Client_app.process_events app) 0 apps in
+    ignore (Wm.step wm);
+    read
+  in
+  for seed = 1 to 3 do
+    ignore (round seed)
+  done;
+  let w0 = Gc.minor_words () and events = ref 0 in
+  for seed = 4 to 3 + expose_rounds do
+    events := !events + round seed
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int (max 1 !events)
+
 (* The budgets live inside the artifact next to the numbers they bound.
    The ns budgets are generous against runner noise.  The minor-words
    counts are a property of the code path, not the machine: the encoder's
-   budget carries ~2x headroom over it, the churn dispatch's 10%. *)
+   budget carries ~2x headroom over it, the churn dispatch's and the
+   Expose round's 10% (152.3 and 86.5 measured). *)
+let expose_words_budget = 95.2
+
 let write_profile_json ~path results
     (encode_words, churn_words, batch_encode_64_ns, storm_events, storm_major,
      events, dispatch_wall_ns, root_total_ns, coverage, stacks)
@@ -2303,7 +2346,7 @@ let write_profile_json ~path results
     (panner_clients, miniatures, unchanged, raise, pan, move)
     (frames_unchanged, frames_raise, frames_pan, frames_move) visits_per_tick
     ((dv_small, words_small, tv_small), (dv_large, words_large, tv_large))
-    ignored_words =
+    ignored_costs =
   let disabled = find "profile/event_section-disabled" results
   and off = find "profile/pan_storm-disabled" results
   and on = find "profile/pan_storm-armed" results in
@@ -2334,8 +2377,9 @@ let write_profile_json ~path results
     (Printf.sprintf
        "  \"allocation\": {\"batch_encode_words_per_event\": %.1f, \
         \"batch_encode_words_per_event_budget\": 5.0, \
-        \"churn_words_per_event\": %.1f, \"churn_words_per_event_budget\": 179.5},\n"
-       encode_words churn_words);
+        \"churn_words_per_event\": %.1f, \"churn_words_per_event_budget\": 167.5, \
+        \"expose_words_per_event\": %.1f, \"expose_words_per_event_budget\": %.1f},\n"
+       encode_words churn_words (expose_words_per_event ()) expose_words_budget);
   (* Wall time, reported only: a CPU-only encoder slowdown shows here and
      fails no gate. *)
   Buffer.add_string b
@@ -2418,18 +2462,24 @@ let write_profile_json ~path results
        population_disconnect_budget dv_large population_disconnect_budget words_small
        population_words_budget words_large population_words_budget
        (words_large /. words_small) tv_small tv_large);
-  (* An event the WM reads and ignores costs its queueing, its fate and
-     waterfall records and the WM's ticks; the budget is the measured count
-     plus 10%.  A closure per histogram observation reads 54, a
-     Fun.protect per dispatch 53.8.  (Selecting Exposure on the toolkit
-     windows again shows in the population's words per cycle: 3,390.) *)
+  (* An event the WM reads and ignores costs its queueing, its fate slot
+     and the WM's ticks; the budget is the measured count plus 10%.  A
+     fresh fate record per event reads 30.5, a closure per histogram
+     observation 54, a Fun.protect per dispatch 53.8.  (Selecting Exposure
+     on the toolkit windows again shows in the population's words per
+     cycle.)  It reads the clock at ingress and at the end of its
+     dispatch; the batch's read (one per 8 events) and the sampler's
+     (one per 32) add 0.16.  A dispatch that reads its own start reads
+     3.16; the budget allows no third read per event. *)
+  let ignored_words, clock_reads = ignored_costs in
   Buffer.add_string b
     (Printf.sprintf
        "  \"dispatch\": {\"clients\": %d, \"events_per_round\": %d, \
         \"rounds\": %d, \"words_per_ignored_event\": %.1f, \
-        \"words_per_ignored_event_budget\": %.1f}\n"
+        \"words_per_ignored_event_budget\": %.1f, \"clock_reads_per_event\": %.3f, \
+        \"clock_reads_per_event_budget\": %.2f}\n"
        dispatch_clients dispatch_per_round dispatch_rounds ignored_words
-       dispatch_words_budget);
+       dispatch_words_budget clock_reads dispatch_clock_reads_budget);
   Buffer.add_string b "}\n";
   write_json ~path (Buffer.contents b)
 
@@ -2472,7 +2522,7 @@ let run_profile_family () =
     (panner_requests ())
     (panner_frames ()) (governor_visits ())
     (population population_small, population population_large)
-    (words_per_ignored_event ())
+    (ignored_event_costs ())
 
 let finish () =
   Format.printf "@.done.@.";

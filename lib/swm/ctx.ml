@@ -82,22 +82,6 @@ type tier = Tier_full | Tier_essential
 
 let tier_name = function Tier_full -> "full" | Tier_essential -> "essential"
 
-(* Per-event waterfall: the most recent dispatches with their full
-   ingress -> queue -> dispatch -> f.* -> requests story, filled by
-   [Wm.handle_event_full] while the lifecycle ledger is armed and exported
-   by [f.query(waterfall,FILE)]. *)
-type waterfall_rec = {
-  wf_seq : int; (* the triggering event's ingress seq *)
-  wf_code : int;
-  wf_ingress_ns : int; (* 0 when the ledger was disarmed at enqueue *)
-  wf_t0 : int; (* dispatch start, monotonic *)
-  wf_t1 : int; (* dispatch complete *)
-  wf_requests : int; (* output requests issued during this dispatch *)
-  wf_fns : string list; (* f.* verbs the dispatch executed, in order *)
-}
-
-let waterfall_capacity = 64
-
 type mode =
   | Idle
   | Moving of { m_client : client; grab_offset : Geom.point; m_outline : Xid.t }
@@ -152,14 +136,16 @@ type t = {
       (* event.e2e_ns{event} resolved per Event.code: ingress ->
          dispatch-complete wall latency, observed only for events whose
          entry carries a live ingress stamp (ledger armed) *)
-  wf_ring : waterfall_rec Swm_xlib.Ring.t; (* recent-dispatch waterfall *)
   mutable fn_trail : string list;
       (* f.* verbs run by the dispatch in flight (newest first); reset by
-         Wm per event, appended by Functions.execute_at *)
+         Wm per event, appended by Functions.execute_at, kept in the
+         event's fate slot (Server.ledger_dispatch) *)
   batch_events : Swm_xlib.Event.t array; (* the batch Wm.step dispatches *)
   batch_stamps : Server.stamp array; (* their stamps, slot for slot *)
   c_events_dispatched : Swm_xlib.Metrics.counter; (* wm.events_dispatched *)
   c_watchdog_stalls : Swm_xlib.Metrics.counter; (* watchdog.stalls *)
+  h_panner_refresh_ns : Swm_xlib.Metrics.histogram; (* panner.refresh_ns *)
+  c_panner_frames : Swm_xlib.Metrics.counter; (* panner.frames_examined *)
   atoms : atoms; (* hot ICCCM/SWM property names, interned once *)
   host : string;
   display : string;

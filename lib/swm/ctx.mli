@@ -109,22 +109,6 @@ type tier =
 
 val tier_name : tier -> string
 
-(** One recent dispatch in the per-event waterfall: the full ingress ->
-    queue -> dispatch -> f.* -> requests story for one delivered event,
-    filled by {!Wm.handle_event_full} while the lifecycle ledger is armed
-    and exported by [f.query(waterfall,FILE)]. *)
-type waterfall_rec = {
-  wf_seq : int;  (** the triggering event's ingress seq *)
-  wf_code : int;
-  wf_ingress_ns : int;  (** 0 when the ledger was disarmed at enqueue *)
-  wf_t0 : int;  (** dispatch start, monotonic *)
-  wf_t1 : int;  (** dispatch complete *)
-  wf_requests : int;  (** output requests issued during this dispatch *)
-  wf_fns : string list;  (** f.* verbs the dispatch executed, in order *)
-}
-
-val waterfall_capacity : int
-
 type mode =
   | Idle
   | Moving of {
@@ -208,12 +192,10 @@ type t = {
       (** [event.e2e_ns{event}] resolved per {!Event.code}: ingress ->
           dispatch-complete wall latency, observed only for events whose
           queue entry carries a live ingress stamp (ledger armed) *)
-  wf_ring : waterfall_rec Swm_xlib.Ring.t;
-      (** recent-dispatch waterfall: a bounded ring of the last
-          {!waterfall_capacity} dispatches *)
   mutable fn_trail : string list;
       (** f.* verbs run by the dispatch in flight (newest first); reset by
-          {!Wm} per event, appended by {!Functions.execute_at} *)
+          {!Wm} per event, appended by {!Functions.execute_at}, and kept in
+          the event's fate slot by {!Swm_xlib.Server.ledger_dispatch} *)
   batch_events : Swm_xlib.Event.t array;
       (** the batch {!Wm.step} read with {!Swm_xlib.Server.read_batch} and
           dispatches, reused from batch to batch *)
@@ -221,6 +203,10 @@ type t = {
       (** the stamps of [batch_events], slot for slot *)
   c_events_dispatched : Swm_xlib.Metrics.counter;
   c_watchdog_stalls : Swm_xlib.Metrics.counter;
+  h_panner_refresh_ns : Swm_xlib.Metrics.histogram;
+      (** [panner.refresh_ns], resolved once *)
+  c_panner_frames : Swm_xlib.Metrics.counter;
+      (** [panner.frames_examined], resolved once *)
   atoms : atoms;  (** hot ICCCM/SWM property names, interned at startup *)
   host : string;
   display : string;

@@ -326,31 +326,31 @@ let health_json (ctx : Ctx.t) =
     (Recorder.dropped recorder) (Recorder.dumps recorder)
     (Server.ledger_json ctx.server)
 
-(* The recent-dispatch waterfall: every retained dispatch with its
-   ingress -> queue -> dispatch timings, the requests it issued, and the
-   f.* functions it ran — the per-event causality view behind
-   f.query(waterfall,FILE).  Entries are emitted oldest-first;
-   queue_ns/e2e_ns are -1 when the event entered the queue while the ledger
-   was disarmed (no ingress stamp). *)
+(* The recent-dispatch waterfall: every dispatch the ledger's fate window
+   retains for the WM's connection, with its ingress -> queue -> dispatch
+   timings, the requests it issued, and the f.* functions it ran — the
+   per-event causality view behind f.query(waterfall,FILE).  Entries are
+   emitted oldest-first; queue_ns/e2e_ns are -1 when the event entered the
+   queue while the ledger was disarmed (no ingress stamp). *)
 let waterfall_json (ctx : Ctx.t) =
+  let dispatches = Server.dispatches ctx.conn in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
-    (Printf.sprintf "{\"events\":%d,\"waterfall\":["
-       (Ring.length ctx.wf_ring));
+    (Printf.sprintf "{\"events\":%d,\"waterfall\":[" (List.length dispatches));
   List.iteri
-    (fun i (r : Ctx.waterfall_rec) ->
+    (fun i (d : Server.dispatch) ->
       if i > 0 then Buffer.add_char buf ',';
-      let queue_ns = if r.wf_ingress_ns > 0 then r.wf_t0 - r.wf_ingress_ns else -1 in
-      let e2e_ns = if r.wf_ingress_ns > 0 then r.wf_t1 - r.wf_ingress_ns else -1 in
+      let since_ingress t = if d.d_ingress_ns > 0 then t - d.d_ingress_ns else -1 in
       Buffer.add_string buf
         (Printf.sprintf
            "{\"seq\":%d,\"event\":%s,\"ingress_ns\":%d,\"queue_ns\":%d,\
             \"dispatch_ns\":%d,\"e2e_ns\":%d,\"requests\":%d,\"functions\":[%s]}"
-           r.wf_seq
-           (Metrics.json_string (Event.name_of_code r.wf_code))
-           r.wf_ingress_ns queue_ns (r.wf_t1 - r.wf_t0) e2e_ns r.wf_requests
-           (String.concat "," (List.map Metrics.json_string r.wf_fns))))
-    (Ring.to_list ctx.wf_ring);
+           d.d_seq
+           (Metrics.json_string (Event.name_of_code d.d_code))
+           d.d_ingress_ns (since_ingress d.d_start_ns) (d.d_end_ns - d.d_start_ns)
+           (since_ingress d.d_end_ns) d.d_requests
+           (String.concat "," (List.map Metrics.json_string d.d_functions))))
+    dispatches;
   Buffer.add_string buf
     (Printf.sprintf "],\"ledger\":%s}" (Server.ledger_json ctx.server));
   Buffer.contents buf
@@ -738,9 +738,9 @@ let rec execute_at ~depth (ctx : Ctx.t) inv (funcs : Bindings.func_call list) =
                 (Server.metrics ctx.server)
                 ~max_series:64 ~key:"fn" "functions.calls")
              name);
-        (* The dispatch-in-flight trail: Wm resets it per event and copies
-           it (reversed) into the waterfall record, linking f.* activity to
-           the triggering event. *)
+        (* The dispatch-in-flight trail: Wm resets it per event and keeps
+           it in the event's fate slot, linking f.* activity to the
+           triggering event. *)
         ctx.fn_trail <- name :: ctx.fn_trail
       end;
       let tracer = Server.tracer ctx.server in

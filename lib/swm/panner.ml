@@ -124,8 +124,7 @@ let destroy_mini (ctx : Ctx.t) mini =
   Xid.Tbl.remove ctx.panner_minis mini;
   if Server.window_exists ctx.server mini then Server.destroy_window ctx.server mini
 
-let frames_examined (ctx : Ctx.t) n =
-  Metrics.add (Metrics.counter (Server.metrics ctx.server) "panner.frames_examined") n
+let frames_examined (ctx : Ctx.t) n = Metrics.add ctx.c_panner_frames n
 
 (* Bring the panner's children to the wanted content and pay only for the
    difference.  The wanted content, bottom to top, is the viewport outline
@@ -231,7 +230,9 @@ let timed (ctx : Ctx.t) f =
      Swm_xlib.Tracing.span tracer "panner.refresh"
    else fun f -> f ())
   @@ fun () ->
-  Metrics.time_mono_ns (Server.metrics ctx.server) "panner.refresh_ns" f
+  let t0 = Metrics.now_mono_ns () in
+  f ();
+  Metrics.observe ctx.h_panner_refresh_ns (Metrics.now_mono_ns () - t0)
 
 let skipped (ctx : Ctx.t) =
   (* Degraded: the panner is a luxury redraw.  The governor re-runs

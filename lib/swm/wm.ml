@@ -810,6 +810,13 @@ let governor_tick (ctx : Ctx.t) =
    counters, and — when tracing is on — as a [wm.dispatch] span that
    parents everything the handler does (function runs, redraws, pans).
 
+   A dispatch starts at [t0], where the previous one ended (or at the
+   clock reading of the batch read, for a batch's first), and reads the
+   clock once, at its end, which it returns.  Its time thus includes the
+   loop's bookkeeping since the previous dispatch: the ticks and the
+   records below.  The end time is what the ledger's fate slot, the
+   watchdog, [wm.dispatch_wall_ns] and [event.e2e_ns] all use.
+
    The handler runs under the {!Xguard} discipline: a BadWindow/BadAccess
    raised by a racing client is absorbed at this boundary (counted in
    [wm.xerrors]), after which dead clients are swept instead of crashing
@@ -821,8 +828,7 @@ let governor_tick (ctx : Ctx.t) =
    signal.  Any other exception dumps a crash report before propagating:
    the flight recorder's whole purpose is to still have the story when
    that happens. *)
-let dispatch (ctx : Ctx.t) event (stamp : Server.stamp) code =
-  let t0 = Metrics.now_mono_ns () in
+let dispatch (ctx : Ctx.t) event (stamp : Server.stamp) code ~t0 =
   let req0 = Server.request_count ctx.server in
   ctx.fn_trail <- [];
   (match handle_event ctx event with
@@ -845,17 +851,9 @@ let dispatch (ctx : Ctx.t) event (stamp : Server.stamp) code =
      the queue: no residency baseline, so no sample. *)
   if stamp.Server.ingress_ns > 0 then
     Metrics.observe ctx.h_e2e.(code) (t1 - stamp.Server.ingress_ns);
-  if Server.ledger_enabled ctx.server then
-    Ring.push ctx.wf_ring
-      {
-        Ctx.wf_seq = stamp.Server.seq;
-        wf_code = code;
-        wf_ingress_ns = stamp.Server.ingress_ns;
-        wf_t0 = t0;
-        wf_t1 = t1;
-        wf_requests = Server.request_count ctx.server - req0;
-        wf_fns = List.rev ctx.fn_trail;
-      };
+  Server.ledger_dispatch ctx.conn stamp ~t0 ~t1
+    ~requests:(Server.request_count ctx.server - req0)
+    ~fns:ctx.fn_trail;
   if elapsed >= ctx.watchdog_threshold_ns then begin
     Metrics.incr ctx.c_watchdog_stalls;
     let kind = Event.name_of_code code in
@@ -868,20 +866,21 @@ let dispatch (ctx : Ctx.t) event (stamp : Server.stamp) code =
   Metrics.incr ctx.c_events_dispatched;
   governor_tick ctx;
   stats_tick ctx;
-  autosave_tick ctx
+  autosave_tick ctx;
+  t1
 
 (* The profiler's GC probe sits inside the wm.dispatch span: the span's
    duration bounds the probe's wall time from above, which is what makes
    the flamegraph's root frames cover the measured dispatch wall time. *)
-let profiled_dispatch (ctx : Ctx.t) event stamp code =
+let profiled_dispatch (ctx : Ctx.t) event stamp code ~t0 =
   let profiler = Server.profiler ctx.server in
   if Profile.armed profiler then
-    Profile.event_section profiler (fun () -> dispatch ctx event stamp code)
-  else dispatch ctx event stamp code
+    Profile.event_section profiler (fun () -> dispatch ctx event stamp code ~t0)
+  else dispatch ctx event stamp code ~t0
 
 (* The span and the probe are closures, built only while the tracer or
    the profiler is on: an event pays for no observer that is off. *)
-let handle_event_full (ctx : Ctx.t) event (stamp : Server.stamp) =
+let handle_event_full (ctx : Ctx.t) event (stamp : Server.stamp) ~t0 =
   let code = Event.code event in
   let recorder = Server.recorder ctx.server in
   if Recorder.enabled recorder then
@@ -895,10 +894,12 @@ let handle_event_full (ctx : Ctx.t) event (stamp : Server.stamp) =
   if Tracing.enabled tracer then
     Tracing.span tracer "wm.dispatch"
       ~attrs:(("seq", string_of_int stamp.Server.seq) :: span_attrs.(code))
-      (fun () -> profiled_dispatch ctx event stamp code)
-  else profiled_dispatch ctx event stamp code
+      (fun () -> profiled_dispatch ctx event stamp code ~t0)
+  else profiled_dispatch ctx event stamp code ~t0
 
-let handle_event_timed (ctx : Ctx.t) event (stamp : Server.stamp) =
+(* Dispatch one event read from the WM's queue, from [t0]; returns where
+   the next dispatch starts. *)
+let dispatch_read (ctx : Ctx.t) event (stamp : Server.stamp) ~t0 =
   if ctx.tier = Ctx.Tier_essential && Event.droppable_code (Event.code event)
   then begin
     (* Essential tier: latest-wins events are not worth their dispatch cost
@@ -907,9 +908,10 @@ let handle_event_timed (ctx : Ctx.t) event (stamp : Server.stamp) =
     Metrics.incr ctx.c_gov_skipped;
     Server.ledger_skip ctx.conn event stamp;
     governor_tick ctx;
-    stats_tick ctx
+    stats_tick ctx;
+    t0
   end
-  else handle_event_full ctx event stamp
+  else handle_event_full ctx event stamp ~t0
 
 (* The flight recorder's compact state snapshot: the window table, the
    per-screen viewport, and the iconic/sticky id sets — enough to place
@@ -981,14 +983,22 @@ let sampled_series =
 let batch_size = 64
 
 (* Each batch is read into the context's two arrays and dispatched from
-   there, all of it popped before the first handler runs. *)
+   there, all of it popped before the first handler runs.  The first
+   dispatch starts at the read's clock reading (the ledger's, or one of
+   its own while the ledger is disarmed), and each one after where the
+   previous one ended. *)
 let rec drain (ctx : Ctx.t) count =
   if ctx.running || Server.pending ctx.conn > 0 then begin
     let n = Server.read_batch ctx.conn ctx.batch_events ctx.batch_stamps in
-    for i = 0 to n - 1 do
-      handle_event_timed ctx ctx.batch_events.(i) ctx.batch_stamps.(i)
-    done;
-    if n = 0 then count else drain ctx (count + n)
+    if n = 0 then count
+    else begin
+      let t = Server.read_ns ctx.conn in
+      let t = ref (if t = 0 then Metrics.now_mono_ns () else t) in
+      for i = 0 to n - 1 do
+        t := dispatch_read ctx ctx.batch_events.(i) ctx.batch_stamps.(i) ~t0:!t
+      done;
+      drain ctx (count + n)
+    end
   end
   else count
 
@@ -1130,12 +1140,14 @@ let start ?(resources = []) ?(host = "localhost") ?(display = ":0") server =
         (let fam = Metrics.histogram_family metrics ~key:"event" "event.e2e_ns" in
          Array.init (Event.last_event + 1) (fun code ->
              Metrics.labeled_histogram fam (Event.name_of_code code)));
-      wf_ring = Ring.bounded Ctx.waterfall_capacity;
       fn_trail = [];
       batch_events = Array.make batch_size (Event.Focus_in { window = Xid.none });
-      batch_stamps = Array.init batch_size (fun _ -> { Server.seq = 0; ingress_ns = 0 });
+      batch_stamps =
+        Array.init batch_size (fun _ -> { Server.seq = 0; ingress_ns = 0; slot = -1 });
       c_events_dispatched = Metrics.counter metrics "wm.events_dispatched";
       c_watchdog_stalls = Metrics.counter metrics "watchdog.stalls";
+      h_panner_refresh_ns = Metrics.histogram metrics "panner.refresh_ns";
+      c_panner_frames = Metrics.counter metrics "panner.frames_examined";
       atoms;
       host;
       display;

@@ -32,6 +32,15 @@ val step : t -> int
 (** Drain and handle every pending event; returns how many were handled.
     Call repeatedly after synthesising input or client activity. *)
 
+val dispatch_read :
+  t -> Swm_xlib.Event.t -> Swm_xlib.Server.stamp -> t0:int -> int
+(** Dispatch one event {!step} read from the WM's queue, starting at [t0]
+    (where the previous dispatch ended); returns its end time, read once,
+    where the next dispatch starts, or [t0] when the essential tier skips
+    the event.  The end time is the one the event's fate slot, the
+    watchdog, [wm.dispatch_wall_ns] and [event.e2e_ns] use.  Exported so
+    the waterfall's reference recording can drive the queue itself. *)
+
 val manage : t -> Swm_xlib.Xid.t -> unit
 (** Bring an (unmanaged, non-override-redirect) top-level window under
     management: read its properties, apply a matching session hint if any,

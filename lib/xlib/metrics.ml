@@ -163,7 +163,13 @@ let labeled_counter_value t name label =
 (* The one clock: monotonic wall time (CLOCK_MONOTONIC via bechamel's
    stubs).  Spans, the recorder, the ledger and every timing series read
    it, so their numbers are directly comparable. *)
-let now_mono_ns () = Int64.to_int (Monotonic_clock.now ())
+let clock_reads_total = { c = 0 }
+
+let now_mono_ns () =
+  clock_reads_total.c <- clock_reads_total.c + 1;
+  Int64.to_int (Monotonic_clock.now ())
+
+let clock_reads () = clock_reads_total.c
 
 let time_mono_ns t name f =
   let h = histogram t name in
@@ -472,38 +478,63 @@ let to_table t =
 
 (* -------- time-series sampler -------- *)
 
-type sample = { s_ts : int; s_vals : int array }
-
+(* The retained samples are rows allocated once and overwritten in place:
+   sample [k] lives in row [k mod capacity].  Each tracked counter's
+   handle is resolved at its first sample after it exists; until then the
+   series reads 0 and nothing is registered. *)
 type sampler = {
   sp_registry : t;
   sp_names : string array;
-  sp_ring : sample Ring.t;
+  sp_counters : counter array; (* [unresolved] until the counter exists *)
+  sp_ts : int array;
+  sp_rows : int array array;
+  mutable sp_taken : int; (* samples since creation *)
 }
 
+let unresolved = { c = 0 }
+
 let sampler t ?(capacity = 64) names =
+  let names = Array.of_list names and capacity = max 2 capacity in
   {
     sp_registry = t;
-    sp_names = Array.of_list names;
-    sp_ring = Ring.bounded (max 2 capacity);
+    sp_names = names;
+    sp_counters = Array.make (Array.length names) unresolved;
+    sp_ts = Array.make capacity 0;
+    sp_rows = Array.init capacity (fun _ -> Array.make (Array.length names) 0);
+    sp_taken = 0;
   }
 
-let sample sp =
-  let vals =
-    Array.map (fun name -> counter_value sp.sp_registry name) sp.sp_names
-  in
-  Ring.push sp.sp_ring { s_ts = now_mono_ns (); s_vals = vals }
+let resolve sp i =
+  let c = sp.sp_counters.(i) in
+  if c != unresolved then c
+  else
+    match Hashtbl.find_opt sp.sp_registry.counters sp.sp_names.(i) with
+    | Some c ->
+        sp.sp_counters.(i) <- c;
+        c
+    | None -> unresolved
 
-let sample_count sp = Ring.length sp.sp_ring + Ring.evicted sp.sp_ring
-let retained sp = Ring.length sp.sp_ring
+let sample sp =
+  let k = sp.sp_taken mod Array.length sp.sp_ts in
+  let row = sp.sp_rows.(k) in
+  for i = 0 to Array.length row - 1 do
+    row.(i) <- (resolve sp i).c
+  done;
+  sp.sp_ts.(k) <- now_mono_ns ();
+  sp.sp_taken <- sp.sp_taken + 1
+
+let sample_count sp = sp.sp_taken
+let retained sp = min sp.sp_taken (Array.length sp.sp_ts)
 
 (* Rates over the retained window: (newest - oldest) / elapsed.  Counters
    are monotonic, so the delta is the number of increments the window saw;
-   fewer than two samples (or a zero-width window) rate as 0. *)
+   fewer than two samples (or a zero-width window) rate as 0.  The window
+   is the (oldest, newest) pair of row indices. *)
 let window sp =
-  match (Ring.peek sp.sp_ring, Ring.peek_back sp.sp_ring) with
-  | Some oldest, Some newest when Ring.length sp.sp_ring >= 2 ->
-      Some (oldest, newest)
-  | _ -> None
+  if retained sp < 2 then None
+  else
+    let cap = Array.length sp.sp_ts in
+    Some ((sp.sp_taken - retained sp) mod cap, (sp.sp_taken - 1) mod cap)
 
 let series_index sp name =
   let rec go i =
@@ -517,20 +548,20 @@ let rate sp name =
   match window sp with
   | None -> 0.
   | Some (oldest, newest) -> (
-      let dt_ns = newest.s_ts - oldest.s_ts in
+      let dt_ns = sp.sp_ts.(newest) - sp.sp_ts.(oldest) in
       if dt_ns <= 0 then 0.
       else
         match series_index sp name with
         | None -> 0.
         | Some i ->
-            float_of_int (newest.s_vals.(i) - oldest.s_vals.(i))
+            float_of_int (sp.sp_rows.(newest).(i) - sp.sp_rows.(oldest).(i))
             /. (float_of_int dt_ns /. 1e9))
 
 let stats_json sp =
   let window_ns =
     match window sp with
     | None -> 0
-    | Some (oldest, newest) -> newest.s_ts - oldest.s_ts
+    | Some (oldest, newest) -> sp.sp_ts.(newest) - sp.sp_ts.(oldest)
   in
   let series =
     List.map

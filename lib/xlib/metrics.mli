@@ -128,6 +128,10 @@ val now_mono_ns : unit -> int
     {!Wm} watchdog, {!Tracing}, {!Recorder}, the ledger) that need the value
     itself, not just a histogram sample. *)
 
+val clock_reads : unit -> int
+(** {!now_mono_ns} calls since the program started: a plain count, so a
+    bench can say how many clock reads an event costs. *)
+
 (** {1 Export} *)
 
 val reset : t -> unit
@@ -174,13 +178,16 @@ val to_table : t -> string
     A {!sampler} snapshots a fixed list of counters into a bounded ring
     ({!sample}, driven from the WM's dispatch tick) so rates can be derived
     over the retained window — events/sec, faults/sec — rather than only
-    all-time totals.  The ring is a bounded {!Ring}: sampling cost is
+    all-time totals.  The ring's rows are allocated at creation and
+    overwritten in place, and each counter's handle is looked up until the
+    counter exists, then kept: a sample allocates nothing, and its cost is
     constant no matter the uptime. *)
 
 type sampler
 
 val sampler : t -> ?capacity:int -> string list -> sampler
-(** Track the named counters ([capacity] retained samples, default 64). *)
+(** Track the named counters ([capacity] retained samples, default 64).  A
+    name with no counter yet reads 0 and registers none. *)
 
 val sample : sampler -> unit
 (** Record one timestamped snapshot of every tracked counter. *)

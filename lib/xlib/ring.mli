@@ -15,10 +15,11 @@
     A {e bounded} ring ({!bounded}) keeps at most n elements: a push onto
     a full ring overwrites the oldest element and counts it in {!evicted}.
     It never reallocates after creation, so its cost does not depend on
-    how long it has been running.  Every observability log is one: the
-    tracing span ring and slow log, the flight recorder's activity ring and
-    replay journal, the ledger's fate ring, the WM's dispatch waterfall and
-    the metrics sampler. *)
+    how long it has been running.  The tracing span ring and slow log and
+    the flight recorder's activity ring and replay journal are each one.
+    (The ledger's fate ring and the metrics sampler keep their own
+    preallocated slots instead, written in place, so an entry allocates
+    nothing.) *)
 
 type 'a t
 

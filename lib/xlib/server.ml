@@ -34,19 +34,29 @@ let fate_name = function
   | Skipped -> "skipped"
   | Evicted_with_conn -> "evicted_with_conn"
 
-type fate_record = {
-  fr_seq : int;
-  fr_survivor : int; (* the surviving entry's seq for merges; -1 otherwise *)
-  fr_conn : string;
-  fr_code : int;
-  fr_window : int;
-  fr_fate : fate;
-  fr_t_in : int;
-  fr_t_fate : int;
+(* One retained fate.  The ring's slots are allocated once and overwritten
+   in place: a record per event would live about one minor-heap interval,
+   so most would be promoted only to die in the major heap.  A [Delivered]
+   fate of the WM's connection also carries the dispatch that consumed it
+   ({!ledger_dispatch}): [fs_t1 = 0] until then. *)
+type fate_slot = {
+  mutable fs_seq : int;
+  mutable fs_survivor : int; (* the surviving entry's seq for merges; -1 otherwise *)
+  mutable fs_conn : string;
+  mutable fs_cid : int;
+  mutable fs_code : int;
+  mutable fs_window : int;
+  mutable fs_fate : fate;
+  mutable fs_t_in : int;
+  mutable fs_t_fate : int;
+  mutable fs_t0 : int; (* dispatch start *)
+  mutable fs_t1 : int; (* dispatch end *)
+  mutable fs_requests : int; (* requests the dispatch issued *)
+  mutable fs_fns : string list; (* f.* verbs it ran, newest first *)
 }
 
-(* Recent-fates window behind [f.query(fate)]: a bounded ring, so a storm costs
-   one slot overwrite per event. *)
+(* Recent-fates window behind [f.query(fate)] and [f.query(waterfall)]:
+   a storm costs one slot overwrite per event. *)
 let fate_ring_capacity = 512
 
 type ledger = {
@@ -63,13 +73,16 @@ type ledger = {
   mutable lg_last_skip : int;
       (* a multi-rect Damage entry expands to several events sharing one
          seq; reclassifying delivered->skipped must count the entry once *)
-  lg_fates : fate_record Ring.t;
+  lg_fates : fate_slot array;
+  mutable lg_recorded : int;
+      (* fate records written since creation; the next goes to slot
+         [lg_recorded mod fate_ring_capacity] *)
   lg_queue_hist : Metrics.histogram array;
       (* event.queue_ns{event} indexed by Event.code, cached at create *)
 }
 
 (* Mutable so {!read_batch} can refill a caller's stamps in place. *)
-type stamp = { mutable seq : int; mutable ingress_ns : int }
+type stamp = { mutable seq : int; mutable ingress_ns : int; mutable slot : int }
 
 let mk_ledger metrics =
   let fam = Metrics.histogram_family metrics ~key:"event" "event.queue_ns" in
@@ -85,7 +98,24 @@ let mk_ledger metrics =
     lg_skipped = 0;
     lg_evicted = 0;
     lg_last_skip = 0;
-    lg_fates = Ring.bounded fate_ring_capacity;
+    lg_fates =
+      Array.init fate_ring_capacity (fun _ ->
+          {
+            fs_seq = 0;
+            fs_survivor = -1;
+            fs_conn = "";
+            fs_cid = 0;
+            fs_code = 0;
+            fs_window = 0;
+            fs_fate = Delivered;
+            fs_t_in = 0;
+            fs_t_fate = 0;
+            fs_t0 = 0;
+            fs_t1 = 0;
+            fs_requests = 0;
+            fs_fns = [];
+          });
+    lg_recorded = 0;
     lg_queue_hist =
       Array.init (Event.last_event + 1) (fun code ->
           Metrics.labeled_histogram fam (Event.name_of_code code));
@@ -99,29 +129,6 @@ let fate_bump lg = function
   | Shed -> lg.lg_shed <- lg.lg_shed + 1
   | Skipped -> lg.lg_skipped <- lg.lg_skipped + 1
   | Evicted_with_conn -> lg.lg_evicted <- lg.lg_evicted + 1
-
-(* A delivery also feeds the [event.queue_ns{event}] residency histogram,
-   from the same clock reading as its fate record. *)
-let record_fate lg ~cname ~seq ?(survivor = -1) ~code ~window ~t_in fate =
-  fate_bump lg fate;
-  if lg.lg_armed then begin
-    let t = Metrics.now_mono_ns () in
-    (match fate with
-    | Delivered when t_in > 0 ->
-        Metrics.observe lg.lg_queue_hist.(code) (t - t_in)
-    | _ -> ());
-    Ring.push lg.lg_fates
-      {
-        fr_seq = seq;
-        fr_survivor = survivor;
-        fr_conn = cname;
-        fr_code = code;
-        fr_window = window;
-        fr_fate = fate;
-        fr_t_in = t_in;
-        fr_t_fate = t;
-      }
-  end
 
 (* Damage entries surface as Expose on delivery; fate records use the same
    class so lineage queries line up with what the client would have seen. *)
@@ -195,6 +202,9 @@ type conn = {
   m_batch : Metrics.histogram;
   c_tracer : Tracing.t;
   c_ledger : ledger; (* shared with the server: one ledger fleet-wide *)
+  mutable read_ns : int;
+      (* the clock reading of the last [read_batch] that read something
+         while the ledger was armed: its fates' time; 0 otherwise *)
   c_active : conn Ring.t;
       (* shared with the server: the active set, the only connections a
          health tick visits (see [wake]) *)
@@ -314,6 +324,7 @@ and nil_conn =
     m_batch = Metrics.histogram nil_registry "nil";
     c_tracer = Tracing.create ~capacity:1 ~slow_capacity:1 ();
     c_ledger = mk_ledger nil_registry;
+    read_ns = 0;
     c_active = Ring.create ~capacity:1 ();
     owned_first = nil;
     owned_last = nil;
@@ -330,6 +341,42 @@ and nil_hold =
     h_prev = nil_hold;
     h_next = nil_hold;
   }
+
+(* Count a fate of one of [conn]'s queue entries and, while armed, write
+   its record at time [t] into the next slot, whose index it returns (-1
+   while disarmed).  A delivery also feeds the [event.queue_ns{event}]
+   residency histogram from [t]. *)
+let record_fate_at conn ~t ~seq ?(survivor = -1) ~code ~window ~t_in fate =
+  let lg = conn.c_ledger in
+  fate_bump lg fate;
+  if lg.lg_armed then begin
+    (match fate with
+    | Delivered when t_in > 0 -> Metrics.observe lg.lg_queue_hist.(code) (t - t_in)
+    | _ -> ());
+    let i = lg.lg_recorded mod fate_ring_capacity in
+    lg.lg_recorded <- lg.lg_recorded + 1;
+    let s = lg.lg_fates.(i) in
+    s.fs_seq <- seq;
+    s.fs_survivor <- survivor;
+    s.fs_conn <- conn.cname;
+    s.fs_cid <- conn.cid;
+    s.fs_code <- code;
+    s.fs_window <- window;
+    s.fs_fate <- fate;
+    s.fs_t_in <- t_in;
+    s.fs_t_fate <- t;
+    s.fs_t0 <- 0;
+    s.fs_t1 <- 0;
+    s.fs_requests <- 0;
+    s.fs_fns <- [];
+    i
+  end
+  else -1
+
+(* The same, timed by a clock read of its own. *)
+let record_fate conn ~seq ?survivor ~code ~window ~t_in fate =
+  let t = if conn.c_ledger.lg_armed then Metrics.now_mono_ns () else 0 in
+  ignore (record_fate_at conn ~t ~seq ?survivor ~code ~window ~t_in fate)
 
 type grab = { gconn : conn; gwindow : Xid.t }
 
@@ -499,6 +546,7 @@ let connect server ~name =
       m_batch = Metrics.histogram server.metrics "delivery.batch_size";
       c_tracer = server.s_tracer;
       c_ledger = server.s_ledger;
+      read_ns = 0;
       c_active = server.active_set;
       owned_first = nil;
       owned_last = nil;
@@ -613,7 +661,7 @@ let try_coalesce conn ~seq ~t_in event =
     when Xid.equal window prev ->
       (* Latest-wins replacement: the old observation dies, the incoming
          one (and its stamp) survives. *)
-      record_fate conn.c_ledger ~cname:conn.cname ~seq:oseq ~survivor:seq
+      record_fate conn ~seq:oseq ~survivor:seq
         ~code:(Event.code event) ~window:(Xid.to_int window) ~t_in:ot
         Coalesced_into;
       Ring.replace_back conn.ring (Plain { ev = event; seq; t_in });
@@ -627,7 +675,7 @@ let try_coalesce conn ~seq ~t_in event =
              t_in = ot;
            }) )
     when Xid.equal window prev && synthetic = sprev ->
-      record_fate conn.c_ledger ~cname:conn.cname ~seq:oseq ~survivor:seq
+      record_fate conn ~seq:oseq ~survivor:seq
         ~code:(Event.code event) ~window:(Xid.to_int window) ~t_in:ot
         Coalesced_into;
       Ring.replace_back conn.ring (Plain { ev = event; seq; t_in });
@@ -639,7 +687,7 @@ let try_coalesce conn ~seq ~t_in event =
       | Some acc, Some r -> d.region <- Some (Region.union acc (Region.of_rect r)));
       (* Region accumulation: the incoming rect merges into the existing
          damage entry, which keeps its original stamp. *)
-      record_fate conn.c_ledger ~cname:conn.cname ~seq ~survivor:d.seq
+      record_fate conn ~seq ~survivor:d.seq
         ~code:expose_code ~window:(Xid.to_int window) ~t_in Coalesced_into;
       true
   | _, (Some _ | None) -> false
@@ -674,7 +722,7 @@ let coalesce_harder conn ~seq ~t_in event =
         match Ring.get conn.ring i with
         | Some (Plain { ev = Event.Motion_notify { window = prev; _ }; seq = oseq; t_in = ot })
           when Xid.equal prev window ->
-            record_fate conn.c_ledger ~cname:conn.cname ~seq:oseq ~survivor:seq
+            record_fate conn ~seq:oseq ~survivor:seq
               ~code:(Event.code event) ~window:(Xid.to_int window) ~t_in:ot
               Folded;
             Ring.set conn.ring i (Plain { ev = event; seq; t_in });
@@ -692,7 +740,7 @@ let coalesce_harder conn ~seq ~t_in event =
             | None, _ -> ()
             | _, None -> d.region <- None
             | Some acc, Some r -> d.region <- Some (Region.union acc (Region.of_rect r)));
-            record_fate conn.c_ledger ~cname:conn.cname ~seq ~survivor:d.seq
+            record_fate conn ~seq ~survivor:d.seq
               ~code:expose_code ~window:(Xid.to_int window) ~t_in Folded;
             true
         | _ -> scan (i - 1)
@@ -704,7 +752,7 @@ let note_shed server conn ~seq ~t_in event =
   Metrics.incr server.m_shed;
   conn.h_shed <- conn.h_shed + 1;
   wake conn;
-  record_fate conn.c_ledger ~cname:conn.cname ~seq ~code:(Event.code event)
+  record_fate conn ~seq ~code:(Event.code event)
     ~window:(Xid.to_int (Event.window_of event))
     ~t_in Shed;
   (* First shed per connection gets a recorder entry; after that, metrics
@@ -729,7 +777,7 @@ let shed_oldest_droppable server conn ~survivor =
     | Some entry when entry_droppable entry ->
         ignore (Ring.remove conn.ring i);
         let oseq, ot, code, window = entry_meta entry in
-        record_fate conn.c_ledger ~cname:conn.cname ~seq:oseq ~survivor ~code
+        record_fate conn ~seq:oseq ~survivor ~code
           ~window ~t_in:ot Dropped_oldest;
         Metrics.incr server.m_shed;
         conn.h_shed <- conn.h_shed + 1;
@@ -805,6 +853,11 @@ let deliver server conn event =
   end
 
 let selects mask h = List.mem mask h.masks
+
+(* [List.exists (selects mask)] without the closure it allocates. *)
+let rec any_selects mask = function
+  | [] -> false
+  | h :: rest -> selects mask h || any_selects mask rest
 
 let notify server window mask event =
   List.iter (fun h -> if selects mask h then deliver server h.h_conn event) window.selections
@@ -1089,8 +1142,10 @@ let map_one server conn window =
         if not window.mapped then begin
           window.mapped <- true;
           structure_notify server window (Event.Map_notify { window = window.id });
-          notify server window Event.Exposure_mask
-            (Event.Expose { window = window.id; damage = None })
+          (* Built only for a selector: the toolkit's windows select none. *)
+          if any_selects Event.Exposure_mask window.selections then
+            notify server window Event.Exposure_mask
+              (Event.Expose { window = window.id; damage = None })
         end
 
 let map_window server conn id =
@@ -1296,7 +1351,7 @@ let disconnect server conn =
     | None -> ()
     | Some entry ->
         let seq, t_in, code, window = entry_meta entry in
-        record_fate conn.c_ledger ~cname:conn.cname ~seq ~code ~window ~t_in
+        record_fate conn ~seq ~code ~window ~t_in
           Evicted_with_conn;
         flush_evicted ()
   in
@@ -1453,15 +1508,15 @@ let events_of_entry = function
         (fun r -> Event.Expose { window = dwindow; damage = Some r })
         (Region.rects region)
 
-let stamp_of_entry = function
-  | Plain { seq; t_in; _ } | Damage { seq; t_in; _ } -> { seq; ingress_ns = t_in }
+let stamp_of_entry ~slot = function
+  | Plain { seq; t_in; _ } | Damage { seq; t_in; _ } -> { seq; ingress_ns = t_in; slot }
 
 (* Delivery-side ledger accounting, once per popped entry (a multi-rect
    Damage expansion counts once — the unit of conservation is the queue
-   entry). *)
-let delivered_fate conn entry =
+   entry), at time [t]; returns the fate's slot. *)
+let delivered_fate conn ~t entry =
   let seq, t_in, code, window = entry_meta entry in
-  record_fate conn.c_ledger ~cname:conn.cname ~seq ~code ~window ~t_in Delivered
+  record_fate_at conn ~t ~seq ~code ~window ~t_in Delivered
 
 let rec next_event_stamped conn =
   if conn.stalled then None
@@ -1477,13 +1532,14 @@ let rec next_event_stamped conn =
       match Ring.pop conn.ring with
       | None -> None
       | Some entry -> (
-          delivered_fate conn entry;
+          let t = if conn.c_ledger.lg_armed then Metrics.now_mono_ns () else 0 in
+          let slot = delivered_fate conn ~t entry in
           match events_of_entry entry with
           | [] ->
               (* unreachable: a Damage entry is never empty *)
               next_event_stamped conn
           | event :: rest ->
-              let stamp = stamp_of_entry entry in
+              let stamp = stamp_of_entry ~slot entry in
               conn.overflow <- List.map (fun e -> (e, stamp)) rest;
               (* [rest] was just materialised from one entry, so the walk is
                  over a handful of damage rects, not the queue *)
@@ -1515,53 +1571,65 @@ let flush_batch conn = List.map fst (read_events_stamped conn ~max:max_int)
 (* {!read_events_stamped} writing into the caller's arrays: the same pops,
    fates, counters and stamps, without the option, pair, stamp and list
    cells a listed batch allocates per event.  A Damage entry (Expose) still
-   allocates its expansion; the WM, the one reader, selects no Exposure. *)
-let read_one conn events stamps n event seq t_in =
+   allocates its expansion; the WM, the one reader, selects no Exposure.
+   Every fate of the batch is timed by the one clock reading [t]. *)
+let read_one conn events stamps n event seq t_in slot =
   Metrics.incr conn.m_delivered;
   Metrics.incr conn.m_delivered_by;
   events.(n) <- event;
   let s = stamps.(n) in
   s.seq <- seq;
-  s.ingress_ns <- t_in
+  s.ingress_ns <- t_in;
+  s.slot <- slot
 
-let rec read_into conn events stamps n =
+let rec read_into conn ~t events stamps n =
   if n >= Array.length events || conn.stalled then n
   else
     match conn.overflow with
     | (event, stamp) :: rest ->
         conn.overflow <- rest;
         conn.overflow_len <- conn.overflow_len - 1;
-        read_one conn events stamps n event stamp.seq stamp.ingress_ns;
-        read_into conn events stamps (n + 1)
+        read_one conn events stamps n event stamp.seq stamp.ingress_ns stamp.slot;
+        read_into conn ~t events stamps (n + 1)
     | [] -> (
         match Ring.pop conn.ring with
         | None -> n
         | Some (Plain { ev; seq; t_in }) ->
-            record_fate conn.c_ledger ~cname:conn.cname ~seq ~code:(Event.code ev)
-              ~window:(Xid.to_int (Event.window_of ev)) ~t_in Delivered;
-            read_one conn events stamps n ev seq t_in;
-            read_into conn events stamps (n + 1)
+            let slot =
+              record_fate_at conn ~t ~seq ~code:(Event.code ev)
+                ~window:(Xid.to_int (Event.window_of ev)) ~t_in Delivered
+            in
+            read_one conn events stamps n ev seq t_in slot;
+            read_into conn ~t events stamps (n + 1)
         | Some (Damage _ as entry) -> (
             (* the spec's expansion: the first rect now, the rest spilled *)
-            delivered_fate conn entry;
+            let slot = delivered_fate conn ~t entry in
             match events_of_entry entry with
-            | [] -> read_into conn events stamps n
+            | [] -> read_into conn ~t events stamps n
             | event :: rest ->
-                let stamp = stamp_of_entry entry in
+                let stamp = stamp_of_entry ~slot entry in
                 conn.overflow <- List.map (fun e -> (e, stamp)) rest;
                 conn.overflow_len <- List.length rest;
-                read_one conn events stamps n event stamp.seq stamp.ingress_ns;
-                read_into conn events stamps (n + 1)))
+                read_one conn events stamps n event stamp.seq stamp.ingress_ns slot;
+                read_into conn ~t events stamps (n + 1)))
 
 let read_batch conn events stamps =
+  let t =
+    if conn.c_ledger.lg_armed && (not conn.stalled) && pending conn > 0 then
+      Metrics.now_mono_ns ()
+    else 0
+  in
+  conn.read_ns <- t;
   let n =
     if Tracing.enabled conn.c_tracer then
       Tracing.span conn.c_tracer "server.deliver" ~attrs:[ ("conn", conn.cname) ]
-        (fun () -> read_into conn events stamps 0)
-    else read_into conn events stamps 0
+        (fun () -> read_into conn ~t events stamps 0)
+    else read_into conn ~t events stamps 0
   in
   if n > 0 then Metrics.observe conn.m_batch n;
   n
+
+let read_ns conn = conn.read_ns
 
 (* Post damage to a window: delivered as Expose to Exposure_mask
    selectors; overlapping damage coalesces in their queues.  An empty area
@@ -2004,7 +2072,7 @@ let ledger_skip conn event (stamp : stamp) =
   if stamp.seq <> lg.lg_last_skip then begin
     lg.lg_last_skip <- stamp.seq;
     lg.lg_delivered <- lg.lg_delivered - 1;
-    record_fate lg ~cname:conn.cname ~seq:stamp.seq ~code:(Event.code event)
+    record_fate conn ~seq:stamp.seq ~code:(Event.code event)
       ~window:(Xid.to_int (Event.window_of event))
       ~t_in:stamp.ingress_ns Skipped
   end
@@ -2019,17 +2087,22 @@ let ledger_json server =
     c.lc_folded c.lc_dropped c.lc_shed c.lc_skipped c.lc_evicted c.lc_pending
     c.lc_balance
 
+(* The retained fate slots, oldest first. *)
+let iter_fates lg f =
+  for i = max 0 (lg.lg_recorded - fate_ring_capacity) to lg.lg_recorded - 1 do
+    f lg.lg_fates.(i mod fate_ring_capacity)
+  done
+
 let fate_json server ?conn:cfilter ?window () =
   let lg = server.s_ledger in
   let keep r =
-    (match cfilter with None -> true | Some c -> String.equal r.fr_conn c)
-    && match window with None -> true | Some w -> r.fr_window = w
+    (match cfilter with None -> true | Some c -> String.equal r.fs_conn c)
+    && match window with None -> true | Some w -> r.fs_window = w
   in
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\"fates\": [";
   let first = ref true in
-  Ring.iter
-    (fun r ->
+  iter_fates lg (fun r ->
       if keep r then begin
         if not !first then Buffer.add_string b ", ";
         first := false;
@@ -2038,15 +2111,68 @@ let fate_json server ?conn:cfilter ?window () =
              "{\"seq\": %d, \"event\": %s, \"fate\": %s, \"conn\": %s, \
               \"window\": %d, \"survivor\": %d, \"t_in_ns\": %d, \
               \"t_fate_ns\": %d}"
-             r.fr_seq
-             (Metrics.json_string (Event.name_of_code r.fr_code))
-             (Metrics.json_string (fate_name r.fr_fate))
-             (Metrics.json_string r.fr_conn)
-             r.fr_window r.fr_survivor r.fr_t_in r.fr_t_fate)
-      end)
-    lg.lg_fates;
+             r.fs_seq
+             (Metrics.json_string (Event.name_of_code r.fs_code))
+             (Metrics.json_string (fate_name r.fs_fate))
+             (Metrics.json_string r.fs_conn)
+             r.fs_window r.fs_survivor r.fs_t_in r.fs_t_fate)
+      end);
   Buffer.add_string b (Printf.sprintf "], \"ledger\": %s}" (ledger_json server));
   Buffer.contents b
+
+(* A dispatch is written into its entry's delivered slot, and only while
+   the slot still holds that entry: a dispatch that records more than
+   [fate_ring_capacity] fates has overwritten it.  The rects of one
+   expanded Damage entry share the slot; their dispatches run back to back
+   and add up to one. *)
+let ledger_dispatch conn (stamp : stamp) ~t0 ~t1 ~requests ~fns =
+  let lg = conn.c_ledger in
+  if lg.lg_armed && stamp.slot >= 0 then begin
+    let s = lg.lg_fates.(stamp.slot) in
+    match s.fs_fate with
+    | Delivered when s.fs_seq = stamp.seq ->
+        if s.fs_t1 = 0 then begin
+          s.fs_t0 <- t0;
+          s.fs_t1 <- t1;
+          s.fs_requests <- requests;
+          s.fs_fns <- fns
+        end
+        else begin
+          s.fs_t1 <- t1;
+          s.fs_requests <- s.fs_requests + requests;
+          s.fs_fns <- fns @ s.fs_fns
+        end
+    | _ -> ()
+  end
+
+type dispatch = {
+  d_seq : int;
+  d_code : int;
+  d_ingress_ns : int;
+  d_start_ns : int;
+  d_end_ns : int;
+  d_requests : int;
+  d_functions : string list;
+}
+
+let dispatches conn =
+  let acc = ref [] in
+  iter_fates conn.c_ledger (fun s ->
+      match s.fs_fate with
+      | Delivered when s.fs_cid = conn.cid && s.fs_t1 <> 0 ->
+        acc :=
+          {
+            d_seq = s.fs_seq;
+            d_code = s.fs_code;
+            d_ingress_ns = s.fs_t_in;
+            d_start_ns = s.fs_t0;
+            d_end_ns = s.fs_t1;
+            d_requests = s.fs_requests;
+            d_functions = List.rev s.fs_fns;
+          }
+          :: !acc
+      | _ -> ());
+  List.rev !acc
 
 (* Fold one live connection's pressure signals into its score.  The WM's
    own connection (journal-exempt) and fault-protected connections are

@@ -246,12 +246,14 @@ val next_event : conn -> Event.t option
 (** The next event, one at a time — the drain the twm-like and gwm-like
     baselines use. *)
 
-type stamp = { mutable seq : int; mutable ingress_ns : int }
+type stamp = { mutable seq : int; mutable ingress_ns : int; mutable slot : int }
 (** An event's ingress identity: the fleet-wide sequence id allocated at
-    enqueue and the monotonic enqueue time ([0] while the ledger is
-    disarmed).  Every event expanded from one coalesced Damage entry
-    shares that entry's stamp.  Mutable only so {!read_batch} can refill
-    the caller's stamps. *)
+    enqueue, the monotonic enqueue time ([0] while the ledger is
+    disarmed), and the fate-ring slot its [delivered] record went to ([-1]
+    while the ledger is disarmed), which {!ledger_dispatch} writes.  Every
+    event expanded from one coalesced Damage entry shares that entry's
+    stamp.  Mutable only so {!read_batch} can refill the caller's
+    stamps. *)
 
 val read_events_stamped : conn -> max:int -> (Event.t * stamp) list
 (** Drain up to [max] events in one call, each with its ingress stamp — the
@@ -269,8 +271,16 @@ val read_batch : conn -> Event.t array -> stamp array -> int
     [i] goes to [events.(i)] and its stamp is copied into [stamps.(i)]
     ([stamps] at least as long as [events]).  Returns how many were read.
     It pops, fates and counts exactly as {!read_events_stamped} does, and
-    allocates nothing per event but an Expose's expansion.  The WM drains
-    its queue with it. *)
+    allocates nothing per event but an Expose's expansion.  While the
+    ledger is armed, a batch that reads anything reads the clock once, and
+    that reading is the time of every fate it records ({!read_ns}).  The
+    WM drains its queue with it. *)
+
+val read_ns : conn -> int
+(** The clock reading of the connection's last {!read_batch}: the time of
+    every fate that batch recorded, which the WM takes as the start of its
+    first dispatch.  [0] when that batch read nothing or the ledger was
+    disarmed. *)
 
 val damage_window : t -> Xid.t -> Geom.rect -> unit
 (** Post an Expose with a window-interior damage rectangle to every
@@ -517,9 +527,33 @@ val ledger_json : t -> string
     section of [f.query(health)]. *)
 
 val fate_json : t -> ?conn:string -> ?window:int -> unit -> string
-(** The retained fate records, oldest first, optionally filtered by
-    connection name or window id, plus the ledger totals — the payload
-    behind [f.query(fate,CONN|#WIN)]. *)
+(** The retained fate records (the newest 512, in slots overwritten in
+    place), oldest first, optionally filtered by connection name or window
+    id, plus the ledger totals — the payload behind
+    [f.query(fate,CONN|#WIN)]. *)
+
+val ledger_dispatch :
+  conn -> stamp -> t0:int -> t1:int -> requests:int -> fns:string list -> unit
+(** Record the dispatch of a delivered event in its entry's fate slot: its
+    start and end times, the requests it issued and the f.* verbs it ran
+    (newest first).  Does nothing while the ledger is disarmed or once the
+    slot holds another fate.  The events of one expanded Damage entry add
+    up in the one slot. *)
+
+type dispatch = {
+  d_seq : int;
+  d_code : int;  (** {!Event.code} *)
+  d_ingress_ns : int;  (** [0] when the ledger was disarmed at enqueue *)
+  d_start_ns : int;
+  d_end_ns : int;
+  d_requests : int;
+  d_functions : string list;  (** in the order they ran *)
+}
+
+val dispatches : conn -> dispatch list
+(** The retained [delivered] fates of this connection that carry a
+    dispatch, oldest first: the WM's recent-dispatch waterfall is this view
+    over its own connection. *)
 
 (** {1 Replay journal}
 

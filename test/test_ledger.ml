@@ -497,7 +497,7 @@ let prop_read_batch_matches_spec =
             true
         | Read (c, n) ->
             let events = Array.make n (Event.Focus_in { window = Swm_xlib.Xid.none }) in
-            let stamps = Array.init n (fun _ -> { Server.seq = 0; ingress_ns = 0 }) in
+            let stamps = Array.init n (fun _ -> { Server.seq = 0; ingress_ns = 0; slot = -1 }) in
             let k = Server.read_batch (fst fast_clients.(c)) events stamps in
             let got_fast =
               List.init k (fun i -> (events.(i), stamps.(i).seq, stamps.(i).ingress_ns))
@@ -530,6 +530,98 @@ let prop_read_batch_matches_spec =
       && ingress_consistent
            (!seen_spec @ List.map (fun ((seq, _, _, _, _, _), t) -> (seq, t)) fates_spec))
 
+(* -------- one clock read per batch, dispatches in place -------- *)
+
+let fate_times server =
+  match Json.parse (Server.fate_json server ()) with
+  | Ok json ->
+      List.map
+        (fun r ->
+          let int k = Option.value ~default:(-1) (Option.bind (Json.member k r) Json.to_int) in
+          (int "seq", int "t_fate_ns"))
+        (Option.value ~default:[] (Option.bind (Json.member "fates" json) Json.to_list))
+  | Error msg -> Alcotest.failf "fate_json does not parse: %s" msg
+
+let read_stamped conn n =
+  let events = Array.make n (Event.Focus_in { window = Swm_xlib.Xid.none }) in
+  let stamps = Array.init n (fun _ -> { Server.seq = 0; ingress_ns = 0; slot = -1 }) in
+  let k = Server.read_batch conn events stamps in
+  Array.sub stamps 0 k
+
+(* Every fate one read_batch records carries the one clock reading the
+   batch took, which read_ns returns; a read of an empty queue reads no
+   clock.  Disarmed, a batch reads none and its stamps name no slot. *)
+let test_batch_shares_one_fate_time () =
+  let server, conn, _root = motion_setup () in
+  Server.set_coalesce conn false;
+  for i = 1 to 10 do
+    Server.warp_pointer server ~screen:0 (Geom.point i i)
+  done;
+  let reads0 = Metrics.clock_reads () in
+  let stamps = read_stamped conn 64 in
+  check Alcotest.int "one clock read for the batch" 1 (Metrics.clock_reads () - reads0);
+  check Alcotest.int "every motion read" 10 (Array.length stamps);
+  let t = Server.read_ns conn in
+  check Alcotest.bool "the reading is a time" true (t > 0);
+  let times = fate_times server in
+  Array.iter
+    (fun (st : Server.stamp) ->
+      check (Alcotest.option Alcotest.int) "fate time is the batch's" (Some t)
+        (List.assoc_opt st.seq times);
+      check Alcotest.bool "the stamp names a slot" true (st.slot >= 0))
+    stamps;
+  let reads0 = Metrics.clock_reads () in
+  check Alcotest.int "an empty queue reads nothing" 0 (Array.length (read_stamped conn 64));
+  check Alcotest.int "and no clock" 0 (Metrics.clock_reads () - reads0);
+  check Alcotest.int "read_ns of an empty read" 0 (Server.read_ns conn);
+  Server.set_ledger server false;
+  Server.warp_pointer server ~screen:0 (Geom.point 50 50);
+  let reads0 = Metrics.clock_reads () in
+  let stamps = read_stamped conn 64 in
+  check Alcotest.int "disarmed: no clock read" 0 (Metrics.clock_reads () - reads0);
+  check Alcotest.bool "disarmed: no slot" true
+    (Array.length stamps = 1 && stamps.(0).slot = -1)
+
+(* A dispatch lands in its event's slot, and the dispatches of one entry
+   (the rects of a Damage entry share its stamp) add up there, unless more
+   than a window of fates has overwritten that slot since the read: then
+   the slot's new fate is left alone and the dispatch is not in the
+   view. *)
+let test_overwritten_slot_left_alone () =
+  let server, conn, _root = motion_setup () in
+  let other = Server.connect server ~name:"other" in
+  Server.select_input server other (Server.root server ~screen:0) [ Event.Pointer_motion_mask ];
+  Server.set_coalesce conn false;
+  Server.set_coalesce other false;
+  Server.warp_pointer server ~screen:0 (Geom.point 1 1);
+  ignore (Server.flush_batch other);
+  let kept = (read_stamped conn 1).(0) in
+  Server.ledger_dispatch conn kept ~t0:100 ~t1:150 ~requests:2 ~fns:[ "f.lower"; "f.raise" ];
+  Server.ledger_dispatch conn kept ~t0:150 ~t1:170 ~requests:1 ~fns:[ "f.iconify" ];
+  (match Server.dispatches conn with
+  | [ d ] ->
+      check Alcotest.int "the dispatch's seq" kept.seq d.d_seq;
+      check Alcotest.int "its span, both parts" 70 (d.d_end_ns - d.d_start_ns);
+      check Alcotest.int "its requests" 3 d.d_requests;
+      check Alcotest.(list string) "its functions, in order"
+        [ "f.raise"; "f.lower"; "f.iconify" ] d.d_functions
+  | l -> Alcotest.failf "expected one dispatch, got %d" (List.length l));
+  Server.warp_pointer server ~screen:0 (Geom.point 2 2);
+  let late = (read_stamped conn 1).(0) in
+  ignore (Server.flush_batch other);
+  for batch = 0 to 5 do
+    for i = 1 to 100 do
+      Server.warp_pointer server ~screen:0 (Geom.point (3 + (batch * 100) + i) i)
+    done;
+    ignore (Server.flush_batch other);
+    ignore (read_stamped conn 100)
+  done;
+  Server.ledger_dispatch conn late ~t0:200 ~t1:300 ~requests:1 ~fns:[ "f.raise" ];
+  check Alcotest.(list int) "no view entry for the overwritten event" []
+    (List.map (fun (d : Server.dispatch) -> d.d_seq) (Server.dispatches conn));
+  check Alcotest.(list int) "nor for the slot's new owner" []
+    (List.map (fun (d : Server.dispatch) -> d.d_seq) (Server.dispatches other))
+
 let suite =
   [
     Alcotest.test_case "motion coalescing balances" `Quick
@@ -550,6 +642,10 @@ let suite =
       test_fate_json_filters;
     Alcotest.test_case "fate window keeps the newest 512" `Quick
       test_fate_window_wraps;
+    Alcotest.test_case "a batch's fates share one clock read" `Quick
+      test_batch_shares_one_fate_time;
+    Alcotest.test_case "an overwritten slot is left alone" `Quick
+      test_overwritten_slot_left_alone;
     QCheck_alcotest.to_alcotest prop_fate_accounting_balances;
     QCheck_alcotest.to_alcotest prop_fate_counts_deterministic;
     QCheck_alcotest.to_alcotest prop_read_batch_matches_spec;

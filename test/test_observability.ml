@@ -25,6 +25,7 @@ module Templates = Swm_core.Templates
 module Client_app = Swm_clients.Client_app
 module Stock = Swm_clients.Stock
 module Workload = Swm_clients.Workload
+module Waterfall_ref = Swm_waterfall_reference.Waterfall_ref
 
 let check = Alcotest.check
 
@@ -844,11 +845,13 @@ let test_f_waterfall () =
         [ "seq"; "event"; "queue_ns"; "dispatch_ns"; "e2e_ns"; "requests"; "functions" ];
       check Alcotest.bool "seq links to an ingress record" true (int_of e "seq" > 0);
       check Alcotest.bool "dispatch_ns non-negative" true (int_of e "dispatch_ns" >= 0);
-      (* A stamped event's end-to-end spans its queue wait and dispatch. *)
-      if int_of e "ingress_ns" > 0 then
-        check Alcotest.bool "e2e >= queue + dispatch parts" true
-          (int_of e "e2e_ns" >= int_of e "dispatch_ns"
-          && int_of e "e2e_ns" >= int_of e "queue_ns"))
+      (* A stamped event's end-to-end is its queue wait plus its dispatch. *)
+      if int_of e "ingress_ns" > 0 then begin
+        check Alcotest.bool "queue_ns non-negative" true (int_of e "queue_ns" >= 0);
+        check Alcotest.int "e2e = queue + dispatch"
+          (int_of e "queue_ns" + int_of e "dispatch_ns")
+          (int_of e "e2e_ns")
+      end)
     entries;
   let seqs = List.map (fun e -> int_of e "seq") entries in
   check Alcotest.(list int) "oldest first: seqs ascend"
@@ -871,37 +874,249 @@ let test_f_waterfall () =
   check Alcotest.bool "missing argument is reported" true
     (Json.member "error" err <> None)
 
-(* More dispatches than the 64-slot waterfall ring: the waterfall section writes
-   exactly the newest 64, oldest first. *)
+(* More dispatches than the ledger's fate window holds: the waterfall keeps
+   the newest of them, oldest first, and they are the WM's delivered fates
+   in that window.  Read at rest just before the query, the window can
+   lose at most the fates the query's own read records to the window's
+   far end. *)
 let test_f_waterfall_wraps () =
   let path = tmp_path "waterfall-wrap.json" in
   let server, wm, _ctx = fixture () in
   let sender = Server.connect server ~name:"swmcmd" in
-  for _ = 1 to 80 do
+  for _ = 1 to 600 do
     Swmcmd.send server sender ~screen:0 "f.refresh";
     ignore (Wm.step wm)
   done;
+  let seqs_of what key l =
+    List.map
+      (fun e ->
+        match Json.to_int (member_exn what key e) with
+        | Some s -> s
+        | None -> Alcotest.failf "%s: %s is not a number" what key)
+      l
+  in
+  let delivered =
+    seqs_of "fate" "seq"
+      (List.filter
+         (fun r -> Json.to_string (member_exn "fate" "fate" r) = Some "delivered")
+         (Option.value ~default:[]
+            (Json.to_list
+               (member_exn "fate" "fates"
+                  (parse_ok "fate_json" (Server.fate_json server ~conn:"swm" ()))))))
+  in
   ignore (reply_of server wm sender (Printf.sprintf "f.query(waterfall,%s)" path));
   let wf =
     parse_ok "waterfall" (In_channel.with_open_text path In_channel.input_all)
   in
   Sys.remove path;
   let seqs =
-    List.map
-      (fun e ->
-        match Json.to_int (member_exn "entry" "seq" e) with
-        | Some s -> s
-        | None -> Alcotest.fail "waterfall entry: seq is not a number")
+    seqs_of "waterfall entry" "seq"
       (Option.value ~default:[]
          (Json.to_list (member_exn "waterfall" "waterfall" wf)))
   in
-  check Alcotest.int "exactly the ring's capacity" Ctx.waterfall_capacity
-    (List.length seqs);
+  let dispatched =
+    Metrics.counter_value (Server.metrics server) "wm.events_dispatched"
+  in
+  check Alcotest.bool "older dispatches left the window" true
+    (List.length seqs < dispatched - 1);
   check (Alcotest.option Alcotest.int) "events counts the retained dispatches"
-    (Some Ctx.waterfall_capacity)
+    (Some (List.length seqs))
     (Json.to_int (member_exn "waterfall" "events" wf));
   check Alcotest.(list int) "oldest first: seqs ascend"
-    (List.sort_uniq compare seqs) seqs
+    (List.sort_uniq compare seqs) seqs;
+  let dropped = List.length delivered - List.length seqs in
+  check Alcotest.bool "the newest are kept: the window's delivered fates" true
+    (dropped >= 0 && dropped <= 2
+    && List.filteri (fun i _ -> i >= dropped) delivered = seqs)
+
+(* The dispatches of one batch tile it: the first starts at the batch's
+   fate time, the one clock reading of its read, and each next one where
+   the previous one ended.  The step reads the clock once for the batch
+   and once per dispatch. *)
+let test_dispatches_tile_the_batch () =
+  let server, wm, ctx = fixture () in
+  let app = Stock.xterm server () in
+  ignore (Wm.step wm);
+  let frame = (Option.get (Wm.find_client wm (Client_app.window app))).Ctx.frame in
+  let sender = Server.connect server ~name:"bench-sender" in
+  let n = 8 in
+  for i = 1 to n do
+    Server.send_event server sender ~dest:frame
+      (Swm_xlib.Event.Client_message
+         { window = frame; name = "TILE"; data = string_of_int i })
+  done;
+  let reads0 = Metrics.clock_reads () in
+  ignore (Wm.step wm);
+  let reads = Metrics.clock_reads () - reads0 in
+  let batch =
+    List.filter
+      (fun (d : Server.dispatch) -> d.d_code = Swm_xlib.Event.code
+         (Swm_xlib.Event.Client_message { window = frame; name = ""; data = "" }))
+      (Server.dispatches ctx.Ctx.conn)
+  in
+  check Alcotest.int "every message dispatched and kept" n (List.length batch);
+  let fate_times =
+    List.filter_map
+      (fun r ->
+        match
+          ( Json.to_int (member_exn "fate" "seq" r),
+            Json.to_int (member_exn "fate" "t_fate_ns" r) )
+        with
+        | Some seq, Some t -> Some (seq, t)
+        | _ -> None)
+      (Option.value ~default:[]
+         (Json.to_list
+            (member_exn "fate" "fates"
+               (parse_ok "fate_json" (Server.fate_json server ~conn:"swm" ())))))
+  in
+  let first = List.hd batch in
+  check (Alcotest.option Alcotest.int) "the first starts at the batch's fate time"
+    (List.assoc_opt first.d_seq fate_times) (Some first.d_start_ns);
+  let rec tiled = function
+    | (a : Server.dispatch) :: (b :: _ as rest) ->
+        a.d_end_ns = b.d_start_ns && a.d_start_ns <= a.d_end_ns && tiled rest
+    | [ a ] -> a.d_start_ns <= a.d_end_ns
+    | [] -> true
+  in
+  check Alcotest.bool "each starts where the previous one ended" true (tiled batch);
+  check Alcotest.int "one read for the batch, one per dispatch" (n + 1) reads
+
+(* f.query(waterfall) against the recording it replaced.  Twin WMs run the
+   same seeded session, one stepped by [Wm.step] and one by
+   {!Waterfall_ref.step}: launches, configure churn, swmcmd lines, pointer
+   sweeps and client reads, with the ledger disarmed and re-armed.  For
+   every dispatch both sides retain, the view and the ring agree on seq,
+   event, requests and functions; every view entry's times add up; and
+   every dispatch of the session's last step, armed throughout, is in the
+   view. *)
+type wf_op =
+  | Launch of int
+  | Churn of int
+  | Command of int
+  | Sweep of int * int
+  | Read
+  | Ledger of bool
+  | Step
+
+let wf_commands =
+  [| "f.raise(XTerm)"; "f.lower(XClock)"; "f.iconify(XTerm)"; "f.deiconify(XTerm)";
+     "f.panTo(300,200)"; "f.panTo(0,0)"; "f.refresh"; "f.raise(Emacs)" |]
+
+let show_wf_op = function
+  | Launch seed -> Printf.sprintf "launch %d" seed
+  | Churn seed -> Printf.sprintf "churn %d" seed
+  | Command i -> wf_commands.(i)
+  | Sweep (x, y) -> Printf.sprintf "sweep %d,%d" x y
+  | Read -> "read"
+  | Ledger b -> Printf.sprintf "ledger %b" b
+  | Step -> "step"
+
+let wf_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, map (fun seed -> Launch seed) (int_range 0 1000));
+        (2, map (fun seed -> Churn seed) (int_range 0 1000));
+        (3, map (fun i -> Command i) (int_range 0 (Array.length wf_commands - 1)));
+        (2, map2 (fun x y -> Sweep (x, y)) (int_range 0 700) (int_range 0 500));
+        (2, return Read);
+        (1, map (fun b -> Ledger b) bool);
+        (4, return Step);
+      ])
+
+type wf_twin = {
+  tw_server : Server.t;
+  tw_wm : Wm.t;
+  tw_sender : Server.conn;
+  mutable tw_apps : Client_app.t list;
+}
+
+let wf_twin () =
+  let server = Server.create () in
+  let wm = Wm.start ~resources:[ Templates.open_look; "swm*rootPanels:\n" ] server in
+  { tw_server = server; tw_wm = wm; tw_sender = Server.connect server ~name:"swmcmd";
+    tw_apps = [] }
+
+let wf_apply tw step = function
+  | Launch seed ->
+      let spec =
+        List.hd (Workload.specs { Workload.default_params with count = 1; seed })
+      in
+      tw.tw_apps <- Client_app.launch tw.tw_server spec :: tw.tw_apps
+  | Churn seed -> Workload.configure_churn tw.tw_server ~seed ~rounds:1 tw.tw_apps
+  | Command i -> Swmcmd.send tw.tw_server tw.tw_sender ~screen:0 wf_commands.(i)
+  | Sweep (x, y) ->
+      for i = 0 to 7 do
+        Server.warp_pointer tw.tw_server ~screen:0 (Geom.point (x + (i * 50)) (y + (i * 40)))
+      done
+  | Read -> List.iter (fun app -> ignore (Client_app.process_events app)) tw.tw_apps
+  | Ledger b -> Server.set_ledger tw.tw_server b
+  | Step -> ignore (step tw)
+
+(* The ring's records of one queue entry (the rects of one Damage entry
+   share a seq) folded into one, as the entry's fate slot holds them. *)
+let rec fold_by_seq = function
+  | (a : Waterfall_ref.waterfall_rec) :: (b :: rest) when a.wf_seq = b.wf_seq ->
+      fold_by_seq
+        ({ a with wf_t1 = b.wf_t1; wf_requests = a.wf_requests + b.wf_requests;
+                  wf_fns = a.wf_fns @ b.wf_fns }
+        :: rest)
+  | a :: rest -> a :: fold_by_seq rest
+  | [] -> []
+
+let prop_waterfall_view_matches_ring =
+  QCheck2.Test.make ~name:"f.query(waterfall) matches the recorded ring" ~count:60
+    ~print:(fun ops -> String.concat "; " (List.map show_wf_op ops))
+    QCheck2.Gen.(list_size (int_range 1 40) wf_op_gen)
+    (fun ops ->
+      let view = wf_twin () and spec = wf_twin () in
+      let ring = Waterfall_ref.create () in
+      let step_view tw = Wm.step tw.tw_wm in
+      let step_spec tw = Waterfall_ref.step ring (Wm.ctx tw.tw_wm) in
+      let both op =
+        wf_apply view step_view op;
+        wf_apply spec step_spec op
+      in
+      List.iter both ops;
+      (* The last step: armed, with a command the WM is sure to read. *)
+      List.iter both [ Ledger true; Step; Command 6 ];
+      let last_before =
+        List.fold_left (fun m (r : Waterfall_ref.waterfall_rec) -> max m r.wf_seq) 0
+          (Waterfall_ref.records ring)
+      in
+      both Step;
+      let path = tmp_path "waterfall-prop.json" in
+      ignore (reply_of view.tw_server view.tw_wm view.tw_sender
+                (Printf.sprintf "f.query(waterfall,%s)" path));
+      let wf = parse_ok "waterfall" (In_channel.with_open_text path In_channel.input_all) in
+      Sys.remove path;
+      let entries = Option.value ~default:[] (Json.to_list (member_exn "waterfall" "waterfall" wf)) in
+      let int e k = Option.get (Json.to_int (member_exn "entry" k e)) in
+      let strings e k =
+        List.filter_map Json.to_string
+          (Option.value ~default:[] (Json.to_list (member_exn "entry" k e)))
+      in
+      let by_seq = List.map (fun e -> (int e "seq", e)) entries in
+      let records = fold_by_seq (Waterfall_ref.records ring) in
+      let times_add_up e =
+        int e "dispatch_ns" >= 0
+        &&
+        if int e "ingress_ns" > 0 then
+          int e "queue_ns" >= 0 && int e "e2e_ns" = int e "queue_ns" + int e "dispatch_ns"
+        else int e "queue_ns" = -1 && int e "e2e_ns" = -1
+      in
+      let agrees (r : Waterfall_ref.waterfall_rec) =
+        match List.assoc_opt r.wf_seq by_seq with
+        | None -> r.wf_seq <= last_before
+        | Some e ->
+            Json.to_string (member_exn "entry" "event" e)
+              = Some (Swm_xlib.Event.name_of_code r.wf_code)
+            && int e "requests" = r.wf_requests
+            && strings e "functions" = r.wf_fns
+      in
+      List.for_all times_add_up entries
+      && List.exists (fun (r : Waterfall_ref.waterfall_rec) -> r.wf_seq > last_before) records
+      && List.for_all agrees records)
 
 (* The MANUAL's "why was this slow, where did this event go" walkthrough,
    end to end against a live WM: every answer is one f.query over swmcmd,
@@ -1081,8 +1296,11 @@ let suite =
     Alcotest.test_case "f.query(fate) lists fates with lineage" `Quick test_f_fate;
     Alcotest.test_case "f.query(waterfall) links events to effects" `Quick
       test_f_waterfall;
-    Alcotest.test_case "f.query(waterfall) keeps the newest 64" `Quick
+    Alcotest.test_case "f.query(waterfall) keeps the newest dispatches" `Quick
       test_f_waterfall_wraps;
+    Alcotest.test_case "dispatches tile their batch" `Quick
+      test_dispatches_tile_the_batch;
+    QCheck_alcotest.to_alcotest prop_waterfall_view_matches_ring;
     Alcotest.test_case "f.query walkthrough: slow and lost events" `Quick
       test_query_walkthrough;
     Alcotest.test_case "sticky USPosition is root-absolute" `Quick

@@ -341,6 +341,35 @@ let test_toolkit_windows_get_no_expose () =
   check Alcotest.int "the client is exposed over the union" 175
     (Swm_xlib.Region.area (Swm_xlib.Region.of_rects damage))
 
+(* Mapping a window builds its Expose only for a connection that selects
+   Exposure there: managing an OpenLook client maps a decoration of many
+   toolkit windows and queues no Expose for the WM, while the client
+   window, which selects Exposure, is exposed once it is mapped. *)
+let test_mapped_decoration_queues_no_expose () =
+  let server, wm = fixture () in
+  let app = Stock.xterm server ~at:(Geom.point 50 60) () in
+  let conn = Client_app.conn app and win = Client_app.window app in
+  Server.select_input server conn win [ Event.Structure_notify; Event.Exposure_mask ];
+  ignore (Server.flush_batch conn);
+  let dispatched_expose =
+    Swm_xlib.Metrics.labeled_counter
+      (Swm_xlib.Metrics.counter_family (Server.metrics server) ~key:"event"
+         "wm.dispatch.events")
+      "Expose"
+  in
+  let e0 = Swm_xlib.Metrics.value dispatched_expose in
+  ignore (Wm.step wm);
+  let client = managed_client wm app in
+  check Alcotest.bool "the decoration was mapped" true
+    (Server.is_mapped server client.Ctx.frame
+    && List.length (Server.children_of server client.Ctx.frame) > 1);
+  check Alcotest.int "the WM read no Expose" e0 (Swm_xlib.Metrics.value dispatched_expose);
+  check Alcotest.int "nothing pending for the WM" 0 (Server.pending (Wm.ctx wm).Ctx.conn);
+  check Alcotest.bool "the client window got its Expose" true
+    (List.exists
+       (function Event.Expose { window; _ } -> Xid.equal window win | _ -> false)
+       (Server.flush_batch conn))
+
 let suite =
   [
     Alcotest.test_case "MapRequest manages and maps" `Quick test_map_request_manages;
@@ -366,4 +395,6 @@ let suite =
     Alcotest.test_case "root panels are managed clients" `Quick test_root_panel_is_client;
     Alcotest.test_case "toolkit windows get no Expose" `Quick
       test_toolkit_windows_get_no_expose;
+    Alcotest.test_case "a mapped decoration queues no Expose" `Quick
+      test_mapped_decoration_queues_no_expose;
   ]
